@@ -14,9 +14,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .dualnorm import NormEngine
-from .seqvec import FinVec, NormBounds, Rational, _frac
+from .seqvec import FinVec, Rational, _frac
 
-DEFAULT_COEFF_POOL: tuple[Fraction, ...] = tuple(
+SAMPLE_POOL: tuple[Fraction, ...] = tuple(
     Fraction(v) for v in ("1", "-1", "1/2", "-1/2", "2", "-2", "1/3", "-1/3")
 )
 
@@ -72,9 +72,7 @@ def normalize(u: BlockSequence, engine: NormEngine) -> BlockSequence:
     """Scale each block to engine norm exactly 1."""
     scaled = []
     for j, block in enumerate(u.blocks):
-        value = engine.eval(block)
-        if isinstance(value, NormBounds):
-            value = value.value  # raises unless the engine produced an exact value
+        value = engine.eval_exact(block)
         if value == 0:
             raise ValueError(f"block {j + 1} has norm zero")
         scaled.append(block.scale(1 / value))
@@ -85,7 +83,7 @@ def random_block_sequence(
     seed: int,
     count: int,
     max_block_width: int,
-    coeff_pool: Sequence[Rational] = DEFAULT_COEFF_POOL,
+    coeff_pool: Sequence[Rational] = SAMPLE_POOL,
     engine: NormEngine | None = None,
     start: int = 1,
 ) -> BlockSequence:

@@ -13,12 +13,12 @@ from __future__ import annotations
 import json
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .blockseq import BlockSequence, combine, normalize, random_block_sequence
-from .dualnorm import DualTsirelsonEngine, dual_norm_value
+from .blockseq import SAMPLE_POOL, BlockSequence, combine, normalize, random_block_sequence
+from .dualnorm import DualTsirelsonEngine, dual_norm
 from .jamesify import JamesEngine, PairSelection, difference_vector, james_norm
 from .seqvec import (
     FinVec,
@@ -31,10 +31,6 @@ from .seqvec import (
 )
 
 T_STAR = DualTsirelsonEngine()
-
-SAMPLE_POOL: tuple[Fraction, ...] = tuple(
-    Fraction(v) for v in ("1", "-1", "1/2", "-1/2", "2", "-2", "1/3", "-1/3")
-)
 
 
 @dataclass(frozen=True)
@@ -92,15 +88,11 @@ class QEstimateReport:
         }
 
 
-def _sample_vector(
-    rng: random.Random,
-    indices: Sequence[int],
-    pool: Sequence[Fraction] = SAMPLE_POOL,
-) -> FinVec:
+def _sample_vector(rng: random.Random, indices: Sequence[int]) -> FinVec:
     chosen = [i for i in indices if rng.random() < 0.75]
     if not chosen:
         chosen = [rng.choice(list(indices))]
-    return FinVec.from_pairs((i, rng.choice(pool)) for i in chosen)
+    return FinVec.from_pairs((i, rng.choice(SAMPLE_POOL)) for i in chosen)
 
 
 def _window_patterns(n: int) -> list[FinVec]:
@@ -136,7 +128,7 @@ def check_window_bound(
         _sample_vector(rng, window) for _ in range(samples)
     ]
     for y in vectors:
-        value = dual_norm_value(y)
+        value = dual_norm(y)
         sup = max(abs(c) for _, c in y.entries)
         ratio = value / sup
         if ratio > worst_ratio or worst is None:
@@ -167,15 +159,15 @@ def check_partition_bound(y: FinVec, boundaries: Sequence[int]) -> Certificate:
     support = y.support()
     if support and support[-1] > boundaries[-1]:
         raise ValueError("boundaries must cover the support")
-    lhs = dual_norm_value(y)
+    lhs = dual_norm(y)
     block_norms = []
     for j in range(len(boundaries) - 1):
         window = IndexInterval(boundaries[j] + 1, boundaries[j + 1])
-        block_norms.append(dual_norm_value(restrict(y, window)))
+        block_norms.append(dual_norm(restrict(y, window)))
     dominating = FinVec.from_pairs(
         (j + 1, norm) for j, norm in enumerate(block_norms)
     )
-    rhs = dual_norm_value(dominating)
+    rhs = dual_norm(dominating)
     return Certificate(
         check_id="partition_bound",
         params={"boundaries": boundaries},
@@ -191,38 +183,43 @@ def check_partition_bound(y: FinVec, boundaries: Sequence[int]) -> Certificate:
     )
 
 
-def _require_normalized(u: BlockSequence, engine: JamesEngine) -> None:
+def _require_normalized(u: BlockSequence) -> None:
+    engine = JamesEngine(T_STAR)
     for j, block in enumerate(u.blocks):
         if engine.eval_exact(block) != 1:
             raise ValueError(f"block {j + 1} is not normalized in {engine.name}")
+
+
+def _james_witness(u: BlockSequence, a: FinVec) -> tuple[Fraction, dict]:
+    """T_J* norm of sum a_j u_j, with the witness fields that replay it."""
+    combined = combine(u, a)
+    value, selection = james_norm(combined, T_STAR, with_witness=True)
+    return value, {
+        "coefficients": a.to_json_obj(),
+        "combined": combined.to_json_obj(),
+        "selection": selection.to_json_obj() if selection else None,
+    }
 
 
 def check_block_domination(
     u: BlockSequence, a: FinVec, skip_normalization_check: bool = False
 ) -> Certificate:
     """Combined-vector norm against neighbor-sum coefficients (exact)."""
-    engine = JamesEngine(T_STAR)
     if not skip_normalization_check:
-        _require_normalized(u, engine)
-    combined = combine(u, a)
-    lhs_value, selection = james_norm(combined, T_STAR, with_witness=True)
+        _require_normalized(u)
+    lhs_value, witness = _james_witness(u, a)
     count = len(u.blocks)
     dominating = FinVec.from_pairs(
         (j, abs(a.coeff(j)) + abs(a.coeff(j + 1))) for j in range(1, count + 1)
     )
-    rhs = dual_norm_value(dominating)
+    rhs = dual_norm(dominating)
     return Certificate(
         check_id="block_domination",
         params={"blocks": len(u.blocks)},
         lhs=lhs_value,
         rhs=rhs,
         constant=Fraction(1),
-        witness={
-            "coefficients": a.to_json_obj(),
-            "combined": combined.to_json_obj(),
-            "selection": selection.to_json_obj() if selection else None,
-            "dominating_vector": dominating.to_json_obj(),
-        },
+        witness={**witness, "dominating_vector": dominating.to_json_obj()},
         passed=lhs_value <= rhs,
     )
 
@@ -240,11 +237,9 @@ def check_cor10(
         raise ValueError("coefficient vector must be nonzero")
     if support[0] < n or support[-1] > 2 * n:
         raise ValueError(f"support {support} escapes the window [{n}, {2 * n}]")
-    engine = JamesEngine(T_STAR)
     if not skip_normalization_check:
-        _require_normalized(u, engine)
-    combined = combine(u, a)
-    lhs_value, selection = james_norm(combined, T_STAR, with_witness=True)
+        _require_normalized(u)
+    lhs_value, witness = _james_witness(u, a)
     sup = max(abs(c) for _, c in a.entries)
     rhs = constant * sup
     return Certificate(
@@ -253,13 +248,7 @@ def check_cor10(
         lhs=lhs_value,
         rhs=rhs,
         constant=constant,
-        witness={
-            "coefficients": a.to_json_obj(),
-            "combined": combined.to_json_obj(),
-            "selection": selection.to_json_obj() if selection else None,
-            "sup_norm": str(sup),
-            "ratio": str(lhs_value / sup),
-        },
+        witness={**witness, "sup_norm": str(sup), "ratio": str(lhs_value / sup)},
         passed=lhs_value <= rhs,
     )
 
@@ -284,7 +273,7 @@ def q_estimate_scan(
         raise ValueError("q must be >= 1")
     engine = JamesEngine(T_STAR)
     if not skip_normalization_check:
-        _require_normalized(u, engine)
+        _require_normalized(u)
     rng = random.Random(seed)
     per_range: list[NormBounds] = []
     witnesses = []
@@ -383,9 +372,8 @@ def check_shrinking_series(
         raise ValueError(
             f"need {2 ** (levels + 1)} blocks for {levels} levels, got {len(u.blocks)}"
         )
-    engine = JamesEngine(T_STAR)
     if not skip_normalization_check:
-        _require_normalized(u, engine)
+        _require_normalized(u)
     level_norms = []
     level_witness = []
     passed = True
@@ -472,35 +460,47 @@ def _unit_window_bound(params: dict, seed: int) -> list[Certificate]:
     return certs
 
 
+def _worst_sample(
+    samples: int,
+    draw: Callable[[], Certificate],
+    badness: Callable[[Certificate], Fraction],
+    params: dict,
+) -> Certificate:
+    """The first strictly worst of ``samples`` drawn certificates.
+
+    The result carries the unit's ``params`` and passes only if every
+    sample passed.
+    """
+    worst: Optional[Certificate] = None
+    worst_badness = Fraction(0)
+    all_passed = True
+    for _ in range(samples):
+        cert = draw()
+        all_passed = all_passed and cert.passed
+        value = badness(cert)
+        if worst is None or value > worst_badness:
+            worst, worst_badness = cert, value
+    if worst is None:
+        raise ValueError("a sampled check needs samples >= 1")
+    return replace(worst, params=params, passed=all_passed)
+
+
+def _excess(cert: Certificate) -> Fraction:
+    return cert.lhs - cert.rhs
+
+
 def _unit_partition_bound(params: dict, seed: int) -> list[Certificate]:
     rng = random.Random(seed)
     samples = params.get("samples", 200)
     hull = params.get("max_hull", 10)
-    worst: Optional[Certificate] = None
-    all_passed = True
-    count = 0
-    for _ in range(samples):
+
+    def draw() -> Certificate:
         top = rng.randint(2, hull)
         y = _sample_vector(rng, range(1, top + 1))
-        boundaries = _random_boundaries(rng, top)
-        cert = check_partition_bound(y, boundaries)
-        count += 1
-        all_passed = all_passed and cert.passed
-        margin = cert.rhs - cert.lhs
-        if worst is None or margin < (worst.rhs - worst.lhs):
-            worst = cert
-    assert worst is not None
-    return [
-        Certificate(
-            check_id="partition_bound",
-            params={"samples": count, "seed": seed, "max_hull": hull},
-            lhs=worst.lhs,
-            rhs=worst.rhs,
-            constant=Fraction(1),
-            witness=worst.witness,
-            passed=all_passed,
-        )
-    ]
+        return check_partition_bound(y, _random_boundaries(rng, top))
+
+    unit_params = {"samples": samples, "seed": seed, "max_hull": hull}
+    return [_worst_sample(samples, draw, _excess, unit_params)]
 
 
 def _random_normalized_blocks(
@@ -518,29 +518,15 @@ def _unit_block_domination(params: dict, seed: int) -> list[Certificate]:
     samples = params.get("samples", 100)
     max_blocks = params.get("max_blocks", 4)
     total_support = params.get("total_support", 12)
-    worst: Optional[Certificate] = None
-    all_passed = True
-    for _ in range(samples):
+
+    def draw() -> Certificate:
         count = rng.randint(1, max_blocks)
         u = _random_normalized_blocks(rng, count, total_support)
         a = _sample_vector(rng, range(1, count + 1))
-        cert = check_block_domination(u, a, skip_normalization_check=True)
-        all_passed = all_passed and cert.passed
-        margin = cert.rhs - cert.lhs
-        if worst is None or margin < (worst.rhs - worst.lhs):
-            worst = cert
-    assert worst is not None
-    return [
-        Certificate(
-            check_id="block_domination",
-            params={"samples": samples, "seed": seed},
-            lhs=worst.lhs,
-            rhs=worst.rhs,
-            constant=Fraction(1),
-            witness=worst.witness,
-            passed=all_passed,
-        )
-    ]
+        return check_block_domination(u, a, skip_normalization_check=True)
+
+    unit_params = {"samples": samples, "seed": seed}
+    return [_worst_sample(samples, draw, _excess, unit_params)]
 
 
 def _unit_cor10(params: dict, seed: int) -> list[Certificate]:
@@ -548,30 +534,19 @@ def _unit_cor10(params: dict, seed: int) -> list[Certificate]:
     samples = params.get("samples", 100)
     n = params.get("n", 2)
     constant = Fraction(params.get("constant", 4))
-    worst_ratio = Fraction(0)
-    worst: Optional[Certificate] = None
-    all_passed = True
-    for _ in range(samples):
-        u = _random_normalized_blocks(rng, 2 * n, params.get("total_support", 12))
+    total_support = params.get("total_support", 12)
+
+    def draw() -> Certificate:
+        u = _random_normalized_blocks(rng, 2 * n, total_support)
         a = _sample_vector(rng, range(n, 2 * n + 1))
-        cert = check_cor10(u, n, a, constant=constant, skip_normalization_check=True)
-        all_passed = all_passed and cert.passed
-        ratio = Fraction(cert.witness["ratio"])
-        if worst is None or ratio > worst_ratio:
-            worst_ratio = ratio
-            worst = cert
-    assert worst is not None
-    return [
-        Certificate(
-            check_id=f"cor10[n={n}]",
-            params={"samples": samples, "seed": seed, "n": n, "max_ratio": str(worst_ratio)},
-            lhs=worst.lhs,
-            rhs=worst.rhs,
-            constant=constant,
-            witness=worst.witness,
-            passed=all_passed,
-        )
-    ]
+        return check_cor10(u, n, a, constant=constant, skip_normalization_check=True)
+
+    def ratio(cert: Certificate) -> Fraction:
+        return Fraction(cert.witness["ratio"])
+
+    unit_params = {"samples": samples, "seed": seed, "n": n}
+    worst = _worst_sample(samples, draw, ratio, unit_params)
+    return [replace(worst, params={**unit_params, "max_ratio": worst.witness["ratio"]})]
 
 
 def _unit_q_decay(params: dict, seed: int) -> list[Certificate]:
@@ -665,14 +640,14 @@ def replay_certificate(cert: Certificate) -> Fraction:
     w = cert.witness
     if check == "window_bound":
         y = FinVec.from_json_obj(w["vector"])
-        return dual_norm_value(y) / Fraction(w["sup_norm"])
+        return dual_norm(y) / Fraction(w["sup_norm"])
     if check == "partition_bound":
-        return dual_norm_value(FinVec.from_json_obj(w["vector"]))
+        return dual_norm(FinVec.from_json_obj(w["vector"]))
     if check in ("block_domination", "cor10"):
         combined = FinVec.from_json_obj(w["combined"])
         if w.get("selection"):
             selection = PairSelection(tuple(w["selection"]))
-            attained = dual_norm_value(difference_vector(combined, selection))
+            attained = dual_norm(difference_vector(combined, selection))
             if attained != james_norm(combined, T_STAR):
                 raise AssertionError("witness selection does not attain the norm")
             return attained

@@ -127,11 +127,15 @@ def _suite_config(name: str, seed: int) -> dict:
 
 
 def _workers_from_env() -> int:
+    """Worker count from TSIRELSON_LAB_THREADS, capped at the CPU count."""
     raw = os.environ.get("TSIRELSON_LAB_THREADS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"TSIRELSON_LAB_THREADS must be an integer >= 1, got {raw!r}")
+    return min(workers, os.cpu_count() or 1)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -113,7 +113,7 @@ class DualTsirelsonEngine(NormEngine):
     has_monotone_basis = True
 
     def eval(self, x: FinVec) -> Fraction:
-        return dual_norm_value(x)
+        return dual_norm(x)
 
 
 def support_function_norm(
@@ -175,34 +175,28 @@ def support_function_norm(
 _dual_cache: dict[tuple, Fraction] = {}
 
 
-def dual_norm(y: FinVec, max_rounds: int = 100000) -> NormBounds:
-    """Cutting-plane evaluation of the dual norm; converges exactly.
+def dual_norm(y: FinVec) -> Fraction:
+    """The dual norm ||y||*, exact.
 
-    The returned bounds always satisfy lower == upper: the loop only stops
-    once the working-set optimizer lies in the primal ball, at which point
-    the restricted LP value is the support function value itself.
+    The cutting-plane loop only stops once the working-set optimizer lies
+    in the primal ball, at which point the restricted LP value is the
+    support function value itself.  Values are cached by the coefficient
+    magnitudes of y, which is all the norm depends on.
     """
     if y.is_zero:
-        return NormBounds(Fraction(0), Fraction(0))
-    value = _dual_cache.get(_cache_key(y))
+        return Fraction(0)
+    key = tuple((i, abs(c)) for i, c in y.entries)
+    value = _dual_cache.get(key)
     if value is None:
         value = support_function_norm(
-            y,
-            tsirelson_norm,
-            lambda x: tsirelson_maximizer(x).flatten(),
-            max_rounds,
+            y, tsirelson_norm, lambda x: tsirelson_maximizer(x).flatten()
         )
-        _dual_cache[_cache_key(y)] = value
-    return NormBounds(value, value)
+        _dual_cache[key] = value
+    return value
 
 
-def _cache_key(y: FinVec) -> tuple:
-    return tuple((i, abs(c)) for i, c in y.entries)
-
-
-def dual_norm_value(y: FinVec) -> Fraction:
-    """Converged dual norm as a plain Fraction."""
-    return dual_norm(y).value
+# an alias, not a wrapper: both names are one function object
+dual_norm_value = dual_norm
 
 
 MAX_EXACT_HULL = 8

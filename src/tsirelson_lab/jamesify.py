@@ -216,16 +216,17 @@ def alpha_limit(x: EventuallyConstantSeq) -> Fraction:
     return x.tail_value
 
 
+VERIFICATION_SWEEP = 3
+
+
 def bidual_norm(
-    x: EventuallyConstantSeq,
-    base: Optional[NormEngine] = None,
-    verification_sweep: int = 3,
+    x: EventuallyConstantSeq, base: Optional[NormEngine] = None
 ) -> NormValue:
     """Norm of a bidual element: the supremum of partial-sum James norms.
 
     Partial-sum norms are nondecreasing (monotone basis) and become
     constant once the tail owns two coordinates, so the supremum is the
-    value at n = stabilization_index + 2; the next ``verification_sweep``
+    value at n = stabilization_index + 2; the next ``VERIFICATION_SWEEP``
     partial sums are evaluated and checked for constancy as a guard.
     """
     engine = JamesEngine(base)
@@ -234,7 +235,7 @@ def bidual_norm(
         return Fraction(0)
     target = s + 2
     value = engine.eval(x.partial_sum(target))
-    for n in range(target + 1, target + 1 + verification_sweep):
+    for n in range(target + 1, target + 1 + VERIFICATION_SWEEP):
         probe = engine.eval(x.partial_sum(n))
         if upper_of(probe) != upper_of(value) or lower_of(probe) != lower_of(value):
             raise AssertionError(

@@ -233,12 +233,6 @@ class NormBounds:
 NormValue = Union[Fraction, NormBounds]
 
 
-def as_bounds(value: NormValue) -> NormBounds:
-    if isinstance(value, NormBounds):
-        return value
-    return NormBounds(value, value)
-
-
 def lower_of(value: NormValue) -> Fraction:
     return value.lower if isinstance(value, NormBounds) else value
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -20,6 +21,8 @@ from tsirelson_lab.certify import (
 )
 
 e = FinVec.basis
+
+QUICK_SUITE_SEED_7_SHA256 = "481d90fb8fe44eb1aa4ad93ea98c37dfb67686d8a44e7b01c8e723da16ea2af7"
 
 
 def w(n):
@@ -212,6 +215,17 @@ class TestRunSuite:
     def test_reports_byte_identical(self):
         config = {"seed": 3, "checks": [{"name": "window_bound", "samples": 5, "ns": [2, 3]}]}
         assert run_suite(config).dumps() == run_suite(config).dumps()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_quick_suite_report_bytes(self, workers):
+        report = run_suite({"seed": 7, "checks": QUICK_SUITE}, workers=workers)
+        digest = hashlib.sha256(report.dumps().encode("utf-8")).hexdigest()
+        assert digest == QUICK_SUITE_SEED_7_SHA256
+
+    def test_zero_samples_rejected(self):
+        for name in ("partition_bound", "block_domination", "cor10"):
+            with pytest.raises(ValueError, match="samples"):
+                run_suite({"seed": 0, "checks": [{"name": name, "samples": 0}]})
 
     def test_parallel_matches_sequential(self):
         config = {

@@ -2,7 +2,9 @@ import json
 import subprocess
 import sys
 
-from tsirelson_lab.cli import main, parse_sequence, parse_vector
+import pytest
+
+from tsirelson_lab.cli import _workers_from_env, main, parse_sequence, parse_vector
 from tsirelson_lab.seqvec import FinVec
 
 e = FinVec.basis
@@ -142,6 +144,29 @@ class TestCertifyCommand:
         assert code == 1
         report = json.loads(out_path.read_text())
         assert report["failures"] == 1
+
+
+class TestThreadsVariable:
+    @pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5", ""])
+    def test_invalid_value_exits_2(self, raw, monkeypatch, capsys):
+        monkeypatch.setenv("TSIRELSON_LAB_THREADS", raw)
+        code, out, err = run_cli(["certify", "--suite", "quick"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: TSIRELSON_LAB_THREADS")
+
+    def test_unset_means_serial(self, monkeypatch):
+        monkeypatch.delenv("TSIRELSON_LAB_THREADS", raising=False)
+        assert _workers_from_env() == 1
+
+    def test_capped_at_cpu_count(self, monkeypatch):
+        monkeypatch.setenv("TSIRELSON_LAB_THREADS", "64")
+        monkeypatch.setattr("os.cpu_count", lambda: 3)
+        assert _workers_from_env() == 3
+        monkeypatch.setattr("os.cpu_count", lambda: None)
+        assert _workers_from_env() == 1
+        monkeypatch.setenv("TSIRELSON_LAB_THREADS", "2")
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        assert _workers_from_env() == 2
 
 
 class TestSweepCommand:

@@ -39,7 +39,7 @@ class TestPairing:
 class TestDualNormExamples:
     def test_unit_vectors(self):
         for n in (1, 2, 5, 9):
-            assert dual_norm(e(n)).value == 1
+            assert dual_norm(e(n)) == 1
 
     def test_t2_t3(self):
         assert dual_norm_value(e(2) + e(3)) == 2
@@ -49,14 +49,16 @@ class TestDualNormExamples:
         assert dual_norm_value(e(4) + e(5) + e(6)) == 2
 
     def test_zero(self):
-        bounds = dual_norm(FinVec.zero())
-        assert bounds.value == 0
+        assert dual_norm(FinVec.zero()) == 0
 
     def test_converged_bounds_match(self):
         rng = random.Random(3)
         for _ in range(15):
-            bounds = dual_norm(random_vec(rng, 1, 8))
-            assert bounds.lower == bounds.upper
+            y = random_vec(rng, 1, 8)
+            assert dual_norm(y) == dual_norm_exact_small(y)
+
+    def test_value_alias(self):
+        assert dual_norm_value is dual_norm
 
 
 class TestExactSmallOracle:
@@ -84,7 +86,7 @@ class TestDualNormProperties:
         for _ in range(40):
             y = random_vec(rng, 1, 9)
             x = random_vec(rng, 1, 9)
-            assert abs(pairing(y, x)) <= dual_norm(y).upper * tsirelson_norm(x)
+            assert abs(pairing(y, x)) <= dual_norm(y) * tsirelson_norm(x)
 
     def test_window_bound_sharp_constant(self):
         rng = random.Random(19)
