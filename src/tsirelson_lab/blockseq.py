@@ -11,10 +11,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .dualnorm import NormEngine
-from .seqvec import FinVec, Rational, _frac
+from .seqvec import FinVec
 
 SAMPLE_POOL: tuple[Fraction, ...] = tuple(
     Fraction(v) for v in ("1", "-1", "1/2", "-1/2", "2", "-2", "1/3", "-1/3")
@@ -83,24 +82,20 @@ def random_block_sequence(
     seed: int,
     count: int,
     max_block_width: int,
-    coeff_pool: Sequence[Rational] = SAMPLE_POOL,
-    engine: NormEngine | None = None,
     start: int = 1,
 ) -> BlockSequence:
-    """Seed-deterministic normalized block sequence.
+    """Seed-deterministic block sequence; it is not normalized.
 
     Blocks occupy consecutive windows of width 1..max_block_width starting
     at ``start`` (window [n+1, 2n] shapes are produced by passing
     start = n+1 with unit widths); each block draws a nonempty support
-    subset of its window with coefficients from the pool.  Keep
-    count * max_block_width within the engine's tractable support
-    (roughly 20 for the engines built on the dual Tsirelson norm).
+    subset of its window with coefficients from ``SAMPLE_POOL``.  Pass the
+    result to :func:`normalize` for unit blocks, keeping count *
+    max_block_width within the engine's tractable support (roughly 20 for
+    the engines built on the dual Tsirelson norm).
     """
     if count < 1 or max_block_width < 1:
         raise ValueError("count and max_block_width must be positive")
-    pool = [_frac(c) for c in coeff_pool]
-    if not pool or any(c == 0 for c in pool):
-        raise ValueError("coefficient pool must be nonzero rationals")
     rng = random.Random(seed)
     blocks = []
     boundaries = [0]
@@ -111,14 +106,11 @@ def random_block_sequence(
         chosen = [i for i in window if rng.random() < 0.7]
         if not chosen:
             chosen = [rng.choice(window)]
-        block = FinVec.from_pairs((i, rng.choice(pool)) for i in chosen)
+        block = FinVec.from_pairs((i, rng.choice(SAMPLE_POOL)) for i in chosen)
         blocks.append(block)
         position += width
         boundaries.append(position)
-    sequence = BlockSequence(tuple(blocks), tuple(boundaries))
-    if engine is not None:
-        sequence = normalize(sequence, engine)
-    return sequence
+    return BlockSequence(tuple(blocks), tuple(boundaries))
 
 
 def combine(u: BlockSequence, a: FinVec) -> FinVec:

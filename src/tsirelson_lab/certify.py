@@ -617,6 +617,8 @@ def run_suite(
     checks = config.get("checks", DEFAULT_SUITE)
     entries = []
     for k, params in enumerate(checks):
+        if not isinstance(params, dict):
+            raise ValueError(f"check entry {k} must be an object, got {params!r}")
         name = params.get("name")
         if name not in CHECK_UNITS:
             raise ValueError(f"unknown check name: {name!r}")

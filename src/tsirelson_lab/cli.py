@@ -119,6 +119,8 @@ def _suite_config(name: str, seed: int) -> dict:
                 config = json.load(handle)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"suite config {name!r} is not valid JSON: {exc}")
+        if not isinstance(config, dict):
+            raise ValueError(f"suite config {name!r} must be a JSON object")
         config.setdefault("seed", seed)
         return config
     raise ValueError(

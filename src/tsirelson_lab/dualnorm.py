@@ -59,16 +59,14 @@ def pairing(y: FinVec, x: FinVec) -> Fraction:
 
 
 class NormEngine(ABC):
-    """A norm evaluator with declared structural flags.
+    """A norm evaluator with a declared structural flag.
 
     ``is_1_unconditional`` promises the value depends only on coefficient
-    absolute values; ``has_monotone_basis`` promises partial-sum norms are
-    nondecreasing.  Both are property-tested, not assumed.
+    absolute values; it is property-tested, not assumed.
     """
 
     name: str = "norm"
     is_1_unconditional: bool = False
-    has_monotone_basis: bool = False
 
     @abstractmethod
     def eval(self, x: FinVec) -> NormValue:
@@ -88,7 +86,6 @@ class LpEngine(NormEngine):
     """Reference l_q engine; exact for q in {1, inf}."""
 
     is_1_unconditional = True
-    has_monotone_basis = True
 
     def __init__(self, q: Union[int, Fraction, float]):
         self.q = q
@@ -101,7 +98,6 @@ class LpEngine(NormEngine):
 class TsirelsonEngine(NormEngine):
     name = "T"
     is_1_unconditional = True
-    has_monotone_basis = True
 
     def eval(self, x: FinVec) -> Fraction:
         return tsirelson_norm(x)
@@ -110,7 +106,6 @@ class TsirelsonEngine(NormEngine):
 class DualTsirelsonEngine(NormEngine):
     name = "Tstar"
     is_1_unconditional = True
-    has_monotone_basis = True
 
     def eval(self, x: FinVec) -> Fraction:
         return dual_norm(x)

@@ -197,7 +197,6 @@ class JamesEngine(NormEngine):
     """
 
     is_1_unconditional = False
-    has_monotone_basis = True
 
     def __init__(self, base: Optional[NormEngine] = None):
         self.base = base if base is not None else DualTsirelsonEngine()

@@ -18,13 +18,28 @@ size for the part counts that arise:
   enclosing interval never decreases ||E_j x|| while min E_1 (and thus
   admissibility) is unchanged.  The supremum over interval families
   therefore equals the supremum over arbitrary admissible families.
-* Parts snap to support runs.  Shrinking an interval part to the hull of
-  the support points it contains changes no value and only raises min E_1,
-  so the dynamic program may enumerate parts as contiguous runs of support
-  positions.  Splitting a part never decreases the inner sum (triangle
-  inequality), so a budget of k parts is always spent on as many parts as
-  admissibility allows; single-part families are omitted because their
-  value (1/2)||E x|| can never exceed an already-considered norm.
+* Families may partition the support from their first point on.  Index
+  the support points by positions 0..n-1.  Within positions a..b, drop
+  the parts that hold no support point and shrink each other part to the
+  run of support points it holds; no value changes and min E_1 only
+  grows.  Say the first part now starts at position a.  Stretching the
+  parts to cover a..b never lowers the sum (monotonicity under
+  restriction), and splitting a part never lowers it either (triangle
+  inequality), so parts can be split until there are
+  K = min(index of position a, b - a + 1) of them.  Neither step changes
+  min E_1, so the family stays admissible.  Families that start later are
+  exactly the families of a+1..b, hence
+
+      ||a..b|| = max( ||a+1..b|| , |x_a| , (1/2) split(a, b, K) )
+
+  where split(s, b, k) is the best total of ||run|| over partitions of
+  positions s..b into exactly k consecutive runs:
+
+      split(s, b, 1) = ||s..b||
+      split(s, b, k) = max_q ||s..q|| + split(q+1, b, k-1).
+
+  The family term counts only when K >= 2; a single-part family gives
+  (1/2)||a..b||, which never exceeds the norm.
 
 ``tsirelson_maximizer`` replays the dynamic program's argmax choices into
 an :class:`EvaluationTree` whose flattened functional f attains
@@ -163,13 +178,16 @@ def admissible_partitions(
 
 
 class _NormProgram:
-    """Dynamic program over support runs for one vector.
+    """Dynamic program over partitions of support runs for one vector.
 
-    Values are indexed by support *positions*: ``norm(a, b)`` is the norm
-    of the restriction to the a-th through b-th support points.  The run
-    tables ``_runs_best`` give, for a right endpoint b and start position
-    p, the best total value of exactly r disjoint ordered runs inside
-    [p, b], for every r at once.
+    Positions index the support points.  ``solve(a, b)`` is (norm of the
+    restriction to positions a..b, ``leaf``, ``pos``): the value is reached
+    by the coordinate at position ``pos`` when ``leaf``, else by a family
+    whose first part starts at ``pos`` and whose parts partition pos..b.
+    ``split(s, b, k)`` is (best total norm over partitions of positions
+    s..b into exactly k consecutive runs, position where the first run
+    ends).  On ties leaves beat families and the lowest position wins; in
+    ``split`` the earliest run end wins.
     """
 
     def __init__(self, x: FinVec):
@@ -179,109 +197,55 @@ class _NormProgram:
         self.values = [abs(c) for _, c in x.entries]
         self.signs = [1 if c > 0 else -1 for _, c in x.entries]
         self.size = len(self.indices)
-        self._norm_memo: dict[tuple[int, int], Fraction] = {}
-        self._norm_arg: dict[tuple[int, int], tuple] = {}
-        self._runs_memo: dict[tuple[int, int], list] = {}
+        self._solve_memo: dict[tuple[int, int], tuple[Fraction, bool, int]] = {}
+        self._split_memo: dict[tuple[int, int, int], tuple[Fraction, int]] = {}
 
-    def norm(self, a: int, b: int) -> Fraction:
+    def parts_budget(self, a: int, b: int) -> int:
+        """Part count of the families starting at position a inside a..b."""
+        return min(self.indices[a], b - a + 1)
+
+    def solve(self, a: int, b: int) -> tuple[Fraction, bool, int]:
         key = (a, b)
-        cached = self._norm_memo.get(key)
+        cached = self._solve_memo.get(key)
         if cached is not None:
             return cached
-        best = self.values[a]
-        arg: tuple = ("leaf", a)
-        for l in range(a + 1, b + 1):
-            if self.values[l] > best:
-                best = self.values[l]
-                arg = ("leaf", l)
-        for p in range(a, b):
-            if self.indices[p] < 2:
-                continue  # a family starting here admits at most one part
-            for q in range(p, b):
-                budget = min(self.indices[p] - 1, b - q)
-                if budget < 1:
-                    continue
-                table = self._runs(q + 1, b)
-                tail_best, tail_count = table[min(budget, len(table) - 1)]
-                if tail_best is None:
-                    continue
-                candidate = HALF * (self.norm(p, q) + tail_best)
-                if candidate > best:
-                    best = candidate
-                    arg = ("family", p, q, tail_count)
-        self._norm_memo[key] = best
-        self._norm_arg[key] = arg
+        entry = (self.values[a], True, a)
+        if a < b:
+            rest = self.solve(a + 1, b)
+            if rest[0] > entry[0]:
+                entry = rest
+            k = self.parts_budget(a, b)
+            if k >= 2:
+                family = HALF * self.split(a, b, k)[0]
+                if family > entry[0] or (family == entry[0] and not entry[1]):
+                    entry = (family, False, a)
+        self._solve_memo[key] = entry
+        return entry
+
+    def split(self, s: int, b: int, k: int) -> tuple[Fraction, int]:
+        if k == 1:
+            return self.solve(s, b)[0], b
+        key = (s, b, k)
+        cached = self._split_memo.get(key)
+        if cached is not None:
+            return cached
+        best = None
+        for q in range(s, b - k + 2):
+            total = self.solve(s, q)[0] + self.split(q + 1, b, k - 1)[0]
+            if best is None or total > best[0]:
+                best = (total, q)
+        self._split_memo[key] = best
         return best
 
-    def _runs(self, p: int, b: int) -> list:
-        """Prefix-max view of ``_runs_exact``: entry r gives (best value of
-        at most r runs in [p, b], run count attaining it)."""
-        key = ("prefix", p, b)
-        cached = self._runs_memo.get(key)
-        if cached is not None:
-            return cached
-        exact = self._runs_exact(p, b)
-        prefix: list = [(None, 0)] * len(exact)
-        best_so_far = None
-        best_count = 0
-        for r in range(1, len(exact)):
-            if exact[r][0] is not None and (
-                best_so_far is None or exact[r][0] > best_so_far
-            ):
-                best_so_far = exact[r][0]
-                best_count = r
-            prefix[r] = (best_so_far, best_count)
-        self._runs_memo[key] = prefix
-        return prefix
-
-    def _runs_exact(self, p: int, b: int) -> list:
-        """Entry r: (best total value of exactly r disjoint ordered runs in
-        positions [p, b], argmax move), or (None, None) when infeasible."""
-        key = ("exact", p, b)
-        cached = self._runs_memo.get(key)
-        if cached is not None:
-            return cached
-        capacity = max(b - p + 1, 0)
-        table: list = [(Fraction(0), None)] + [(None, None)] * capacity
-        if capacity > 0:
-            later = self._runs_exact(p + 1, b)
-            for r in range(1, capacity + 1):
-                best = None
-                arg = None
-                if r < len(later) and later[r][0] is not None:
-                    best = later[r][0]
-                    arg = ("skip",)
-                for q in range(p, b - r + 2):
-                    rest = self._runs_exact(q + 1, b)
-                    if rest[r - 1][0] is not None:
-                        candidate = self.norm(p, q) + rest[r - 1][0]
-                        if best is None or candidate > best:
-                            best = candidate
-                            arg = ("run", q)
-                table[r] = (best, arg)
-        self._runs_memo[key] = table
-        return table
-
-    def _unroll_runs(self, p: int, b: int, r: int) -> list[tuple[int, int]]:
-        if r == 0:
-            return []
-        table = self._runs_exact(p, b)
-        arg = table[r][1]
-        if arg is None:
-            raise AssertionError("no runs recorded where some were expected")
-        if arg[0] == "skip":
-            return self._unroll_runs(p + 1, b, r)
-        q = arg[1]
-        return [(p, q)] + self._unroll_runs(q + 1, b, r - 1)
-
     def build_tree(self, a: int, b: int) -> EvaluationTree:
-        self.norm(a, b)
-        arg = self._norm_arg[(a, b)]
-        if arg[0] == "leaf":
-            pos = arg[1]
+        _, leaf, pos = self.solve(a, b)
+        if leaf:
             return TreeLeaf(self.indices[pos], self.signs[pos])
-        _, p, q, tail_count = arg
-        runs = [(p, q)] + self._unroll_runs(q + 1, b, tail_count)
+        runs = []
+        for k in range(self.parts_budget(pos, b), 0, -1):
+            q = self.split(pos, b, k)[1]
+            runs.append((pos, q))
+            pos = q + 1
         parts = tuple(
             IndexInterval(self.indices[lo], self.indices[hi]) for lo, hi in runs
         )
@@ -302,7 +266,7 @@ def tsirelson_norm(x: FinVec) -> Fraction:
         return cached
     scale = lcm(*(c.denominator for _, c in x.entries))
     program = _NormProgram(x.scale(scale) if scale > 1 else x)
-    value = program.norm(0, program.size - 1) / scale
+    value = program.solve(0, program.size - 1)[0] / scale
     _norm_cache[key] = value
     return value
 

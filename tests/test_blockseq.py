@@ -54,7 +54,7 @@ class TestNormalize:
         assert scaled.blocks[1] == e(4)
 
     def test_normalized_blocks_have_unit_norm(self):
-        u = random_block_sequence(seed=3, count=3, max_block_width=3, engine=TJ_STAR)
+        u = normalize(random_block_sequence(seed=3, count=3, max_block_width=3), TJ_STAR)
         for block in u.blocks:
             assert james_norm(block, DualTsirelsonEngine()) == 1
 

@@ -131,6 +131,16 @@ class TestCertifyCommand:
         code, _, _ = run_cli(["certify", "--suite", str(config)], capsys)
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "text", ["[1, 2]", '{"checks": ["window_bound"]}'], ids=["list", "check_string"]
+    )
+    def test_malformed_config_exits_2(self, text, tmp_path, capsys):
+        config = tmp_path / "suite.json"
+        config.write_text(text)
+        code, _, err = run_cli(["certify", "--suite", str(config)], capsys)
+        assert code == 2
+        assert err.startswith("error: ")
+
     def test_failing_certificate_exits_1(self, tmp_path, capsys):
         config = tmp_path / "suite.json"
         config.write_text(

@@ -183,7 +183,6 @@ class TestEngines:
     def test_flags_and_names(self):
         for engine in (LpEngine(1), LpEngine(math.inf), TsirelsonEngine(), DualTsirelsonEngine()):
             assert engine.is_1_unconditional
-            assert engine.has_monotone_basis
 
     def test_eval_exact(self):
         assert DualTsirelsonEngine().eval_exact(e(2) + e(3)) == 2

@@ -42,6 +42,92 @@ def fixed_point_rhs(x):
     return best
 
 
+def definition_norm(x):
+    """||x||_T straight from the definition, by recursion over support subsets.
+
+    Parts are arbitrary nonempty index sets E_1 < ... < E_k with
+    2 <= k <= min E_1; no interval, run or covering reduction is used.
+    Subsets are bitmasks over the support positions.
+    """
+    indices = [i for i, _ in x.entries]
+    values = [abs(c) for _, c in x.entries]
+    norms = {}
+    tails = {}
+
+    def above(mask, part):
+        return mask & ~((1 << part.bit_length()) - 1)
+
+    def subsets(mask):
+        sub = mask
+        while sub:
+            yield sub
+            sub = (sub - 1) & mask
+
+    def tail(avail, budget):
+        # best sum over 1..budget further parts drawn from ``avail``
+        key = (avail, budget)
+        if key not in tails:
+            best = F(0)
+            for part in subsets(avail):
+                total = norm(part)
+                rest = above(avail, part)
+                if budget > 1 and rest:
+                    total += tail(rest, budget - 1)
+                best = max(best, total)
+            tails[key] = best
+        return tails[key]
+
+    def norm(mask):
+        if mask not in norms:
+            best = max(values[p] for p in range(len(values)) if mask >> p & 1)
+            for first in subsets(mask):
+                budget = indices[(first & -first).bit_length() - 1]
+                rest = above(mask, first)
+                if budget >= 2 and rest:
+                    best = max(best, F(1, 2) * (norm(first) + tail(rest, budget - 1)))
+            norms[mask] = best
+        return norms[mask]
+
+    if x.is_zero:
+        return F(0)
+    return norm((1 << len(indices)) - 1)
+
+
+def assert_matches_definition(x):
+    expected = definition_norm(x)
+    assert tsirelson_norm(x) == expected
+    assert pairing(tsirelson_maximizer(x).flatten(), x) == expected
+
+
+class TestDefinitionOracle:
+    def test_oracle_examples(self):
+        assert definition_norm(e(1) + e(2)) == 1
+        assert definition_norm(e(4) + e(5) + e(6)) == F(3, 2)
+        assert definition_norm(FinVec.zero()) == 0
+
+    def test_small_budgets(self):
+        rng = random.Random(12)
+        for _ in range(200):
+            lo = rng.randint(1, 3)
+            later = [i for i in range(lo + 1, lo + 12) if rng.random() < 0.6]
+            support = [lo] + later[: rng.randint(0, 7)]
+            assert_matches_definition(
+                FinVec.from_pairs((i, rng.choice(POOL)) for i in support)
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.dictionaries(
+            st.integers(min_value=1, max_value=12),
+            st.sampled_from(POOL),
+            min_size=1,
+            max_size=7,
+        )
+    )
+    def test_generated_vectors(self, coeffs):
+        assert_matches_definition(FinVec.from_pairs(coeffs.items()))
+
+
 class TestNormExamples:
     def test_single_basis_vector(self):
         assert tsirelson_norm(e(1)) == 1
@@ -165,6 +251,12 @@ class TestMaximizer:
     def test_json_roundtrip(self):
         tree = tsirelson_maximizer(e(4) + e(5) + e(6))
         assert evaluation_tree_from_json(tree.to_json_obj()) == tree
+
+    @pytest.mark.parametrize("lo", [1, 12])
+    def test_attains_norm_at_support_30(self, lo):
+        rng = random.Random(lo)
+        x = FinVec.from_pairs((i, rng.choice(POOL)) for i in range(lo, lo + 30))
+        assert pairing(tsirelson_maximizer(x).flatten(), x) == tsirelson_norm(x)
 
     def test_nested_partitions_admissible(self):
         # TreeNode construction validates nesting; this exercises a deep tree
