@@ -595,6 +595,25 @@ QUICK_SUITE = [
 ]
 
 
+# unit parameters that must be integers; "ns" is a list of them
+INTEGER_PARAMS = ("samples", "n", "levels", "max_hull", "max_blocks", "total_support")
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_integer_params(k: int, params: dict) -> None:
+    for key in INTEGER_PARAMS:
+        if key in params and not _is_integer(params[key]):
+            raise ValueError(
+                f"check entry {k}: {key!r} must be an integer, got {params[key]!r}"
+            )
+    ns = params.get("ns", ())
+    if not isinstance(ns, (list, tuple)) or not all(_is_integer(n) for n in ns):
+        raise ValueError(f"check entry {k}: 'ns' must be a list of integers, got {ns!r}")
+
+
 def _run_unit(entry: tuple[dict, int]) -> list[Certificate]:
     params, seed = entry
     name = params["name"]
@@ -608,9 +627,10 @@ def run_suite(
     """Run a named check collection; deterministic for a fixed config.
 
     ``config`` holds a ``seed`` and a ``checks`` list of parameter
-    dictionaries, each naming a registered check unit.  Unknown names are
-    rejected.  Results are ordered by check id regardless of execution
-    order, so parallel runs serialize identically.
+    dictionaries, each naming a registered check unit.  Unknown names and
+    non-integer values of integer parameters are rejected with
+    ``ValueError`` before any check runs.  Results are ordered by check id
+    regardless of execution order, so parallel runs serialize identically.
     """
     config = config or {}
     seed = int(config.get("seed", 0))
@@ -622,6 +642,7 @@ def run_suite(
         name = params.get("name")
         if name not in CHECK_UNITS:
             raise ValueError(f"unknown check name: {name!r}")
+        _check_integer_params(k, params)
         entries.append((params, seed * 1009 + 17 * k))
     if workers > 1 and len(entries) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -9,10 +9,13 @@ for each x some tree attains ||x||_T, so the primal ball is exactly the
 polar of the tree functionals.  ``dual_norm`` therefore runs a cutting
 plane loop: maximize <y, x> over a working set of tree constraints
 f(x) <= 1, test the optimizer with the exact primal norm, and when it
-escapes the ball, cut it off with the functional returned by
-``tsirelson_maximizer``.  Tree functionals over a fixed support hull form a
-finite set and every added cut is new, so the loop terminates with an
-exactly converged value.
+escapes the ball, cut it off with a maximizing tree functional.  One pass
+of the T dynamic program per round gives both the norm and the tree
+(``tsirelson_norm_with_maximizer``).  The linear program is solved from
+the origin once; each cut is appended to the optimal tableau and the
+dual simplex re-optimizes from there (``_simplex.Tableau.add_row``).
+Tree functionals over a fixed support hull form a finite set and every
+added cut is new, so the loop terminates with an exactly converged value.
 
 Both the objective direction and the constraints can be folded into the
 nonnegative orthant: the norm is 1-unconditional, so the supremum for |y|
@@ -33,7 +36,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from fractions import Fraction
 from math import lcm
-from typing import Union
+from typing import Callable, Optional, Union
 
 from . import _simplex
 from .seqvec import (
@@ -45,8 +48,8 @@ from .seqvec import (
 )
 from .tsirelson import (
     admissible_partitions,
-    tsirelson_maximizer,
     tsirelson_norm,
+    tsirelson_norm_with_maximizer,
 )
 
 
@@ -113,58 +116,64 @@ class DualTsirelsonEngine(NormEngine):
 
 def support_function_norm(
     y: FinVec,
-    ball_norm,
-    ball_maximizer,
+    oracle: Callable[[FinVec], tuple[Fraction, FinVec]],
     max_rounds: int = 100000,
 ) -> Fraction:
-    """Generic cutting-plane evaluation of sup{<y, x> : ball_norm(x) <= 1}.
+    """Generic cutting-plane evaluation of sup{<y, x> : ||x|| <= 1}.
 
-    ``ball_norm`` must be a 1-unconditional exact norm with normalized unit
-    vectors and ``ball_maximizer(x)`` must return a functional f (as a
-    FinVec) with f(x) = ball_norm(x) and dual norm at most 1 - the
-    separation oracle.  The loop works in the nonnegative orthant with LP
-    variables only on support(y): 1-unconditionality makes the norm solid,
-    so zeroing coordinates outside the objective's support keeps the
-    optimizer feasible without changing its value.  It stops once the
-    working-set optimizer lies inside the ball, making the restricted LP
-    value the exact support-function value.
+    ``oracle(x)`` is the separation oracle: it must return (||x||, f) for a
+    1-unconditional exact norm with normalized unit vectors, where f is a
+    functional (a FinVec) with f(x) = ||x|| and dual norm at most 1.  The
+    loop works in the nonnegative orthant with LP variables only on
+    support(y): 1-unconditionality makes the norm solid, so zeroing
+    coordinates outside the objective's support keeps the optimizer
+    feasible without changing its value.  The LP is solved once; each
+    round adds the new cut to the optimal tableau and re-optimizes with the
+    dual simplex.  The loop stops once the working-set optimizer lies
+    inside the ball, making the restricted LP value the exact
+    support-function value.
     """
     support = list(y.support())
     scale = lcm(*(c.denominator for _, c in y.entries))
     w = [abs(c) * scale for _, c in y.entries]
     position = {index: k for k, index in enumerate(support)}
-
-    rows: list[list[Fraction]] = []
+    one = Fraction(1)
     seen: set[tuple[Fraction, ...]] = set()
 
-    def add_constraint(f: FinVec) -> bool:
+    def cut(f: FinVec) -> Optional[list[Fraction]]:
+        """The constraint row of f on support(y), or None if already used."""
         row = [Fraction(0)] * len(support)
         for i, c in f.entries:
             if i in position:
                 row[position[i]] = abs(c)
         key = tuple(row)
         if key in seen:
-            return False
+            return None
         seen.add(key)
-        rows.append(row)
-        return True
+        return row
 
-    for index in support:
-        add_constraint(FinVec.basis(index))
+    rows = [cut(FinVec.basis(index)) for index in support]
     # warm start: the functional norming the direction of y itself
-    add_constraint(ball_maximizer(y.abs()))
+    first = cut(oracle(y.abs())[1])
+    if first is not None:
+        rows.append(first)
+    tableau = _simplex.maximize(w, rows, [one] * len(rows))
 
     for _ in range(max_rounds):
-        rhs = [Fraction(1)] * len(rows)
-        result = _simplex.maximize(w, rows, rhs)
-        optimizer = FinVec.from_pairs(
-            (index, result.solution[k]) for k, index in enumerate(support)
-        )
-        if ball_norm(optimizer) <= 1:
-            return result.value / scale
-        if not add_constraint(ball_maximizer(optimizer)):
+        optimizer = FinVec.from_pairs(zip(support, tableau.solution))
+        norm, functional = oracle(optimizer)
+        if norm <= 1:
+            return tableau.value / scale
+        row = cut(functional)
+        if row is None:
             raise AssertionError("cutting plane stalled on a repeated constraint")
+        tableau.add_row(row, one)
     raise RuntimeError(f"support function did not converge within {max_rounds} rounds")
+
+
+def _tsirelson_oracle(x: FinVec) -> tuple[Fraction, FinVec]:
+    value, tree = tsirelson_norm_with_maximizer(x)
+    return value, tree.flatten()
 
 
 _dual_cache: dict[tuple, Fraction] = {}
@@ -183,9 +192,7 @@ def dual_norm(y: FinVec) -> Fraction:
     key = tuple((i, abs(c)) for i, c in y.entries)
     value = _dual_cache.get(key)
     if value is None:
-        value = support_function_norm(
-            y, tsirelson_norm, lambda x: tsirelson_maximizer(x).flatten()
-        )
+        value = support_function_norm(y, _tsirelson_oracle)
         _dual_cache[key] = value
     return value
 

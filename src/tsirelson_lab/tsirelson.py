@@ -43,7 +43,9 @@ size for the part counts that arise:
 
 ``tsirelson_maximizer`` replays the dynamic program's argmax choices into
 an :class:`EvaluationTree` whose flattened functional f attains
-f(x) = ||x|| and lies in the dual unit ball.
+f(x) = ||x|| and lies in the dual unit ball.  ``tsirelson_norm_with_maximizer``
+returns the value and that tree from one program; it is the separation
+oracle of the T* cutting plane.
 
 Evaluation is pure; the module-level value cache is write-once (keyed on
 the coefficient absolute values, which 1-unconditionality justifies) and
@@ -256,6 +258,12 @@ class _NormProgram:
 _norm_cache: dict[tuple, Fraction] = {}
 
 
+def _program(x: FinVec) -> tuple[int, _NormProgram]:
+    """The program of x scaled to integer coefficients, with the scale."""
+    scale = lcm(*(c.denominator for _, c in x.entries))
+    return scale, _NormProgram(x.scale(scale) if scale > 1 else x)
+
+
 def tsirelson_norm(x: FinVec) -> Fraction:
     """Exact Tsirelson norm of a finitely supported vector."""
     if x.is_zero:
@@ -264,11 +272,22 @@ def tsirelson_norm(x: FinVec) -> Fraction:
     cached = _norm_cache.get(key)
     if cached is not None:
         return cached
-    scale = lcm(*(c.denominator for _, c in x.entries))
-    program = _NormProgram(x.scale(scale) if scale > 1 else x)
+    scale, program = _program(x)
     value = program.solve(0, program.size - 1)[0] / scale
     _norm_cache[key] = value
     return value
+
+
+def tsirelson_norm_with_maximizer(x: FinVec) -> tuple[Fraction, EvaluationTree]:
+    """||x|| and a maximizing evaluation tree, from one dynamic program.
+
+    The value is not cached; the tree is that of ``tsirelson_maximizer``.
+    """
+    if x.is_zero:
+        raise ValueError("the zero vector has no maximizing functional")
+    scale, program = _program(x)
+    last = program.size - 1
+    return program.solve(0, last)[0] / scale, program.build_tree(0, last)
 
 
 def tsirelson_maximizer(x: FinVec) -> EvaluationTree:
@@ -277,8 +296,4 @@ def tsirelson_maximizer(x: FinVec) -> EvaluationTree:
     Ties are broken by the deterministic argmax order of the dynamic
     program, so equal inputs always yield the same tree.
     """
-    if x.is_zero:
-        raise ValueError("the zero vector has no maximizing functional")
-    scale = lcm(*(c.denominator for _, c in x.entries))
-    program = _NormProgram(x.scale(scale) if scale > 1 else x)
-    return program.build_tree(0, program.size - 1)
+    return tsirelson_norm_with_maximizer(x)[1]

@@ -132,7 +132,21 @@ class TestCertifyCommand:
         assert code == 0
 
     @pytest.mark.parametrize(
-        "text", ["[1, 2]", '{"checks": ["window_bound"]}'], ids=["list", "check_string"]
+        "text",
+        [
+            "[1, 2]",
+            '{"checks": ["window_bound"]}',
+            '{"checks": [{"name": "window_bound", "samples": "x", "ns": [2]}]}',
+            '{"checks": [{"name": "window_bound", "samples": 3, "ns": 2}]}',
+            '{"checks": [{"name": "window_bound", "samples": 3, "ns": [2.5]}]}',
+            '{"checks": [{"name": "q_decay", "levels": true}]}',
+            '{"checks": [{"name": "partition_bound", "max_hull": null}]}',
+            '{"checks": [{"name": "cor10", "total_support": "8"}]}',
+        ],
+        ids=[
+            "list", "check_string", "samples_string", "ns_scalar", "ns_float",
+            "levels_bool", "max_hull_null", "total_support_string",
+        ],
     )
     def test_malformed_config_exits_2(self, text, tmp_path, capsys):
         config = tmp_path / "suite.json"

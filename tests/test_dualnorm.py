@@ -56,6 +56,12 @@ class TestDualNormExamples:
         for _ in range(15):
             y = random_vec(rng, 1, 8)
             assert dual_norm(y) == dual_norm_exact_small(y)
+        # hulls of length <= 8 starting later, where admissible families
+        # have more parts
+        for lo in range(2, 7):
+            for _ in range(10):
+                y = random_vec(rng, lo, lo + 7)
+                assert dual_norm(y) == dual_norm_exact_small(y)
 
     def test_value_alias(self):
         assert dual_norm_value is dual_norm
@@ -107,8 +113,14 @@ class TestDualNormProperties:
             3: F(8, 3),
             4: F(5, 2),
             5: F(12, 5),
+            6: F(7, 3),
+            7: F(16, 7),
+            8: F(9, 4),
+            9: F(20, 9),
+            10: F(11, 5),
         }
         for n, expected in closed_values.items():
+            assert expected == F(2 * n + 2, n)
             closed = FinVec.from_pairs((i, 1) for i in range(n, 2 * n + 1))
             assert dual_norm_value(closed) == expected
             assert expected > 2
@@ -164,18 +176,15 @@ class TestDualNormProperties:
 class TestGenericCuttingPlane:
     def test_l1_oracle_reproduces_linf(self):
         # the same machinery pointed at the l1 ball gives the sup norm
-        def l1_norm(x):
-            return lp_norm(x, 1)
-
-        def l1_maximizer(x):
-            return FinVec.from_pairs(
+        def l1_oracle(x):
+            return lp_norm(x, 1), FinVec.from_pairs(
                 (i, 1 if c > 0 else -1) for i, c in x.entries
             )
 
         rng = random.Random(37)
         for _ in range(50):
             y = random_vec(rng, 1, 10)
-            got = support_function_norm(y, l1_norm, l1_maximizer)
+            got = support_function_norm(y, l1_oracle)
             assert got == lp_norm(y, math.inf)
 
 

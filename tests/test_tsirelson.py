@@ -15,6 +15,7 @@ from tsirelson_lab.tsirelson import (
     evaluation_tree_from_json,
     tsirelson_maximizer,
     tsirelson_norm,
+    tsirelson_norm_with_maximizer,
 )
 from tsirelson_lab.dualnorm import pairing
 
@@ -97,6 +98,7 @@ def assert_matches_definition(x):
     expected = definition_norm(x)
     assert tsirelson_norm(x) == expected
     assert pairing(tsirelson_maximizer(x).flatten(), x) == expected
+    assert tsirelson_norm_with_maximizer(x)[0] == expected
 
 
 class TestDefinitionOracle:
