@@ -13,8 +13,10 @@ from __future__ import annotations
 import json
 import random
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from inspect import signature
 from typing import Callable, Optional, Sequence
 
 from .blockseq import SAMPLE_POOL, BlockSequence, combine, normalize, random_block_sequence
@@ -439,7 +441,7 @@ class CertificateReport:
     def csv_rows(self) -> list[tuple[str, str, str]]:
         rows = []
         for c in self.certificates:
-            n = str(c.params.get("n", ""))
+            n = str(c.params["n"]) if "n" in c.params else ""
             rows.append((c.check_id, n, str(c.lhs / c.rhs if c.rhs else c.lhs)))
         return rows
 
@@ -449,15 +451,11 @@ def _random_boundaries(rng: random.Random, top: int) -> list[int]:
     return [0] + cuts + [top]
 
 
-def _unit_window_bound(params: dict, seed: int) -> list[Certificate]:
-    constant = Fraction(params.get("constant", 2))
-    samples = params.get("samples", 500)
-    certs = []
-    for n in params.get("ns", range(2, 11)):
-        certs.append(
-            check_window_bound(n, samples=samples, seed=seed + n, constant=constant)
-        )
-    return certs
+def _unit_window_bound(
+    seed: int, *, samples: int = 500, ns: Sequence[int] = range(2, 11),
+    constant: Fraction = Fraction(2),
+) -> list[Certificate]:
+    return [check_window_bound(n, samples=samples, seed=seed + n, constant=constant) for n in ns]
 
 
 def _worst_sample(
@@ -471,35 +469,26 @@ def _worst_sample(
     The result carries the unit's ``params`` and passes only if every
     sample passed.
     """
-    worst: Optional[Certificate] = None
-    worst_badness = Fraction(0)
-    all_passed = True
-    for _ in range(samples):
-        cert = draw()
-        all_passed = all_passed and cert.passed
-        value = badness(cert)
-        if worst is None or value > worst_badness:
-            worst, worst_badness = cert, value
-    if worst is None:
-        raise ValueError("a sampled check needs samples >= 1")
-    return replace(worst, params=params, passed=all_passed)
+    certs = [draw() for _ in range(samples)]
+    worst = max(certs, key=badness)
+    return replace(worst, params=params, passed=all(c.passed for c in certs))
 
 
 def _excess(cert: Certificate) -> Fraction:
     return cert.lhs - cert.rhs
 
 
-def _unit_partition_bound(params: dict, seed: int) -> list[Certificate]:
+def _unit_partition_bound(
+    seed: int, *, samples: int = 200, max_hull: int = 10
+) -> list[Certificate]:
     rng = random.Random(seed)
-    samples = params.get("samples", 200)
-    hull = params.get("max_hull", 10)
 
     def draw() -> Certificate:
-        top = rng.randint(2, hull)
+        top = rng.randint(2, max_hull)
         y = _sample_vector(rng, range(1, top + 1))
         return check_partition_bound(y, _random_boundaries(rng, top))
 
-    unit_params = {"samples": samples, "seed": seed, "max_hull": hull}
+    unit_params = {"samples": samples, "seed": seed, "max_hull": max_hull}
     return [_worst_sample(samples, draw, _excess, unit_params)]
 
 
@@ -513,11 +502,10 @@ def _random_normalized_blocks(
     return normalize(raw, JamesEngine(T_STAR))
 
 
-def _unit_block_domination(params: dict, seed: int) -> list[Certificate]:
+def _unit_block_domination(
+    seed: int, *, samples: int = 100, max_blocks: int = 4, total_support: int = 12
+) -> list[Certificate]:
     rng = random.Random(seed)
-    samples = params.get("samples", 100)
-    max_blocks = params.get("max_blocks", 4)
-    total_support = params.get("total_support", 12)
 
     def draw() -> Certificate:
         count = rng.randint(1, max_blocks)
@@ -529,39 +517,29 @@ def _unit_block_domination(params: dict, seed: int) -> list[Certificate]:
     return [_worst_sample(samples, draw, _excess, unit_params)]
 
 
-def _unit_cor10(params: dict, seed: int) -> list[Certificate]:
+def _unit_cor10(
+    seed: int, *, samples: int = 100, n: int = 2, constant: Fraction = Fraction(4),
+    total_support: int = 12,
+) -> list[Certificate]:
     rng = random.Random(seed)
-    samples = params.get("samples", 100)
-    n = params.get("n", 2)
-    constant = Fraction(params.get("constant", 4))
-    total_support = params.get("total_support", 12)
 
     def draw() -> Certificate:
         u = _random_normalized_blocks(rng, 2 * n, total_support)
         a = _sample_vector(rng, range(n, 2 * n + 1))
         return check_cor10(u, n, a, constant=constant, skip_normalization_check=True)
 
-    def ratio(cert: Certificate) -> Fraction:
-        return Fraction(cert.witness["ratio"])
-
     unit_params = {"samples": samples, "seed": seed, "n": n}
-    worst = _worst_sample(samples, draw, ratio, unit_params)
+    worst = _worst_sample(samples, draw, lambda c: Fraction(c.witness["ratio"]), unit_params)
     return [replace(worst, params={**unit_params, "max_ratio": worst.witness["ratio"]})]
 
 
-def _unit_q_decay(params: dict, seed: int) -> list[Certificate]:
-    return [
-        check_q_decay(
-            levels=params.get("levels", 4),
-            q=Fraction(params.get("q", 2)),
-            seed=seed,
-            samples=params.get("samples", 3),
-        )
-    ]
+def _unit_q_decay(
+    seed: int, *, levels: int = 4, q: Fraction = Fraction(2), samples: int = 3
+) -> list[Certificate]:
+    return [check_q_decay(levels=levels, q=q, seed=seed, samples=samples)]
 
 
-def _unit_shrinking_series(params: dict, seed: int) -> list[Certificate]:
-    levels = params.get("levels", 3)
+def _unit_shrinking_series(seed: int, *, levels: int = 3) -> list[Certificate]:
     u = BlockSequence.canonical_basis(2 ** (levels + 1))
     return [check_shrinking_series(u, levels, skip_normalization_check=True)]
 
@@ -575,15 +553,14 @@ CHECK_UNITS = {
     "shrinking_series": _unit_shrinking_series,
 }
 
+# Each unit's suite parameters and defaults, read from its keyword-only arguments
+# once, before a tracer may rebind the CHECK_UNITS values to (*args, **kwargs).
+UNIT_DEFAULTS = {
+    name: {k: p.default for k, p in signature(unit).parameters.items() if p.kind is p.KEYWORD_ONLY}
+    for name, unit in CHECK_UNITS.items()
+}
 
-DEFAULT_SUITE = [
-    {"name": "window_bound"},
-    {"name": "partition_bound"},
-    {"name": "block_domination"},
-    {"name": "cor10"},
-    {"name": "q_decay"},
-    {"name": "shrinking_series"},
-]
+DEFAULT_SUITE = [{"name": name} for name in CHECK_UNITS]
 
 QUICK_SUITE = [
     {"name": "window_bound", "samples": 20, "ns": [2, 3, 4]},
@@ -595,55 +572,68 @@ QUICK_SUITE = [
 ]
 
 
-# unit parameters that must be integers; "ns" is a list of them
-INTEGER_PARAMS = ("samples", "n", "levels", "max_hull", "max_blocks", "total_support")
+def _suite_value(where: str, defaults: dict, key: str, value):
+    """``value`` as the unit receives it, if the type of its default admits it.
+
+    ``max_hull`` must be >= 2, the least hull ``partition_bound`` draws.
+    """
+    if key not in defaults:
+        raise ValueError(f"{where}: unknown parameter {key!r} (expected {', '.join(defaults)})")
+    default, least = defaults[key], 2 if key == "max_hull" else 1
+    if isinstance(default, Fraction):
+        expected = 'an integer or a fraction string such as "3/2"'
+        if type(value) in (int, str):
+            with suppress(ValueError, ZeroDivisionError):
+                return Fraction(value)
+    elif isinstance(default, int):
+        expected = f"an integer >= {least}"
+        if type(value) is int and value >= least:
+            return value
+    else:
+        expected = "a list of integers >= 1"
+        if isinstance(value, (list, tuple)) and all(type(n) is int and n >= 1 for n in value):
+            return value
+    raise ValueError(f"{where}: {key!r} must be {expected}, got {value!r}")
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _run_unit(entry: tuple[str, int, dict]) -> list[Certificate]:
+    name, seed, params = entry
+    return CHECK_UNITS[name](seed, **params)
 
 
-def _check_integer_params(k: int, params: dict) -> None:
-    for key in INTEGER_PARAMS:
-        if key in params and not _is_integer(params[key]):
-            raise ValueError(
-                f"check entry {k}: {key!r} must be an integer, got {params[key]!r}"
-            )
-    ns = params.get("ns", ())
-    if not isinstance(ns, (list, tuple)) or not all(_is_integer(n) for n in ns):
-        raise ValueError(f"check entry {k}: 'ns' must be a list of integers, got {ns!r}")
-
-
-def _run_unit(entry: tuple[dict, int]) -> list[Certificate]:
-    params, seed = entry
-    name = params["name"]
-    return CHECK_UNITS[name]({k: v for k, v in params.items() if k != "name"}, seed)
-
-
-def run_suite(
-    config: Optional[dict] = None,
-    workers: int = 1,
-) -> CertificateReport:
+def run_suite(config: Optional[dict] = None, workers: int = 1) -> CertificateReport:
     """Run a named check collection; deterministic for a fixed config.
 
-    ``config`` holds a ``seed`` and a ``checks`` list of parameter
-    dictionaries, each naming a registered check unit.  Unknown names and
-    non-integer values of integer parameters are rejected with
-    ``ValueError`` before any check runs.  Results are ordered by check id
-    regardless of execution order, so parallel runs serialize identically.
+    ``config`` holds an integer ``seed`` and a ``checks`` list of parameter
+    dictionaries, each naming a check unit; a unit's parameters and their
+    defaults are its keyword-only arguments (``UNIT_DEFAULTS``).  Unknown
+    keys and values that the default's type rejects raise ``ValueError``
+    before any check runs.  Results are ordered by check id regardless of
+    execution order, so parallel runs serialize identically.
     """
     config = config or {}
-    seed = int(config.get("seed", 0))
+    for key in config:
+        if key not in ("seed", "checks"):
+            raise ValueError(f"suite config: unknown key {key!r} (expected seed, checks)")
+    seed = config.get("seed", 0)
+    if type(seed) is not int:
+        raise ValueError(f"suite config: 'seed' must be an integer, got {seed!r}")
     checks = config.get("checks", DEFAULT_SUITE)
+    if not isinstance(checks, (list, tuple)):
+        raise ValueError(f"suite config: 'checks' must be a list, got {checks!r}")
     entries = []
-    for k, params in enumerate(checks):
-        if not isinstance(params, dict):
-            raise ValueError(f"check entry {k} must be an object, got {params!r}")
-        name = params.get("name")
-        if name not in CHECK_UNITS:
-            raise ValueError(f"unknown check name: {name!r}")
-        _check_integer_params(k, params)
-        entries.append((params, seed * 1009 + 17 * k))
+    for k, entry in enumerate(checks):
+        if not isinstance(entry, dict):
+            raise ValueError(f"check entry {k} must be an object, got {entry!r}")
+        name = entry.get("name")
+        if not isinstance(name, str) or name not in UNIT_DEFAULTS:
+            raise ValueError(f"check entry {k}: unknown check name {name!r}")
+        params = {
+            key: _suite_value(f"check entry {k} ({name})", UNIT_DEFAULTS[name], key, value)
+            for key, value in entry.items()
+            if key != "name"
+        }
+        entries.append((name, seed * 1009 + 17 * k, params))
     if workers > 1 and len(entries) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_unit, entries))

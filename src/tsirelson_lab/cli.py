@@ -173,8 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = commands.add_parser("sweep", help="ratio decay curves as CSV")
     sweep.add_argument("--check", default="window", choices=["window", "qdecay"])
-    sweep.add_argument("--ns", default="2:6", help="window sizes lo:hi")
-    sweep.add_argument("--samples", type=int, default=50)
+    sweep.add_argument("--ns", default="2:6", help="window sizes lo:hi (--check window only)")
+    sweep.add_argument("--samples", type=int, default=50,
+                       help="sampled vectors per window (--check window only)")
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--output", default=None)
     return parser
@@ -228,7 +229,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                     writer.writerow(["q_decay", n, bounds["upper"]])
             _write_output(buffer.getvalue(), args.output)
             return 0
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     parser.error("no command given")

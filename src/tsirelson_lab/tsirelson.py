@@ -118,10 +118,15 @@ class TreeNode:
     def __post_init__(self) -> None:
         if len(self.children) != self.partition.k:
             raise ValueError("one child per part required")
+        # a valid child's support is its leaf set, from its first leaf to its last
         for part, child in zip(self.partition.parts, self.children):
-            hull = child.flatten().hull()
-            if hull is not None and (hull.lo < part.lo or hull.hi > part.hi):
-                raise ValueError(f"child support {hull} escapes its part {part}")
+            lo = hi = child
+            while isinstance(lo, TreeNode):
+                lo = lo.children[0]
+            while isinstance(hi, TreeNode):
+                hi = hi.children[-1]
+            if lo.index < part.lo or hi.index > part.hi:
+                raise ValueError(f"child support [{lo.index},{hi.index}] escapes its part {part}")
 
     def flatten(self) -> FinVec:
         total = FinVec.zero()

@@ -6,8 +6,10 @@ import pytest
 
 from tsirelson_lab.seqvec import FinVec
 from tsirelson_lab.blockseq import BlockSequence
+from tsirelson_lab import certify
 from tsirelson_lab.certify import (
     QUICK_SUITE,
+    UNIT_DEFAULTS,
     Certificate,
     check_block_domination,
     check_cor10,
@@ -226,6 +228,40 @@ class TestRunSuite:
         for name in ("partition_bound", "block_domination", "cor10"):
             with pytest.raises(ValueError, match="samples"):
                 run_suite({"seed": 0, "checks": [{"name": name, "samples": 0}]})
+
+    def test_explicit_defaults_give_the_same_bytes(self):
+        explicit = [
+            {"name": "window_bound", "samples": 20, "ns": [2, 3, 4], "constant": "2"},
+            {"name": "partition_bound", "samples": 20, "max_hull": 8},
+            {"name": "block_domination", "samples": 10, "max_blocks": 4, "total_support": 8},
+            {"name": "cor10", "samples": 10, "n": 2, "constant": 4, "total_support": 8},
+            {"name": "q_decay", "levels": 3, "q": "4/2", "samples": 2},
+            {"name": "shrinking_series", "levels": 2},
+        ]
+        for entry in explicit:
+            assert entry.keys() - {"name"} == UNIT_DEFAULTS[entry["name"]].keys()
+        report = run_suite({"seed": 7, "checks": explicit})
+        assert report.dumps() == run_suite({"seed": 7, "checks": QUICK_SUITE}).dumps()
+
+    def test_config_rejected_before_any_unit_runs(self, monkeypatch):
+        calls = []
+
+        def wrap(unit):
+            def traced(*args, **kwargs):
+                calls.append(args)
+                return unit(*args, **kwargs)
+
+            return traced
+
+        # the rebinding a tracer does: validation must not read these signatures
+        for name, unit in list(certify.CHECK_UNITS.items()):
+            monkeypatch.setitem(certify.CHECK_UNITS, name, wrap(unit))
+        first = {"name": "shrinking_series", "levels": 1}
+        with pytest.raises(ValueError, match="check entry 1 .* 'sampels'"):
+            run_suite({"checks": [first, {"name": "window_bound", "sampels": 5}]})
+        assert calls == []
+        assert len(run_suite({"checks": [first]}).certificates) == 1
+        assert calls == [(0,)]
 
     def test_parallel_matches_sequential(self):
         config = {

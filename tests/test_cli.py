@@ -132,28 +132,53 @@ class TestCertifyCommand:
         assert code == 0
 
     @pytest.mark.parametrize(
-        "text",
+        "text, names",
         [
-            "[1, 2]",
-            '{"checks": ["window_bound"]}',
-            '{"checks": [{"name": "window_bound", "samples": "x", "ns": [2]}]}',
-            '{"checks": [{"name": "window_bound", "samples": 3, "ns": 2}]}',
-            '{"checks": [{"name": "window_bound", "samples": 3, "ns": [2.5]}]}',
-            '{"checks": [{"name": "q_decay", "levels": true}]}',
-            '{"checks": [{"name": "partition_bound", "max_hull": null}]}',
-            '{"checks": [{"name": "cor10", "total_support": "8"}]}',
+            ("[1, 2]", ["suite config"]),
+            ('{"checks": ["window_bound"]}', ["check entry 0"]),
+            ('{"checks": [{"name": "window_bound", "samples": "x", "ns": [2]}]}', ["check entry 0", "samples"]),
+            ('{"checks": [{"name": "window_bound", "samples": 3, "ns": 2}]}', ["check entry 0", "ns"]),
+            ('{"checks": [{"name": "window_bound", "samples": 3, "ns": [2.5]}]}', ["check entry 0", "ns"]),
+            ('{"checks": [{"name": "q_decay", "levels": true}]}', ["check entry 0", "levels"]),
+            ('{"checks": [{"name": "partition_bound", "max_hull": null}]}', ["check entry 0", "max_hull"]),
+            ('{"checks": [{"name": "cor10", "total_support": "8"}]}', ["check entry 0", "total_support"]),
+            ('{"checks": [{"name": "window_bound", "samples": 1, "ns": [2], "constant": [1]}]}',
+             ["check entry 0", "constant"]),
+            ('{"checks": [{"name": "window_bound", "samples": 1, "ns": [2], "constant": "1/0"}]}',
+             ["check entry 0", "constant"]),
+            ('{"checks": [{"name": "window_bound", "samples": 1, "ns": [2], "constant": 2.5}]}',
+             ["check entry 0", "constant"]),
+            ('{"checks": [{"name": "q_decay", "q": {}}]}', ["check entry 0", "q"]),
+            ('{"checks": [{"name": "cor10", "n": 0}]}', ["check entry 0", "n"]),
+            ('{"checks": [{"name": "partition_bound", "max_hull": 1}]}', ["check entry 0", "max_hull"]),
+            ('{"checks": [{"name": "q_decay", "levels": 0}]}', ["check entry 0", "levels"]),
+            ('{"checks": [{"name": "block_domination", "max_blocks": 0}]}', ["check entry 0", "max_blocks"]),
+            ('{"checks": [{"name": "window_bound", "samples": 3, "ns": [2]},'
+             ' {"name": "window_bound", "sampels": 5}]}', ["check entry 1", "sampels"]),
+            ('{"check": []}', ["check"]),
+            ('{"checks": 5}', ["checks"]),
+            ('{"checks": null}', ["checks"]),
+            ('{"seed": "7", "checks": []}', ["seed"]),
+            ('{"seed": 1.9, "checks": []}', ["seed"]),
+            ('{"seed": true, "checks": []}', ["seed"]),
         ],
         ids=[
             "list", "check_string", "samples_string", "ns_scalar", "ns_float",
             "levels_bool", "max_hull_null", "total_support_string",
+            "constant_list", "constant_zero_denominator", "constant_float", "q_object",
+            "cor10_n_0", "max_hull_1", "q_decay_levels_0", "max_blocks_0",
+            "misspelled_parameter", "misspelled_checks", "checks_number", "checks_null",
+            "seed_string", "seed_float", "seed_bool",
         ],
     )
-    def test_malformed_config_exits_2(self, text, tmp_path, capsys):
+    def test_malformed_config_exits_2(self, text, names, tmp_path, capsys):
         config = tmp_path / "suite.json"
         config.write_text(text)
-        code, _, err = run_cli(["certify", "--suite", str(config)], capsys)
-        assert code == 2
-        assert err.startswith("error: ")
+        code, out, err = run_cli(["certify", "--suite", str(config)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        for name in names:
+            assert name in err
 
     def test_failing_certificate_exits_1(self, tmp_path, capsys):
         config = tmp_path / "suite.json"
@@ -168,6 +193,25 @@ class TestCertifyCommand:
         assert code == 1
         report = json.loads(out_path.read_text())
         assert report["failures"] == 1
+
+
+class TestUnreadablePath:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["certify", "--suite", "{dir}"],
+            ["norm", "--vec", "{dir}"],
+            ["certify", "--suite", "{config}", "--output", "{dir}"],
+        ],
+        ids=["suite", "vec", "output"],
+    )
+    def test_directory_exits_2(self, args, tmp_path, capsys):
+        config = tmp_path / "suite.json"
+        config.write_text('{"checks": [{"name": "window_bound", "samples": 1, "ns": [2]}]}')
+        paths = {"dir": str(tmp_path), "config": str(config)}
+        code, out, err = run_cli([a.format(**paths) for a in args], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestThreadsVariable:

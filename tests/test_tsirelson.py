@@ -267,6 +267,64 @@ class TestMaximizer:
         assert pairing(tree.flatten(), x) == tsirelson_norm(x)
 
 
+def node(parts, children):
+    return TreeNode(IntervalPartition(tuple(IndexInterval(lo, hi) for lo, hi in parts)), children)
+
+
+def flattened_hull_admits(parts, children):
+    """The reference rule: each child's flattened support lies in its part."""
+    return all(
+        lo <= child.flatten().hull().lo and child.flatten().hull().hi <= hi
+        for (lo, hi), child in zip(parts, children)
+    )
+
+
+class TestEvaluationTree:
+    @pytest.mark.parametrize("sign", [0, 2, -2])
+    def test_leaf_sign_checked(self, sign):
+        with pytest.raises(ValueError, match="sign"):
+            TreeLeaf(3, sign)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_one_child_per_part(self, count):
+        children = tuple(TreeLeaf(i, 1) for i in range(2, 2 + count))
+        with pytest.raises(ValueError, match="one child per part"):
+            node([(2, 2), (3, 3)], children)
+
+    def test_child_escaping_its_part_rejected(self):
+        deep = node([(2, 6), (7, 9)], (TreeLeaf(6, -1), TreeLeaf(8, 1)))
+        inner = node([(2, 3), (6, 9)], (TreeLeaf(3, 1), deep))
+        assert node([(2, 8), (9, 9)], (inner, TreeLeaf(9, 1))).flatten().hull() == IndexInterval(3, 9)
+        with pytest.raises(ValueError, match=r"child support \[3,8\] escapes its part \[2,7\]"):
+            node([(2, 7), (9, 9)], (inner, TreeLeaf(9, 1)))
+        with pytest.raises(ValueError, match=r"child support \[3,8\] escapes its part \[4,8\]"):
+            node([(2, 3), (4, 8)], (TreeLeaf(2, 1), inner))
+
+    def test_agrees_with_flattened_hull_rule(self):
+        rng = random.Random(5)
+        outcomes = set()
+        for _ in range(300):
+            children, parts, lo = [], [], rng.randint(2, 4)
+            for _ in range(2):
+                x = random_vec(rng, lo + rng.randint(0, 2), lo + rng.randint(2, 8))
+                tree = tsirelson_maximizer(x)
+                hull = tree.flatten().hull()
+                part_lo = max(lo, hull.lo + rng.randint(-1, 1))
+                part = (part_lo, max(part_lo, hull.hi + rng.randint(-1, 1)))
+                children.append(tree)
+                parts.append(part)
+                lo = max(part[1], hull.hi) + 1
+            try:
+                node(parts, tuple(children))
+                accepted = True
+            except ValueError as exc:
+                assert "escapes its part" in str(exc)
+                accepted = False
+            assert accepted == flattened_hull_admits(parts, children)
+            outcomes.add(accepted)
+        assert outcomes == {True, False}
+
+
 def brute_force_partition_count(lo, hi, k):
     """Count admissible k-interval families by raw subset enumeration."""
     count = 0
