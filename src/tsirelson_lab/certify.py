@@ -34,6 +34,11 @@ from .seqvec import (
 
 T_STAR = DualTsirelsonEngine()
 
+# the window sizes n that check_window_bound is calibrated for, and the
+# least q a lower q-estimate takes
+WINDOW_NS = (2, 10)
+LEAST_Q = 1
+
 
 @dataclass(frozen=True)
 class Certificate:
@@ -120,8 +125,9 @@ def check_window_bound(
     every n - the indicator of [2, 4] already has dual norm 3 - so the
     closed window admits no such constant-2 certificate at all.
     """
-    if not 2 <= n <= 10:
-        raise ValueError("window bound check is calibrated for 2 <= n <= 10")
+    least, most = WINDOW_NS
+    if not least <= n <= most:
+        raise ValueError(f"window bound check is calibrated for {least} <= n <= {most}")
     rng = random.Random(seed)
     window = list(range(n + 1, 2 * n + 1))
     worst_ratio = Fraction(0)
@@ -271,8 +277,8 @@ def q_estimate_scan(
     value is a true interval around the achieved ratio.
     """
     q = Fraction(q)
-    if q < 1:
-        raise ValueError("q must be >= 1")
+    if q < LEAST_Q:
+        raise ValueError(f"q must be >= {LEAST_Q}")
     engine = JamesEngine(T_STAR)
     if not skip_normalization_check:
         _require_normalized(u)
@@ -572,26 +578,45 @@ QUICK_SUITE = [
 ]
 
 
-def _suite_value(where: str, defaults: dict, key: str, value):
-    """``value`` as the unit receives it, if the type of its default admits it.
+# (least, most) of the parameters whose range differs from the type's rule
+# (integers and ``ns`` entries >= 1, fractions unbounded); None: no bound.
+# ``levels`` is capped where the run still takes seconds: q_decay with
+# levels 5 and shrinking_series with levels 12 ran for more than a minute.
+PARAM_RANGES = {
+    ("window_bound", "ns"): WINDOW_NS,
+    ("partition_bound", "max_hull"): (2, None),
+    ("q_decay", "levels"): (1, 4),
+    ("q_decay", "q"): (LEAST_Q, None),
+    ("shrinking_series", "levels"): (1, 10),
+}
 
-    ``max_hull`` must be >= 2, the least hull ``partition_bound`` draws.
-    """
+
+def _suite_value(where: str, name: str, key: str, value):
+    """``value`` as unit ``name`` receives it, if its default's type and range admit it."""
+    defaults = UNIT_DEFAULTS[name]
     if key not in defaults:
         raise ValueError(f"{where}: unknown parameter {key!r} (expected {', '.join(defaults)})")
-    default, least = defaults[key], 2 if key == "max_hull" else 1
+    default = defaults[key]
+    fallback = (None, None) if isinstance(default, Fraction) else (1, None)
+    least, most = PARAM_RANGES.get((name, key), fallback)
+    bounds = "" if least is None else f" >= {least}" if most is None else f" within {least}..{most}"
+
+    def within(v) -> bool:
+        return (least is None or v >= least) and (most is None or v <= most)
+
     if isinstance(default, Fraction):
-        expected = 'an integer or a fraction string such as "3/2"'
+        expected = f'a number{bounds}, as an integer or a fraction string such as "3/2"'
         if type(value) in (int, str):
             with suppress(ValueError, ZeroDivisionError):
-                return Fraction(value)
+                if within(Fraction(value)):
+                    return Fraction(value)
     elif isinstance(default, int):
-        expected = f"an integer >= {least}"
-        if type(value) is int and value >= least:
+        expected = f"an integer{bounds}"
+        if type(value) is int and within(value):
             return value
     else:
-        expected = "a list of integers >= 1"
-        if isinstance(value, (list, tuple)) and all(type(n) is int and n >= 1 for n in value):
+        expected = f"a list of integers{bounds}"
+        if isinstance(value, (list, tuple)) and all(type(n) is int and within(n) for n in value):
             return value
     raise ValueError(f"{where}: {key!r} must be {expected}, got {value!r}")
 
@@ -607,9 +632,10 @@ def run_suite(config: Optional[dict] = None, workers: int = 1) -> CertificateRep
     ``config`` holds an integer ``seed`` and a ``checks`` list of parameter
     dictionaries, each naming a check unit; a unit's parameters and their
     defaults are its keyword-only arguments (``UNIT_DEFAULTS``).  Unknown
-    keys and values that the default's type rejects raise ``ValueError``
-    before any check runs.  Results are ordered by check id regardless of
-    execution order, so parallel runs serialize identically.
+    keys and values that the default's type or ``PARAM_RANGES`` rejects
+    raise ``ValueError`` before any check runs.  Results are ordered by
+    check id regardless of execution order, so parallel runs serialize
+    identically.
     """
     config = config or {}
     for key in config:
@@ -629,7 +655,7 @@ def run_suite(config: Optional[dict] = None, workers: int = 1) -> CertificateRep
         if not isinstance(name, str) or name not in UNIT_DEFAULTS:
             raise ValueError(f"check entry {k}: unknown check name {name!r}")
         params = {
-            key: _suite_value(f"check entry {k} ({name})", UNIT_DEFAULTS[name], key, value)
+            key: _suite_value(f"check entry {k} ({name})", name, key, value)
             for key, value in entry.items()
             if key != "name"
         }

@@ -23,7 +23,8 @@ import json
 import os
 import re
 import sys
-from typing import Optional
+from contextlib import contextmanager
+from typing import Callable, Iterator, Optional
 
 from .certify import DEFAULT_SUITE, QUICK_SUITE, check_q_decay, check_window_bound, run_suite
 from .dualnorm import (
@@ -100,12 +101,24 @@ def parse_sequence(text: str) -> EventuallyConstantSeq:
     return EventuallyConstantSeq.from_json_obj(obj)
 
 
-def _write_output(text: str, path: Optional[str]) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8") as handle:
+@contextmanager
+def _output(path: Optional[str]) -> Iterator[Callable[[str], object]]:
+    """A function that writes the finished output to ``path``, or to stdout.
+
+    The file is opened for appending before any work is done, so a path
+    that cannot be written fails at once, and it is emptied only by the
+    write: a run that fails leaves an existing file as it was.
+    """
+    if not path:
+        yield sys.stdout.write
+        return
+    with open(path, "a", encoding="utf-8") as handle:
+
+        def replace(text: str) -> None:
+            handle.truncate(0)
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+
+        yield replace
 
 
 def _suite_config(name: str, seed: int) -> dict:
@@ -202,15 +215,17 @@ def main(argv: Optional[list[str]] = None) -> int:
             return 0
         if args.command == "certify":
             config = _suite_config(args.suite, args.seed)
-            report = run_suite(config, workers=_workers_from_env())
-            if args.format == "json":
-                _write_output(report.dumps(), args.output)
-            else:
-                buffer = io.StringIO()
-                writer = csv.writer(buffer)
-                writer.writerow(["check", "n", "ratio"])
-                writer.writerows(report.csv_rows())
-                _write_output(buffer.getvalue(), args.output)
+            workers = _workers_from_env()
+            with _output(args.output) as write:
+                report = run_suite(config, workers=workers)
+                if args.format == "json":
+                    write(report.dumps())
+                else:
+                    buffer = io.StringIO()
+                    writer = csv.writer(buffer)
+                    writer.writerow(["check", "n", "ratio"])
+                    writer.writerows(report.csv_rows())
+                    write(buffer.getvalue())
             return 0 if report.passed else 1
         if args.command == "sweep":
             lo, _, hi = args.ns.partition(":")
@@ -218,16 +233,17 @@ def main(argv: Optional[list[str]] = None) -> int:
             buffer = io.StringIO()
             writer = csv.writer(buffer)
             writer.writerow(["check", "n", "ratio"])
-            if args.check == "window":
-                for n in ns:
-                    cert = check_window_bound(n, samples=args.samples, seed=args.seed + n)
-                    writer.writerow([cert.check_id, n, str(cert.lhs)])
-            else:
-                cert = check_q_decay(seed=args.seed)
-                report = cert.witness["report"]
-                for (n, _m), bounds in zip(report["ranges"], report["per_range"]):
-                    writer.writerow(["q_decay", n, bounds["upper"]])
-            _write_output(buffer.getvalue(), args.output)
+            with _output(args.output) as write:
+                if args.check == "window":
+                    for n in ns:
+                        cert = check_window_bound(n, samples=args.samples, seed=args.seed + n)
+                        writer.writerow([cert.check_id, n, str(cert.lhs)])
+                else:
+                    cert = check_q_decay(seed=args.seed)
+                    report = cert.witness["report"]
+                    for (n, _m), bounds in zip(report["ranges"], report["per_range"]):
+                        writer.writerow(["q_decay", n, bounds["upper"]])
+                write(buffer.getvalue())
             return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,6 +22,17 @@ nonnegative orthant: the norm is 1-unconditional, so the supremum for |y|
 is attained at some x >= 0, and on x >= 0 only the all-positive-leaf
 versions of the tree functionals bind.
 
+Schreier regime.  If a support has s <= min supp points, every family of
+singletons from it is admissible, and every admissible family sums to at
+most the l1 norm, so ||x||_T = max(||x||_inf, (1/2)||x||_1) there
+(Casazza and Shura, *Tsirelson's Space*, LNM 1363, 1989, ch. I).  That
+unit ball is {||x||_inf <= 1, ||x||_1 <= 2}, so ||y||* is the sum of the
+two largest |y_i| (just |y_i| when s = 1).  ``dual_norm`` returns this
+closed form for regime vectors without touching the cache or the linear
+program.  Each dyadic block [2^j, 2^(j+1)) is in the regime, so by the
+triangle inequality the blocks' closed forms add up to an upper bound on
+||y||* for every y (``DualTsirelsonEngine.upper_bound``).
+
 ``dual_norm_exact_small`` cross-validates the loop on small hulls by
 enumerating the complete (dominance-pruned) set of tree functionals up
 front and solving a single exact linear program over it.
@@ -35,6 +46,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from fractions import Fraction
+from itertools import groupby
 from math import lcm
 from typing import Callable, Optional, Union
 
@@ -81,6 +93,14 @@ class NormEngine(ABC):
             return value.value
         return value
 
+    def upper_bound(self, x: FinVec) -> Fraction:
+        """A cheap upper bound on ||x||: the l1 norm.
+
+        Valid for 1-unconditional norms with normalized unit vectors, by
+        the triangle inequality; engines with a sharper bound override it.
+        """
+        return lp_norm(x, 1)
+
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}>"
 
@@ -112,6 +132,11 @@ class DualTsirelsonEngine(NormEngine):
 
     def eval(self, x: FinVec) -> Fraction:
         return dual_norm(x)
+
+    def upper_bound(self, x: FinVec) -> Fraction:
+        """Sum over the dyadic blocks [2^j, 2^(j+1)) of their closed-form T* norms."""
+        blocks = groupby(x.entries, key=lambda entry: entry[0].bit_length())
+        return sum((_two_largest(abs(c) for _, c in block) for _, block in blocks), Fraction(0))
 
 
 def support_function_norm(
@@ -176,19 +201,34 @@ def _tsirelson_oracle(x: FinVec) -> tuple[Fraction, FinVec]:
     return value, tree.flatten()
 
 
+def _two_largest(values) -> Fraction:
+    """The sum of the two largest of some nonnegative values."""
+    first = second = Fraction(0)
+    for v in values:
+        if v > first:
+            first, second = v, first
+        elif v > second:
+            second = v
+    return first + second
+
+
 _dual_cache: dict[tuple, Fraction] = {}
 
 
 def dual_norm(y: FinVec) -> Fraction:
     """The dual norm ||y||*, exact.
 
-    The cutting-plane loop only stops once the working-set optimizer lies
-    in the primal ball, at which point the restricted LP value is the
-    support function value itself.  Values are cached by the coefficient
-    magnitudes of y, which is all the norm depends on.
+    In the Schreier regime (support size <= min support) the value is the
+    closed form of the module docstring.  Otherwise the cutting-plane loop
+    only stops once the working-set optimizer lies in the primal ball, at
+    which point the restricted LP value is the support function value
+    itself.  Those values are cached by the coefficient magnitudes of y,
+    which is all the norm depends on.
     """
     if y.is_zero:
         return Fraction(0)
+    if len(y.entries) <= y.entries[0][0]:
+        return _two_largest(abs(c) for _, c in y.entries)
     key = tuple((i, abs(c)) for i, c in y.entries)
     value = _dual_cache.get(key)
     if value is None:

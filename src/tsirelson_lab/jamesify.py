@@ -112,6 +112,12 @@ def james_norm(
     branch is cut when the l1 value of its prefix plus an l1 bound on the
     best possible completion cannot beat the incumbent.  Base evaluations
     are memoized per call on the difference vector's absolute normal form.
+    A leaf not in that memo is skipped when ``base.upper_bound`` of its
+    difference vector is at most the incumbent: it could not be strictly
+    better, so neither the value nor the witness changes.  The pair
+    extensions of a node depend only on its first free canonical
+    position, so each position's sorted extension list is built once per
+    call and shared by every path that reaches it.
 
     Returns an exact Fraction for exact bases (NormBounds otherwise); with
     ``with_witness`` also returns a maximizing :class:`PairSelection`
@@ -130,17 +136,23 @@ def james_norm(
     for k in range(count - 1, -1, -1):
         suffix_abs[k] = suffix_abs[k + 1] + abs(values[k])
 
+    extension_table: dict[int, list[tuple[Fraction, int, int, Fraction]]] = {}
+
+    def extensions(start: int) -> list[tuple[Fraction, int, int, Fraction]]:
+        """(|d|, qi, ri, d) for every nonzero pair from ``start`` on, |d| ascending."""
+        table = extension_table.get(start)
+        if table is None:
+            table = []
+            for qi in range(start, count - 1):
+                for ri in range(qi + 1, count):
+                    d = values[qi] - values[ri]
+                    if d != 0:
+                        table.append((abs(d), qi, ri, d))
+            table.sort()
+            extension_table[start] = table
+        return table
+
     memo: dict[tuple, NormValue] = {}
-
-    def evaluate(diffs: tuple[Fraction, ...]) -> NormValue:
-        key = tuple(abs(d) for d in diffs)
-        cached = memo.get(key)
-        if cached is None:
-            vec = FinVec.from_pairs((j + 1, d) for j, d in enumerate(diffs))
-            cached = base.eval(vec)
-            memo[key] = cached
-        return cached
-
     best_lower = zero
     best_upper = zero
     best_selection: Optional[PairSelection] = None
@@ -153,28 +165,29 @@ def james_norm(
         # bound: every future pair contributes at most its endpoints' weights
         if diffs and l1 + suffix_abs[start] <= best_lower:
             continue
-        extensions = []
-        for qi in range(start, count - 1):
-            for ri in range(qi + 1, count):
-                d = values[qi] - values[ri]
-                if d != 0:
-                    extensions.append((abs(d), qi, ri, d))
-        if extensions:
+        table = extensions(start)
+        if table:
             # appending a nonzero pair never decreases a 1-unconditional
             # norm, so only unextendable selections need evaluating;
             # explore large differences first to tighten the incumbent
-            extensions.sort()
-            for _, qi, ri, d in extensions:
+            for size, qi, ri, d in table:
                 stack.append(
                     (
                         ri + 1,
                         diffs + (d,),
                         used + (indices[qi], indices[ri]),
-                        l1 + abs(d),
+                        l1 + size,
                     )
                 )
         elif diffs:
-            value = evaluate(diffs)
+            key = tuple(abs(d) for d in diffs)
+            value = memo.get(key)
+            if value is None:
+                vec = FinVec(tuple((j + 1, d) for j, d in enumerate(diffs)))
+                if base.upper_bound(vec) <= best_lower:
+                    continue
+                value = base.eval(vec)
+                memo[key] = value
             lo, hi = lower_of(value), upper_of(value)
             if lo > best_lower:
                 best_lower = lo

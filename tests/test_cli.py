@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from tsirelson_lab import certify
 from tsirelson_lab.cli import _workers_from_env, main, parse_sequence, parse_vector
 from tsirelson_lab.seqvec import FinVec
 
@@ -161,6 +162,13 @@ class TestCertifyCommand:
             ('{"seed": "7", "checks": []}', ["seed"]),
             ('{"seed": 1.9, "checks": []}', ["seed"]),
             ('{"seed": true, "checks": []}', ["seed"]),
+            ('{"checks": [{"name": "window_bound", "samples": 1, "ns": [2, 11]}]}', ["check entry 0", "ns"]),
+            ('{"checks": [{"name": "window_bound", "samples": 1, "ns": [1]}]}', ["check entry 0", "ns"]),
+            ('{"checks": [{"name": "q_decay", "q": "1/2"}]}', ["check entry 0", "q"]),
+            ('{"checks": [{"name": "q_decay", "levels": 5}]}', ["check entry 0", "levels"]),
+            ('{"checks": [{"name": "shrinking_series", "levels": 11}]}', ["check entry 0", "levels"]),
+            ('{"checks": [{"name": "shrinking_series", "levels": 10},'
+             ' {"name": "window_bound", "samples": 1, "ns": [11]}]}', ["check entry 1", "ns"]),
         ],
         ids=[
             "list", "check_string", "samples_string", "ns_scalar", "ns_float",
@@ -169,6 +177,8 @@ class TestCertifyCommand:
             "cor10_n_0", "max_hull_1", "q_decay_levels_0", "max_blocks_0",
             "misspelled_parameter", "misspelled_checks", "checks_number", "checks_null",
             "seed_string", "seed_float", "seed_bool",
+            "ns_above_10", "ns_below_2", "q_below_1", "q_decay_levels_5",
+            "shrinking_levels_11", "late_range_error",
         ],
     )
     def test_malformed_config_exits_2(self, text, names, tmp_path, capsys):
@@ -195,6 +205,42 @@ class TestCertifyCommand:
         assert report["failures"] == 1
 
 
+class TestExistingOutputFile:
+    OLD = "an earlier report\n" * 500
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["certify", "--suite", "{config}"],
+            ["sweep", "--check", "window", "--ns", "2:11", "--samples", "1"],
+        ],
+        ids=["rejected_config", "sweep_out_of_range"],
+    )
+    def test_failed_run_leaves_it_unchanged(self, args, tmp_path, capsys):
+        config = tmp_path / "suite.json"
+        config.write_text('{"checks": [{"name": "window_bound", "samples": 1, "ns": [11]}]}')
+        out_path = tmp_path / "report.json"
+        out_path.write_text(self.OLD)
+        argv = [a.format(config=config) for a in args] + ["--output", str(out_path)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == "" and err.startswith("error: ")
+        assert out_path.read_text() == self.OLD
+
+    def test_finished_run_replaces_it(self, tmp_path, capsys):
+        out_path = tmp_path / "sweep.csv"
+        out_path.write_text(self.OLD)
+        code, _, _ = run_cli(
+            [
+                "sweep", "--check", "window", "--ns", "2:3",
+                "--samples", "1", "--output", str(out_path),
+            ],
+            capsys,
+        )
+        assert code == 0
+        lines = out_path.read_text().splitlines()
+        assert lines[0] == "check,n,ratio" and len(lines) == 3
+
+
 class TestUnreadablePath:
     @pytest.mark.parametrize(
         "args",
@@ -205,13 +251,26 @@ class TestUnreadablePath:
         ],
         ids=["suite", "vec", "output"],
     )
-    def test_directory_exits_2(self, args, tmp_path, capsys):
+    def test_directory_exits_2(self, args, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def recorded(unit):
+            def run(*args, **kwargs):
+                calls.append(args)
+                return unit(*args, **kwargs)
+
+            return run
+
+        for name, unit in list(certify.CHECK_UNITS.items()):
+            monkeypatch.setitem(certify.CHECK_UNITS, name, recorded(unit))
         config = tmp_path / "suite.json"
         config.write_text('{"checks": [{"name": "window_bound", "samples": 1, "ns": [2]}]}')
         paths = {"dir": str(tmp_path), "config": str(config)}
         code, out, err = run_cli([a.format(**paths) for a in args], capsys)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+        # the path is found unusable before any check unit runs
+        assert calls == []
 
 
 class TestThreadsVariable:

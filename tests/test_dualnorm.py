@@ -6,10 +6,13 @@ import pytest
 
 from tsirelson_lab.seqvec import FinVec, IndexInterval, lp_norm, shift_support
 from tsirelson_lab.tsirelson import tsirelson_norm
+from tsirelson_lab import dualnorm
 from tsirelson_lab.dualnorm import (
+    MAX_EXACT_HULL,
     DualTsirelsonEngine,
     LpEngine,
     TsirelsonEngine,
+    _tsirelson_oracle,
     dual_norm,
     dual_norm_exact_small,
     dual_norm_value,
@@ -171,6 +174,81 @@ class TestDualNormProperties:
         for f in tree_functionals(IndexInterval(2, 6)):
             vec = FinVec.from_pairs(f)
             assert dual_norm_value(vec) <= 1
+
+
+def regime_vec(rng):
+    """A seeded vector whose support has at most min supp points."""
+    lo = rng.randint(1, 9)
+    size = rng.randint(1, min(lo, 7))
+    support = [lo] + sorted(rng.sample(range(lo + 1, lo + 10), size - 1))
+    return FinVec.from_pairs((i, rng.choice(POOL)) for i in support)
+
+
+class TestSchreierRegime:
+    def test_closed_form_matches_cutting_plane(self):
+        rng = random.Random(43)
+        exact_small = 0
+        for _ in range(150):
+            y = regime_vec(rng)
+            magnitudes = sorted(abs(c) for _, c in y.entries)
+            value = dual_norm(y)
+            assert value == sum(magnitudes[-2:])
+            assert value == support_function_norm(y, _tsirelson_oracle)
+            if len(y.hull()) <= MAX_EXACT_HULL:
+                exact_small += 1
+                assert value == dual_norm_exact_small(y)
+        assert exact_small >= 50
+
+    def test_regime_skips_cache_and_cutting_plane(self, monkeypatch):
+        def no_lp(y, oracle):
+            raise AssertionError(f"cutting plane reached for {y}")
+
+        monkeypatch.setattr(dualnorm, "_dual_cache", {})
+        monkeypatch.setattr(dualnorm, "support_function_norm", no_lp)
+        rng = random.Random(47)
+        for _ in range(50):
+            dual_norm(regime_vec(rng))
+        assert dual_norm(e(7)) == 1
+        assert dualnorm._dual_cache == {}
+
+    def test_closed_windows_stay_on_the_cutting_plane(self, monkeypatch):
+        # [n, 2n] has n + 1 > n points: just outside the regime
+        solved = []
+
+        def counted(y, oracle):
+            solved.append(y)
+            return support_function_norm(y, oracle)
+
+        monkeypatch.setattr(dualnorm, "_dual_cache", {})
+        monkeypatch.setattr(dualnorm, "support_function_norm", counted)
+        for n in range(2, 11):
+            closed = FinVec.from_pairs((i, 1) for i in range(n, 2 * n + 1))
+            assert dual_norm(closed) == F(2 * n + 2, n)
+            assert solved[-1] == closed
+        assert len(solved) == 9
+
+    def test_dyadic_upper_bound(self):
+        engine = DualTsirelsonEngine()
+        rng = random.Random(53)
+        for _ in range(60):
+            top = rng.randint(1, 12)
+            y = FinVec.from_pairs(
+                [(1, rng.choice(POOL))]
+                + [(i, rng.choice(POOL)) for i in range(2, top + 1) if rng.random() < 0.75]
+            )
+            bound = engine.upper_bound(y)
+            assert dual_norm(y) <= bound <= lp_norm(y, 1)
+        # one dyadic block is in the regime, so the bound is exact there
+        for j in range(1, 4):
+            block = random_vec(rng, 2**j, 2 ** (j + 1) - 1)
+            assert engine.upper_bound(block) == dual_norm(block)
+
+    def test_default_upper_bound_is_l1(self):
+        rng = random.Random(59)
+        for _ in range(10):
+            y = random_vec(rng, 1, 8)
+            for engine in (LpEngine(1), LpEngine(math.inf), TsirelsonEngine()):
+                assert engine.upper_bound(y) == lp_norm(y, 1) >= engine.eval_exact(y)
 
 
 class TestGenericCuttingPlane:

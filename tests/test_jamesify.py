@@ -133,6 +133,18 @@ class TestJamesNormAgainstBruteForce:
             for engine in (l1, linf):
                 assert james_norm(a, engine) == james_brute(a, engine)
 
+    def test_tstar_small_sign_vectors_with_witness(self):
+        # T* leaves may be skipped by the dyadic bound; value and witness
+        # must still match an exhaustive search
+        for entries in itertools.product([-1, 0, 1], repeat=5):
+            a = FinVec.from_pairs((i + 1, c) for i, c in enumerate(entries) if c)
+            value, selection = james_norm(a, T_STAR, with_witness=True)
+            assert value == james_brute(a, T_STAR)
+            if a.is_zero:
+                assert selection is None
+            else:
+                assert T_STAR.eval(difference_vector(a, selection)) == value
+
     def test_tstar_random_vectors(self):
         rng = random.Random(5)
         for _ in range(25):

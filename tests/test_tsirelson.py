@@ -117,6 +117,20 @@ class TestDefinitionOracle:
                 FinVec.from_pairs((i, rng.choice(POOL)) for i in support)
             )
 
+    def test_schreier_regime_closed_form(self):
+        # at most min supp points the norm is max(||x||_inf, ||x||_1 / 2); the DP must agree
+        rng = random.Random(14)
+        for _ in range(150):
+            lo = rng.randint(1, 9)
+            size = rng.randint(1, min(lo, 7))
+            support = [lo] + sorted(rng.sample(range(lo + 1, lo + 10), size - 1))
+            x = FinVec.from_pairs((i, rng.choice(POOL)) for i in support)
+            magnitudes = [abs(c) for _, c in x.entries]
+            expected = definition_norm(x)
+            assert expected == max(max(magnitudes), F(1, 2) * sum(magnitudes))
+            assert tsirelson_norm(x) == expected
+            assert tsirelson_norm_with_maximizer(x)[0] == expected
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.dictionaries(
