@@ -1,84 +1,132 @@
-"""Exact rational simplex for small dense linear programs, with row generation.
+"""Exact simplex for small dense linear programs, with row generation.
 
 A :class:`Tableau` is the optimal simplex tableau of
 
     max c.x  subject to  A x <= b, x >= 0
 
-with all data Fractions.  ``maximize`` builds it with b >= 0, so the
-origin is feasible and no phase 1 is needed, and solves it with the primal
-simplex.  ``Tableau.add_row`` then appends one more constraint a.x <= beta
-without starting again: the row gets its own slack column and is reduced
-against the current basis (each basic variable's row is subtracted), which
-leaves the reduced costs untouched, so the tableau stays dual feasible and
-is primal infeasible at most in the new row.  The dual simplex restores
+with rational data.  ``maximize`` builds it with b >= 0, so the origin is
+feasible and no phase 1 is needed, and solves it with the primal simplex.
+``Tableau.add_row`` then appends one more constraint a.x <= beta without
+starting again: the row gets its own slack column and is reduced against
+the current basis (each basic variable's row is subtracted), which leaves
+the reduced costs untouched, so the tableau stays dual feasible and is
+primal infeasible at most in the new row.  The dual simplex restores
 feasibility: the row with the most negative right-hand side leaves, and
 the column with the least ratio of reduced cost to that row's negative
 entry enters.  This is the textbook row-generation step of a cutting-plane
 loop (Chvátal, *Linear Programming*, 1983, ch. 10).
 
+Integer arithmetic.  Each row is stored as integers: a row with rational
+entries is multiplied by the lcm s of their denominators, and its slack
+then measures s times the slack of the row as given.  The tableau kept in
+memory is d times the true tableau of this integer program (right-hand
+sides, reduced costs and objective value included), where d > 0 is the
+determinant of the current basis matrix B.  Every stored entry is then an
+entry of adj(B) times integer data, so an integer.  A pivot on stored
+entry p leaves the pivot row as it is and replaces every other entry a by
+
+    (p * a - f * r) // d,
+
+with f the entry of a's row in the pivot column and r the entry of the
+pivot row in a's column; then d becomes p.  The new entry is the
+determinant of the new basis times a true tableau entry, an integer, so
+the division is exact (Edmonds, *J. Res. NBS* 71B, 1967; Bareiss,
+*Math. Comp.* 22, 1968).  A dual simplex pivot is negative; the pivot row
+is negated first, which keeps d positive.  Appending a row multiplies it
+by d and subtracts the basic rows, which needs no division at all.
+Ratios are compared by cross-multiplication, and values leave as
+``Fraction`` only through ``value``, ``solution`` and ``cost``.
+
 Both loops share one pivot routine.  Each makes at most ``PIVOT_BUDGET``
 pivots per row and column by its largest-change rule (Dantzig pricing in
 the primal, most negative right-hand side in the dual), ties going to the
 lowest index, and then falls back to Bland's rule (lowest basic or column
-index), which cannot cycle.  All arithmetic is exact, so the optimum is
-returned as exact rationals.
+index), which cannot cycle.  The largest-change rules compare reduced
+costs and right-hand sides in the units of the rows as given, so scaling a
+row to integers does not change which pivot is taken.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from math import lcm
+from numbers import Rational
 
 # largest-change pivots allowed per (rows + variables + 1) in one loop
 # before Bland's rule takes over
 PIVOT_BUDGET = 50
 
 
+def _integers(values: list[Rational]) -> tuple[list[int], int]:
+    """Integers s * v for rational values v, with s the lcm of their denominators."""
+    s = lcm(*(v.denominator for v in values))
+    return [v.numerator * (s // v.denominator) for v in values], s
+
+
 class Tableau:
     """An optimal simplex tableau that accepts further constraint rows.
 
     Column j < n is the variable x_j and column n + i the slack of
-    constraint i.  Row i with ``rhs[i]`` expresses the basic variable
-    ``basis[i]`` in the nonbasic ones, ``cost`` holds the reduced costs
-    (all >= 0 at an optimum) and ``value`` the objective at the basic
-    solution.  Between public calls the tableau is optimal.
+    constraint i.  Row i of ``rows`` with ``rhs[i]`` expresses the basic
+    variable ``basis[i]`` in the nonbasic ones, ``reduced`` holds the
+    reduced costs and ``objective`` the objective at the basic solution,
+    all multiplied by the basis determinant ``denominator`` (see the
+    module docstring).  ``units[j]`` is the factor by which column j's
+    variable exceeds the one it stands for: 1 for x_j, the integer scale
+    of its row for a slack.  Between public calls the tableau is optimal.
     """
 
     def __init__(
         self,
-        objective: list[Fraction],
-        rows: list[list[Fraction]],
-        rhs: list[Fraction],
+        objective: list[Rational],
+        rows: list[list[Rational]],
+        rhs: list[Rational],
+        denominators: list[int] | None = None,
     ):
         n = len(objective)
-        m = len(rows)
-        if any(len(row) != n for row in rows) or len(rhs) != m:
+        if any(len(row) != n for row in rows) or len(rhs) != len(rows):
             raise ValueError("inconsistent LP dimensions")
         if any(b < 0 for b in rhs):
             raise ValueError("rhs must be nonnegative (origin must be feasible)")
         self.n = n
-        self.rows = [list(row) + [ZERO] * m for row in rows]
-        for i, row in enumerate(self.rows):
-            row[n + i] = ONE
-        self.rhs = [Fraction(b) for b in rhs]
-        self.cost = [-Fraction(c) for c in objective] + [ZERO] * m
-        self.basis = [n + i for i in range(m)]
-        self.value = ZERO
+        costs, self._objective_scale = _integers(objective)
+        self.reduced = [-c for c in costs]
+        self.objective = 0
+        self.denominator = 1
+        self.units = [1] * n
+        self.rows: list[list[int]] = []
+        self.rhs: list[int] = []
+        self.basis: list[int] = []
+        for i, (row, b) in enumerate(zip(rows, rhs)):
+            self._append(row, b, denominators[i] if denominators else 1)
         self._primal()
+
+    @property
+    def value(self) -> Fraction:
+        """The optimal objective value, exact."""
+        return Fraction(self.objective, self.denominator * self._objective_scale)
+
+    def numerators(self) -> list[int]:
+        """The optimal x as integers over ``denominator``."""
+        x = [0] * self.n
+        for i, j in enumerate(self.basis):
+            if j < self.n:
+                x[j] = self.rhs[i]
+        return x
 
     @property
     def solution(self) -> tuple[Fraction, ...]:
         """The optimal x, exact."""
-        x = [ZERO] * self.n
-        for i, j in enumerate(self.basis):
-            if j < self.n:
-                x[j] = self.rhs[i]
-        return tuple(x)
+        return tuple(Fraction(v, self.denominator) for v in self.numerators())
 
-    def add_row(self, row: list[Fraction], rhs: Fraction) -> None:
-        """Add the constraint row . x <= rhs and re-optimize.
+    @property
+    def cost(self) -> list[Fraction]:
+        """The reduced costs of the program as given; a slack's is its row's dual price."""
+        scale = self.denominator * self._objective_scale
+        return [Fraction(c * u, scale) for c, u in zip(self.reduced, self.units)]
+
+    def add_row(self, row: list[Rational], rhs: Rational, denominator: int = 1) -> None:
+        """Add the constraint (row / denominator) . x <= rhs / denominator and re-optimize.
 
         Raises ``ArithmeticError`` if the constraint makes the program
         infeasible (possible only for rhs < 0); the tableau is then no
@@ -86,41 +134,53 @@ class Tableau:
         """
         if len(row) != self.n:
             raise ValueError("inconsistent LP dimensions")
-        for other in self.rows:
-            other.append(ZERO)
-        self.cost.append(ZERO)
-        new = list(row) + [ZERO] * (len(self.cost) - self.n - 1) + [ONE]
-        b = Fraction(rhs)
-        # basic columns are unit vectors, so each factor is the new row's
-        # original coefficient, and basic slacks have none
+        self._append(row, rhs, denominator)
+        self._dual()
+
+    def _append(self, row: list[Rational], rhs: Rational, denominator: int) -> None:
+        """Append a constraint with a basic slack, reduced against the basis."""
+        a, s = _integers([*row, rhs])
+        b = a.pop()
+        d = self.denominator
+        width = len(self.reduced)
+        new = [d * v for v in a] + [0] * (width - self.n) + [d]
+        b *= d
+        # the stored basic columns are d times unit vectors, so subtracting
+        # a's coefficient times each basic row clears them; basic slacks
+        # have no coefficient in a
         for i, j in enumerate(self.basis):
-            factor = new[j]
-            if factor:
-                for k, v in enumerate(self.rows[i]):
-                    if v:
-                        new[k] -= factor * v
-                b -= factor * self.rhs[i]
+            if j < self.n:
+                factor = a[j]
+                if factor:
+                    for k, v in enumerate(self.rows[i]):
+                        if v:
+                            new[k] -= factor * v
+                    b -= factor * self.rhs[i]
+        for other in self.rows:
+            other.append(0)
         self.rows.append(new)
         self.rhs.append(b)
-        self.basis.append(len(self.cost) - 1)
-        self._dual()
+        self.reduced.append(0)
+        self.units.append(s * denominator)
+        self.basis.append(width)
 
     def _budget(self) -> int:
         return PIVOT_BUDGET * (len(self.rows) + self.n + 1)
 
     def _primal(self) -> None:
+        rows, rhs, basis, reduced, units = self.rows, self.rhs, self.basis, self.reduced, self.units
         pivots = 0
         budget = self._budget()
         while True:
             entering = -1
-            if pivots < budget:
-                most_negative = ZERO
-                for j, c in enumerate(self.cost):
-                    if c < most_negative:
-                        most_negative = c
+            if pivots < budget:  # Dantzig: most negative reduced cost as given
+                most_negative = 0
+                for j, c in enumerate(reduced):
+                    if c < 0 and c * units[j] < most_negative:
+                        most_negative = c * units[j]
                         entering = j
             else:  # Bland: first improving column
-                for j, c in enumerate(self.cost):
+                for j, c in enumerate(reduced):
                     if c < 0:
                         entering = j
                         break
@@ -128,17 +188,16 @@ class Tableau:
                 return
 
             leaving = -1
-            best_ratio = None
-            for i, row in enumerate(self.rows):
+            for i, row in enumerate(rows):
                 coeff = row[entering]
                 if coeff > 0:
-                    ratio = self.rhs[i] / coeff
-                    if (
-                        best_ratio is None
-                        or ratio < best_ratio
-                        or (ratio == best_ratio and self.basis[i] < self.basis[leaving])
-                    ):
-                        best_ratio = ratio
+                    if leaving < 0:
+                        leaving = i
+                        continue
+                    # rhs[i] / coeff against rhs[leaving] / row[leaving][entering]
+                    here = rhs[i] * rows[leaving][entering]
+                    best = rhs[leaving] * coeff
+                    if here < best or (here == best and basis[i] < basis[leaving]):
                         leaving = i
             if leaving < 0:
                 raise ArithmeticError("unbounded linear program")
@@ -146,69 +205,78 @@ class Tableau:
             pivots += 1
 
     def _dual(self) -> None:
+        rhs, basis, reduced, units = self.rhs, self.basis, self.reduced, self.units
         pivots = 0
         budget = self._budget()
         while True:
             leaving = -1
-            if pivots < budget:
-                most_negative = ZERO
-                for i, b in enumerate(self.rhs):
-                    if b < most_negative:
-                        most_negative = b
+            if pivots < budget:  # most negative basic value as given
+                for i, b in enumerate(rhs):
+                    if b < 0 and (
+                        leaving < 0 or b * units[basis[leaving]] < rhs[leaving] * units[basis[i]]
+                    ):
                         leaving = i
             else:  # Bland: the infeasible row with the lowest basic variable
-                for i, b in enumerate(self.rhs):
-                    if b < 0 and (leaving < 0 or self.basis[i] < self.basis[leaving]):
+                for i, b in enumerate(rhs):
+                    if b < 0 and (leaving < 0 or basis[i] < basis[leaving]):
                         leaving = i
             if leaving < 0:
                 return
 
             entering = -1
-            best_ratio = None
-            for j, coeff in enumerate(self.rows[leaving]):
-                if coeff < 0:
-                    ratio = self.cost[j] / -coeff
-                    if best_ratio is None or ratio < best_ratio:
-                        best_ratio = ratio
-                        entering = j
+            row = self.rows[leaving]
+            for j, coeff in enumerate(row):
+                # reduced[j] / -coeff against the best ratio so far
+                if coeff < 0 and (
+                    entering < 0 or reduced[j] * row[entering] > reduced[entering] * coeff
+                ):
+                    entering = j
             if entering < 0:
                 raise ArithmeticError("infeasible linear program")
             self._pivot(leaving, entering)
             pivots += 1
 
     def _pivot(self, leaving: int, entering: int) -> None:
-        pivot_row = self.rows[leaving]
-        nonzero = [j for j, v in enumerate(pivot_row) if v]
-        pivot = pivot_row[entering]
-        if pivot != 1:
-            for j in nonzero:
-                pivot_row[j] /= pivot
-            self.rhs[leaving] /= pivot
-        b = self.rhs[leaving]
-        for i, row in enumerate(self.rows):
-            factor = row[entering]
-            if factor and i != leaving:
-                for j in nonzero:
-                    row[j] -= factor * pivot_row[j]
-                self.rhs[i] -= factor * b
-        factor = self.cost[entering]
-        if factor:
-            for j in nonzero:
-                self.cost[j] -= factor * pivot_row[j]
-            self.value -= factor * b
+        rows, rhs = self.rows, self.rhs
+        pivot_row = rows[leaving]
+        p = pivot_row[entering]
+        if p < 0:
+            pivot_row[:] = [-v for v in pivot_row]
+            rhs[leaving] = -rhs[leaving]
+            p = -p
+        d = self.denominator
+        b = rhs[leaving]
+        for i, row in enumerate(rows):
+            if i == leaving:
+                continue
+            f = row[entering]
+            if f:
+                rows[i] = [(p * v - f * r) // d for v, r in zip(row, pivot_row)]
+                rhs[i] = (p * rhs[i] - f * b) // d
+            elif p != d:
+                rows[i] = [p * v // d for v in row]
+                rhs[i] = p * rhs[i] // d
+        f = self.reduced[entering]
+        self.reduced[:] = [(p * v - f * r) // d for v, r in zip(self.reduced, pivot_row)]
+        self.objective = (p * self.objective - f * b) // d
+        self.denominator = p
         self.basis[leaving] = entering
 
 
 def maximize(
-    objective: list[Fraction],
-    rows: list[list[Fraction]],
-    rhs: list[Fraction],
+    objective: list[Rational],
+    rows: list[list[Rational]],
+    rhs: list[Rational],
+    denominators: list[int] | None = None,
 ) -> Tableau:
     """Maximize objective . x over {x >= 0 : rows x <= rhs} exactly.
 
-    Requires rhs >= 0. Raises if the program is unbounded (callers are
-    expected to include box constraints that prevent this).  The returned
-    optimal tableau carries ``value`` and ``solution`` and takes further
-    constraints with ``add_row``.
+    Requires rhs >= 0.  Row i and rhs[i] may be given as integers over a
+    common positive ``denominators[i]``; the constraint is the same, and
+    its slack is priced as that of the divided row.  Raises if the
+    program is unbounded (callers are expected to include box
+    constraints that prevent this).  The returned optimal tableau carries
+    ``value`` and ``solution`` and takes further constraints with
+    ``add_row``.
     """
-    return Tableau(objective, rows, rhs)
+    return Tableau(objective, rows, rhs, denominators)

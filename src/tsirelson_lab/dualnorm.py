@@ -10,10 +10,14 @@ polar of the tree functionals.  ``dual_norm`` therefore runs a cutting
 plane loop: maximize <y, x> over a working set of tree constraints
 f(x) <= 1, test the optimizer with the exact primal norm, and when it
 escapes the ball, cut it off with a maximizing tree functional.  One pass
-of the T dynamic program per round gives both the norm and the tree
-(``tsirelson_norm_with_maximizer``).  The linear program is solved from
-the origin once; each cut is appended to the optimal tableau and the
-dual simplex re-optimizes from there (``_simplex.Tableau.add_row``).
+of the T dynamic program per round gives the maximizer f as an integer
+row (``norming_functional``), and f(x) = ||x|| is the test.  The linear
+program is solved from the origin once; each cut is appended to the
+optimal tableau and the dual simplex re-optimizes from there
+(``_simplex.Tableau.add_row``).  The loop runs on integers: the optimizer
+goes to the program as the tableau's integer numerators over its
+denominator (the norming functional of a vector is that of any positive
+multiple), and the value becomes a ``Fraction`` once, when it returns.
 Tree functionals over a fixed support hull form a finite set and every
 added cut is new, so the loop terminates with an exactly converged value.
 
@@ -60,8 +64,8 @@ from .seqvec import (
 )
 from .tsirelson import (
     admissible_partitions,
+    norming_functional,
     tsirelson_norm,
-    tsirelson_norm_with_maximizer,
 )
 
 
@@ -141,64 +145,66 @@ class DualTsirelsonEngine(NormEngine):
 
 def support_function_norm(
     y: FinVec,
-    oracle: Callable[[FinVec], tuple[Fraction, FinVec]],
-    max_rounds: int = 100000,
+    oracle: Callable[[list[int], list[int]], tuple[list[int], int]],
 ) -> Fraction:
     """Generic cutting-plane evaluation of sup{<y, x> : ||x|| <= 1}.
 
-    ``oracle(x)`` is the separation oracle: it must return (||x||, f) for a
-    1-unconditional exact norm with normalized unit vectors, where f is a
-    functional (a FinVec) with f(x) = ||x|| and dual norm at most 1.  The
-    loop works in the nonnegative orthant with LP variables only on
-    support(y): 1-unconditionality makes the norm solid, so zeroing
-    coordinates outside the objective's support keeps the optimizer
-    feasible without changing its value.  The LP is solved once; each
-    round adds the new cut to the optimal tableau and re-optimizes with the
-    dual simplex.  The loop stops once the working-set optimizer lies
-    inside the ball, making the restricted LP value the exact
-    support-function value.
+    ``oracle(indices, values)`` is the separation oracle of a
+    1-unconditional exact norm with normalized unit vectors.  Given a
+    nonnegative vector as positive integer ``values`` at increasing
+    ``indices``, it returns a functional f with f(x) = ||x|| and dual norm
+    at most 1, as integer coefficients aligned with ``indices`` over one
+    positive denominator; so x is in the unit ball iff f(x) <= 1.  The loop
+    works in the nonnegative orthant with LP variables only on support(y):
+    1-unconditionality makes the norm solid, so zeroing coordinates
+    outside the objective's support keeps the optimizer feasible without
+    changing its value.  The LP is solved once; each round passes the
+    optimizer to the oracle as integers over the tableau's denominator,
+    adds the new cut to the optimal tableau and re-optimizes with the dual
+    simplex.  The loop stops once the working-set optimizer lies inside
+    the ball, making the restricted LP value the exact support-function
+    value.
     """
     support = list(y.support())
     scale = lcm(*(c.denominator for _, c in y.entries))
-    w = [abs(c) * scale for _, c in y.entries]
-    position = {index: k for k, index in enumerate(support)}
-    one = Fraction(1)
-    seen: set[tuple[Fraction, ...]] = set()
+    w = [abs(c.numerator) * (scale // c.denominator) for _, c in y.entries]
+    width = len(support)
+    seen: set[tuple[int, ...]] = set()
 
-    def cut(f: FinVec) -> Optional[list[Fraction]]:
-        """The constraint row of f on support(y), or None if already used."""
-        row = [Fraction(0)] * len(support)
-        for i, c in f.entries:
-            if i in position:
-                row[position[i]] = abs(c)
-        key = tuple(row)
+    def cut(columns: list[int], coefficients: list[int], denominator: int) -> Optional[list[int]]:
+        """The constraint row of a functional on support(y), or None if already used."""
+        row = [0] * width
+        for k, c in zip(columns, coefficients):
+            row[k] = c
+        key = (denominator, *row)
         if key in seen:
             return None
         seen.add(key)
         return row
 
-    rows = [cut(FinVec.basis(index)) for index in support]
+    all_columns = list(range(width))
+    rows = [cut([k], [1], 1) for k in all_columns]
+    denominators = [1] * width
     # warm start: the functional norming the direction of y itself
-    first = cut(oracle(y.abs())[1])
-    if first is not None:
-        rows.append(first)
-    tableau = _simplex.maximize(w, rows, [one] * len(rows))
+    first, denominator = oracle(support, w)
+    row = cut(all_columns, first, denominator)
+    if row is not None:
+        rows.append(row)
+        denominators.append(denominator)
+    # every row says f(x) <= 1: its rhs numerator is its denominator
+    tableau = _simplex.maximize(w, rows, denominators, denominators)
 
-    for _ in range(max_rounds):
-        optimizer = FinVec.from_pairs(zip(support, tableau.solution))
-        norm, functional = oracle(optimizer)
-        if norm <= 1:
+    while True:
+        x = tableau.numerators()
+        columns = [k for k in all_columns if x[k]]
+        values = [x[k] for k in columns]
+        coefficients, denominator = oracle([support[k] for k in columns], values)
+        if sum(c * v for c, v in zip(coefficients, values)) <= denominator * tableau.denominator:
             return tableau.value / scale
-        row = cut(functional)
+        row = cut(columns, coefficients, denominator)
         if row is None:
             raise AssertionError("cutting plane stalled on a repeated constraint")
-        tableau.add_row(row, one)
-    raise RuntimeError(f"support function did not converge within {max_rounds} rounds")
-
-
-def _tsirelson_oracle(x: FinVec) -> tuple[Fraction, FinVec]:
-    value, tree = tsirelson_norm_with_maximizer(x)
-    return value, tree.flatten()
+        tableau.add_row(row, denominator, denominator)
 
 
 def _two_largest(values) -> Fraction:
@@ -232,7 +238,7 @@ def dual_norm(y: FinVec) -> Fraction:
     key = tuple((i, abs(c)) for i, c in y.entries)
     value = _dual_cache.get(key)
     if value is None:
-        value = support_function_norm(y, _tsirelson_oracle)
+        value = support_function_norm(y, norming_functional)
         _dual_cache[key] = value
     return value
 

@@ -41,11 +41,23 @@ size for the part counts that arise:
   The family term counts only when K >= 2; a single-part family gives
   (1/2)||a..b||, which never exceeds the norm.
 
+The program runs on integers.  The coefficients are multiplied by the lcm
+of their denominators, and each magnitude is shifted left by the support
+size n, so the family term's 1/2 is an exact ``>> 1``: a tree over m
+support points has depth at most m - 1 (each part of a family is a proper
+sub-run), so a value reached at depth t, within any subproblem, carries
+the factor 2^(n - t) with t < n, and every sum that gets halved is even.
+All values share the one positive factor, so comparisons, argmaxes and
+ties are those of the exact rationals; the value leaves as
+``Fraction(v, scale << n)``.
+
 ``tsirelson_maximizer`` replays the dynamic program's argmax choices into
 an :class:`EvaluationTree` whose flattened functional f attains
 f(x) = ||x|| and lies in the dual unit ball.  ``tsirelson_norm_with_maximizer``
-returns the value and that tree from one program; it is the separation
-oracle of the T* cutting plane.
+returns the value and that tree from one program.  ``norming_functional``
+walks the same choices for a nonnegative integer vector and returns f as
+an integer row (a leaf at depth t gets 2^(D - t) over 2^D) without
+building a tree; it is the separation oracle of the T* cutting plane.
 
 Evaluation is pure; the module-level value cache is write-once (keyed on
 the coefficient absolute values, which 1-unconditionality justifies) and
@@ -187,6 +199,8 @@ def admissible_partitions(
 class _NormProgram:
     """Dynamic program over partitions of support runs for one vector.
 
+    The vector is given by its support ``indices`` and the integer
+    magnitudes ``values`` there (the coefficients times a common scale).
     Positions index the support points.  ``solve(a, b)`` is (norm of the
     restriction to positions a..b, ``leaf``, ``pos``): the value is reached
     by the coordinate at position ``pos`` when ``leaf``, else by a family
@@ -194,24 +208,23 @@ class _NormProgram:
     ``split(s, b, k)`` is (best total norm over partitions of positions
     s..b into exactly k consecutive runs, position where the first run
     ends).  On ties leaves beat families and the lowest position wins; in
-    ``split`` the earliest run end wins.
+    ``split`` the earliest run end wins.  Values are integers: each
+    magnitude is shifted left by the support size, so every halving is an
+    exact ``>> 1`` (see the module docstring).
     """
 
-    def __init__(self, x: FinVec):
-        if x.is_zero:
-            raise ValueError("zero vector has no evaluation program")
-        self.indices = [i for i, _ in x.entries]
-        self.values = [abs(c) for _, c in x.entries]
-        self.signs = [1 if c > 0 else -1 for _, c in x.entries]
-        self.size = len(self.indices)
-        self._solve_memo: dict[tuple[int, int], tuple[Fraction, bool, int]] = {}
-        self._split_memo: dict[tuple[int, int, int], tuple[Fraction, int]] = {}
+    def __init__(self, indices: list[int], values: list[int]):
+        self.indices = indices
+        self.size = len(indices)
+        self.values = [v << self.size for v in values]
+        self._solve_memo: dict[tuple[int, int], tuple[int, bool, int]] = {}
+        self._split_memo: dict[tuple[int, int, int], tuple[int, int]] = {}
 
     def parts_budget(self, a: int, b: int) -> int:
         """Part count of the families starting at position a inside a..b."""
         return min(self.indices[a], b - a + 1)
 
-    def solve(self, a: int, b: int) -> tuple[Fraction, bool, int]:
+    def solve(self, a: int, b: int) -> tuple[int, bool, int]:
         key = (a, b)
         cached = self._solve_memo.get(key)
         if cached is not None:
@@ -223,13 +236,13 @@ class _NormProgram:
                 entry = rest
             k = self.parts_budget(a, b)
             if k >= 2:
-                family = HALF * self.split(a, b, k)[0]
+                family = self.split(a, b, k)[0] >> 1
                 if family > entry[0] or (family == entry[0] and not entry[1]):
                     entry = (family, False, a)
         self._solve_memo[key] = entry
         return entry
 
-    def split(self, s: int, b: int, k: int) -> tuple[Fraction, int]:
+    def split(self, s: int, b: int, k: int) -> tuple[int, int]:
         if k == 1:
             return self.solve(s, b)[0], b
         key = (s, b, k)
@@ -244,29 +257,46 @@ class _NormProgram:
         self._split_memo[key] = best
         return best
 
-    def build_tree(self, a: int, b: int) -> EvaluationTree:
-        _, leaf, pos = self.solve(a, b)
-        if leaf:
-            return TreeLeaf(self.indices[pos], self.signs[pos])
+    def runs(self, pos: int, b: int) -> list[tuple[int, int]]:
+        """The runs of the best family that starts at position pos inside pos..b."""
         runs = []
         for k in range(self.parts_budget(pos, b), 0, -1):
             q = self.split(pos, b, k)[1]
             runs.append((pos, q))
             pos = q + 1
+        return runs
+
+    def build_tree(self, a: int, b: int, signs: list[int]) -> EvaluationTree:
+        _, leaf, pos = self.solve(a, b)
+        if leaf:
+            return TreeLeaf(self.indices[pos], signs[pos])
+        runs = self.runs(pos, b)
         parts = tuple(
             IndexInterval(self.indices[lo], self.indices[hi]) for lo, hi in runs
         )
-        children = tuple(self.build_tree(lo, hi) for lo, hi in runs)
+        children = tuple(self.build_tree(lo, hi, signs) for lo, hi in runs)
         return TreeNode(IntervalPartition(parts), children)
+
+    def leaf_depths(self, a: int, b: int, depth: int, out: list[tuple[int, int]]) -> None:
+        """Append (position, depth) for each leaf of ``build_tree(a, b)``."""
+        _, leaf, pos = self.solve(a, b)
+        if leaf:
+            out.append((pos, depth))
+            return
+        for lo, hi in self.runs(pos, b):
+            self.leaf_depths(lo, hi, depth + 1, out)
 
 
 _norm_cache: dict[tuple, Fraction] = {}
 
 
 def _program(x: FinVec) -> tuple[int, _NormProgram]:
-    """The program of x scaled to integer coefficients, with the scale."""
+    """The program of x scaled to integer magnitudes, with the scale."""
     scale = lcm(*(c.denominator for _, c in x.entries))
-    return scale, _NormProgram(x.scale(scale) if scale > 1 else x)
+    return scale, _NormProgram(
+        [i for i, _ in x.entries],
+        [abs(c.numerator) * (scale // c.denominator) for _, c in x.entries],
+    )
 
 
 def tsirelson_norm(x: FinVec) -> Fraction:
@@ -278,7 +308,7 @@ def tsirelson_norm(x: FinVec) -> Fraction:
     if cached is not None:
         return cached
     scale, program = _program(x)
-    value = program.solve(0, program.size - 1)[0] / scale
+    value = Fraction(program.solve(0, program.size - 1)[0], scale << program.size)
     _norm_cache[key] = value
     return value
 
@@ -292,7 +322,30 @@ def tsirelson_norm_with_maximizer(x: FinVec) -> tuple[Fraction, EvaluationTree]:
         raise ValueError("the zero vector has no maximizing functional")
     scale, program = _program(x)
     last = program.size - 1
-    return program.solve(0, last)[0] / scale, program.build_tree(0, last)
+    signs = [1 if c > 0 else -1 for _, c in x.entries]
+    return (
+        Fraction(program.solve(0, last)[0], scale << program.size),
+        program.build_tree(0, last, signs),
+    )
+
+
+def norming_functional(indices: list[int], values: list[int]) -> tuple[list[int], int]:
+    """The flattened maximizer of a nonnegative vector, as an integer row.
+
+    The vector has the positive integer ``values`` at the increasing
+    ``indices``.  Returns (coefficients, denominator): the functional of
+    ``tsirelson_maximizer`` is coefficients[p] / denominator at indices[p].
+    A leaf at depth t gets 2^(D - t) over 2^D, D the deepest leaf's depth,
+    so the row is in lowest terms.  No tree is built.
+    """
+    program = _NormProgram(indices, values)
+    leaves: list[tuple[int, int]] = []
+    program.leaf_depths(0, program.size - 1, 0, leaves)
+    deepest = max(depth for _, depth in leaves)
+    coefficients = [0] * program.size
+    for pos, depth in leaves:
+        coefficients[pos] = 1 << (deepest - depth)
+    return coefficients, 1 << deepest
 
 
 def tsirelson_maximizer(x: FinVec) -> EvaluationTree:

@@ -5,14 +5,13 @@ from fractions import Fraction as F
 import pytest
 
 from tsirelson_lab.seqvec import FinVec, IndexInterval, lp_norm, shift_support
-from tsirelson_lab.tsirelson import tsirelson_norm
+from tsirelson_lab.tsirelson import norming_functional, tsirelson_norm
 from tsirelson_lab import dualnorm
 from tsirelson_lab.dualnorm import (
     MAX_EXACT_HULL,
     DualTsirelsonEngine,
     LpEngine,
     TsirelsonEngine,
-    _tsirelson_oracle,
     dual_norm,
     dual_norm_exact_small,
     dual_norm_value,
@@ -193,7 +192,7 @@ class TestSchreierRegime:
             magnitudes = sorted(abs(c) for _, c in y.entries)
             value = dual_norm(y)
             assert value == sum(magnitudes[-2:])
-            assert value == support_function_norm(y, _tsirelson_oracle)
+            assert value == support_function_norm(y, norming_functional)
             if len(y.hull()) <= MAX_EXACT_HULL:
                 exact_small += 1
                 assert value == dual_norm_exact_small(y)
@@ -254,10 +253,8 @@ class TestSchreierRegime:
 class TestGenericCuttingPlane:
     def test_l1_oracle_reproduces_linf(self):
         # the same machinery pointed at the l1 ball gives the sup norm
-        def l1_oracle(x):
-            return lp_norm(x, 1), FinVec.from_pairs(
-                (i, 1 if c > 0 else -1) for i, c in x.entries
-            )
+        def l1_oracle(indices, values):
+            return [1] * len(indices), 1
 
         rng = random.Random(37)
         for _ in range(50):

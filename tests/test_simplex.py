@@ -69,6 +69,7 @@ def test_add_row_matches_cold_solve():
     for _ in range(300):
         objective, rows, rhs, cold, warm = warm_and_cold(rng)
         assert warm.value == cold.value
+        assert_same_tableau(cold, ReferenceTableau(objective, rows, rhs))
         assert_optimal(cold, objective, rows, rhs)
         assert_optimal(warm, objective, rows, rhs)
 
@@ -132,3 +133,212 @@ def test_negative_rhs_row_is_allowed_when_feasible():
     assert tableau.value == 1
     tableau.add_row([F(-1), F(0)], F(-1, 2))
     assert tableau.value == F(1, 2) and tableau.solution == (F(1, 2), 1)
+
+
+class ReferenceTableau:
+    """The textbook tableau over Fractions, with the pivot rules of ``_simplex``.
+
+    Rows are kept as given (slacks with coefficient 1), every pivot divides
+    the pivot row by the pivot, and ratios are Fractions.  The integer
+    tableau must reach the same basis, so the same value, solution and
+    reduced costs.
+    """
+
+    def __init__(self, objective, rows, rhs):
+        n, m = len(objective), len(rows)
+        self.n = n
+        self.rows = [[F(v) for v in row] + [F(int(i == k)) for k in range(m)] for i, row in enumerate(rows)]
+        self.rhs = [F(b) for b in rhs]
+        self.cost = [-F(c) for c in objective] + [F(0)] * m
+        self.basis = [n + i for i in range(m)]
+        self.value = F(0)
+        self._loop(self._primal_choice)
+
+    @property
+    def solution(self):
+        x = [F(0)] * self.n
+        for i, j in enumerate(self.basis):
+            if j < self.n:
+                x[j] = self.rhs[i]
+        return tuple(x)
+
+    def add_row(self, row, rhs):
+        for other in self.rows:
+            other.append(F(0))
+        self.cost.append(F(0))
+        new = [F(v) for v in row] + [F(0)] * (len(self.cost) - self.n - 1) + [F(1)]
+        b = F(rhs)
+        for i, j in enumerate(self.basis):
+            factor = new[j]
+            if factor:
+                new = [v - factor * w for v, w in zip(new, self.rows[i])]
+                b -= factor * self.rhs[i]
+        self.rows.append(new)
+        self.rhs.append(b)
+        self.basis.append(len(self.cost) - 1)
+        self._loop(self._dual_choice)
+
+    def _loop(self, choose):
+        budget = _simplex.PIVOT_BUDGET * (len(self.rows) + self.n + 1)
+        pivots = 0
+        while (choice := choose(pivots < budget)) is not None:
+            self._pivot(*choice)
+            pivots += 1
+
+    def _primal_choice(self, dantzig):
+        negative = [j for j, c in enumerate(self.cost) if c < 0]
+        if not negative:
+            return None
+        entering = min(negative, key=lambda j: self.cost[j]) if dantzig else negative[0]
+        candidates = [i for i, row in enumerate(self.rows) if row[entering] > 0]
+        if not candidates:
+            raise ArithmeticError("unbounded linear program")
+        leaving = min(candidates, key=lambda i: (self.rhs[i] / self.rows[i][entering], self.basis[i]))
+        return leaving, entering
+
+    def _dual_choice(self, dantzig):
+        negative = [i for i, b in enumerate(self.rhs) if b < 0]
+        if not negative:
+            return None
+        leaving = min(negative, key=lambda i: self.rhs[i] if dantzig else self.basis[i])
+        row = self.rows[leaving]
+        candidates = [j for j, v in enumerate(row) if v < 0]
+        if not candidates:
+            raise ArithmeticError("infeasible linear program")
+        return leaving, min(candidates, key=lambda j: self.cost[j] / -row[j])
+
+    def _pivot(self, leaving, entering):
+        pivot = self.rows[leaving][entering]
+        self.rows[leaving] = pivot_row = [v / pivot for v in self.rows[leaving]]
+        self.rhs[leaving] = b = self.rhs[leaving] / pivot
+        for i, row in enumerate(self.rows):
+            factor = row[entering]
+            if factor and i != leaving:
+                self.rows[i] = [v - factor * w for v, w in zip(row, pivot_row)]
+                self.rhs[i] -= factor * b
+        factor = self.cost[entering]
+        self.cost = [v - factor * w for v, w in zip(self.cost, pivot_row)]
+        self.value -= factor * b
+        self.basis[leaving] = entering
+
+
+def rational(rng, top):
+    """A rational with a non-dyadic denominator; a quarter of them are huge."""
+    if rng.random() < 0.25:
+        top = 2**64
+    return F(rng.randint(-top, top), rng.choice((1, 3, 5, 7, 9)))
+
+
+def general_lp(rng):
+    """A bounded LP with rhs other than 1, feasible at a known point x0.
+
+    Box rows x_j <= u_j come first.  The other rows go through x0 or lie
+    beyond it; the first ``cold`` of them have rhs >= 0 (the origin is
+    feasible), the rest may have rhs < 0 and are for ``add_row``.  Some
+    rows repeat, scale or zero an earlier one, so pivots are degenerate.
+    """
+    n = rng.randint(1, 5)
+    objective = [abs(rational(rng, 4)) for _ in range(n)]
+    bounds = [abs(rational(rng, 6)) + F(1, 3) for _ in range(n)]
+    x0 = [u * F(rng.randint(0, 3), 3) for u in bounds]
+    rows = [[F(int(i == j)) for i in range(n)] for j in range(n)]
+    rhs = list(bounds)
+    cold = rng.randint(0, 6)
+    for k in range(rng.randint(0, 12)):
+        kind = rng.random()
+        if kind < 0.15 and len(rows) > n:
+            row = list(rng.choice(rows[n:]))
+        elif kind < 0.25 and len(rows) > n:
+            factor = rng.choice([F(3), F(1, 5), F(2**64, 7)])
+            row = [factor * v for v in rng.choice(rows[n:])]
+        elif kind < 0.3:
+            row = [F(0)] * n
+        else:
+            row = [rational(rng, 5) if rng.random() < 0.7 else F(0) for _ in range(n)]
+        b = sum((a * v for a, v in zip(row, x0)), F(0)) + rng.choice([F(0), abs(rational(rng, 3))])
+        if k < cold:
+            b = max(b, F(0))
+        rows.append(row)
+        rhs.append(b)
+    return objective, rows, rhs, n + cold
+
+
+def assert_same_tableau(tableau, reference):
+    assert tableau.value == reference.value
+    assert tableau.solution == reference.solution
+    assert tableau.cost == reference.cost
+    # the stored tableau is integral, and its basic columns are the
+    # determinant d > 0 times unit vectors
+    d = tableau.denominator
+    assert type(d) is int and d > 0
+    assert all(type(v) is int for row in tableau.rows for v in row)
+    for i, j in enumerate(tableau.basis):
+        assert [row[j] for row in tableau.rows] == [d * (k == i) for k in range(len(tableau.rows))]
+
+
+def check_against_reference(rng):
+    objective, rows, rhs, cold = general_lp(rng)
+    tableau = maximize(objective, rows[:cold], rhs[:cold])
+    reference = ReferenceTableau(objective, rows[:cold], rhs[:cold])
+    assert_same_tableau(tableau, reference)
+    for row, b in zip(rows[cold:], rhs[cold:]):
+        tableau.add_row(row, b)
+        reference.add_row(row, b)
+        assert_same_tableau(tableau, reference)
+    assert_optimal(tableau, objective, rows, rhs)
+    return sum(b < 0 for b in rhs[cold:])
+
+
+def test_integer_tableau_matches_fraction_reference():
+    rng = random.Random(8)
+    negative_rows = sum(check_against_reference(rng) for _ in range(250))
+    assert negative_rows >= 50
+
+
+def test_integer_tableau_matches_fraction_reference_under_bland(monkeypatch):
+    monkeypatch.setattr(_simplex, "PIVOT_BUDGET", 0)
+    rng = random.Random(9)
+    for _ in range(120):
+        check_against_reference(rng)
+
+
+def test_rows_over_denominators_are_the_divided_rows():
+    # integer rows over a denominator price their slacks like the divided rows
+    rng = random.Random(12)
+    for _ in range(150):
+        objective, rows, rhs, cold = general_lp(rng)
+        denominators = [rng.choice((1, 2, 4, 3, 2**40)) for _ in rows]
+        scaled = [[v * d for v in row] for row, d in zip(rows, denominators)]
+        tableau = maximize(objective, scaled[:cold], [b * d for b, d in zip(rhs, denominators[:cold])], denominators[:cold])
+        reference = ReferenceTableau(objective, rows[:cold], rhs[:cold])
+        for row, b, d in zip(scaled[cold:], rhs[cold:], denominators[cold:]):
+            tableau.add_row(row, b * d, d)
+        for row, b in zip(rows[cold:], rhs[cold:]):
+            reference.add_row(row, b)
+        assert_same_tableau(tableau, reference)
+
+
+def test_any_pivot_matches_fraction_reference():
+    # pivots off the simplex path too, on entries of either sign: the
+    # stored tableau stays a positive multiple of the Fraction one
+    rng = random.Random(15)
+    signs = set()
+    for _ in range(150):
+        objective, rows, rhs, cold = general_lp(rng)
+        tableau = maximize(objective, rows[:cold], rhs[:cold])
+        reference = ReferenceTableau(objective, rows[:cold], rhs[:cold])
+        for _ in range(4):
+            choices = [
+                (i, j)
+                for i, row in enumerate(reference.rows)
+                for j, v in enumerate(row)
+                if v and j not in reference.basis
+            ]
+            if not choices:
+                break
+            i, j = rng.choice(choices)
+            signs.add(reference.rows[i][j] > 0)
+            tableau._pivot(i, j)
+            reference._pivot(i, j)
+            assert_same_tableau(tableau, reference)
+    assert signs == {False, True}

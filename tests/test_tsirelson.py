@@ -13,6 +13,7 @@ from tsirelson_lab.tsirelson import (
     TreeNode,
     admissible_partitions,
     evaluation_tree_from_json,
+    norming_functional,
     tsirelson_maximizer,
     tsirelson_norm,
     tsirelson_norm_with_maximizer,
@@ -279,6 +280,32 @@ class TestMaximizer:
         x = FinVec.from_pairs((i, 1) for i in range(3, 12))
         tree = tsirelson_maximizer(x)
         assert pairing(tree.flatten(), x) == tsirelson_norm(x)
+
+    @pytest.mark.parametrize("size", [40, 51, 60])
+    @pytest.mark.parametrize("late", [False, True])
+    def test_integer_program_is_exact_on_long_supports(self, size, late):
+        # denominators 1/3/5/7 and values shifted by up to 60 bits; the
+        # pairing is summed in Fractions, apart from the program's scaling
+        rng = random.Random(size + late)
+        pool = [F(n, d) for n in (1, 2, 4, 11) for d in (1, 3, 5, 7)]
+        start = rng.randint(size, 2 * size) if late else 1
+        indices = sorted(rng.sample(range(start, start + 2 * size), size)) if late else range(1, size + 1)
+        x = FinVec.from_pairs((i, rng.choice(pool) * rng.choice((1, -1))) for i in indices)
+        value, tree = tsirelson_norm_with_maximizer(x)
+        assert tree == tsirelson_maximizer(x)
+        assert tsirelson_norm(x) == value == pairing(tree.flatten(), x)
+
+    def test_norming_functional_is_the_flattened_maximizer(self):
+        rng = random.Random(13)
+        for lo, hi in [(1, 12)] * 30 + [(5, 30)] * 5:
+            x = random_vec(rng, lo, hi)
+            scale = 6  # POOL denominators are 1, 2 and 3
+            indices = [i for i, _ in x.entries]
+            values = [int(abs(c) * scale) for _, c in x.entries]
+            coefficients, denominator = norming_functional(indices, values)
+            flat = tsirelson_maximizer(x).flatten()
+            assert [F(c, denominator) for c in coefficients] == [abs(flat.coeff(i)) for i in indices]
+            assert denominator == 1 or any(c == 1 for c in coefficients)
 
 
 def node(parts, children):
