@@ -50,9 +50,8 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from fractions import Fraction
-from itertools import groupby
 from math import lcm
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 from . import _simplex
 from .seqvec import (
@@ -97,13 +96,16 @@ class NormEngine(ABC):
             return value.value
         return value
 
-    def upper_bound(self, x: FinVec) -> Fraction:
-        """A cheap upper bound on ||x||: the l1 norm.
+    def upper_bound(self, magnitudes: Sequence[int]) -> int:
+        """A cheap upper bound on ||x||, given |x_1|, ..., |x_k| as ints.
 
-        Valid for 1-unconditional norms with normalized unit vectors, by
-        the triangle inequality; engines with a sharper bound override it.
+        ``magnitudes[j]`` is |x_(j+1)| times one positive scale, and the
+        bound comes back times the same scale.  This default is the l1
+        norm, valid for 1-unconditional norms with normalized unit vectors
+        by the triangle inequality; engines with a sharper bound override
+        it.
         """
-        return lp_norm(x, 1)
+        return sum(magnitudes)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}>"
@@ -137,10 +139,14 @@ class DualTsirelsonEngine(NormEngine):
     def eval(self, x: FinVec) -> Fraction:
         return dual_norm(x)
 
-    def upper_bound(self, x: FinVec) -> Fraction:
+    def upper_bound(self, magnitudes: Sequence[int]) -> int:
         """Sum over the dyadic blocks [2^j, 2^(j+1)) of their closed-form T* norms."""
-        blocks = groupby(x.entries, key=lambda entry: entry[0].bit_length())
-        return sum((_two_largest(abs(c) for _, c in block) for _, block in blocks), Fraction(0))
+        total = 0
+        width = 1  # block j holds positions width..2*width-1
+        while width <= len(magnitudes):
+            total += _two_largest(magnitudes[width - 1 : 2 * width - 1])
+            width *= 2
+        return total
 
 
 def support_function_norm(
@@ -207,9 +213,9 @@ def support_function_norm(
         tableau.add_row(row, denominator, denominator)
 
 
-def _two_largest(values) -> Fraction:
-    """The sum of the two largest of some nonnegative values."""
-    first = second = Fraction(0)
+def _two_largest(values):
+    """The sum of the two largest of some nonnegative values (0 if none)."""
+    first = second = 0
     for v in values:
         if v > first:
             first, second = v, first

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .dualnorm import DualTsirelsonEngine, NormEngine
@@ -113,11 +114,19 @@ def james_norm(
     best possible completion cannot beat the incumbent.  Base evaluations
     are memoized per call on the difference vector's absolute normal form.
     A leaf not in that memo is skipped when ``base.upper_bound`` of its
-    difference vector is at most the incumbent: it could not be strictly
-    better, so neither the value nor the witness changes.  The pair
-    extensions of a node depend only on its first free canonical
-    position, so each position's sorted extension list is built once per
-    call and shared by every path that reaches it.
+    magnitudes is at most the incumbent: it could not be strictly better,
+    so neither the value nor the witness changes.  The pair extensions of
+    a node depend only on its first free canonical position, so each
+    position's sorted extension list is built once per call and shared by
+    every path that reaches it.
+
+    The search runs on ints: a is scaled once by the lcm of its
+    coefficient denominators, so differences, l1 sums, bounds and memo
+    keys are integers in units of 1/scale, and both prunes compare
+    ``bound * best.denominator <= best.numerator * scale``.  Scaling by a
+    positive integer keeps every ordering and tie, so the search visits
+    the same nodes as one on Fractions.  A leaf becomes a ``FinVec`` of
+    ``Fraction(d, scale)`` only when the base evaluates it.
 
     Returns an exact Fraction for exact bases (NormBounds otherwise); with
     ``with_witness`` also returns a maximizing :class:`PairSelection`
@@ -130,15 +139,16 @@ def james_norm(
         return (zero, None) if with_witness else zero
 
     indices = canonical_selection_indices(a)
-    values = [a.coeff(i) for i in indices]
+    scale = lcm(*(c.denominator for _, c in a.entries))
+    values = [c.numerator * (scale // c.denominator) for c in map(a.coeff, indices)]
     count = len(indices)
-    suffix_abs = [zero] * (count + 1)
+    suffix_abs = [0] * (count + 1)
     for k in range(count - 1, -1, -1):
         suffix_abs[k] = suffix_abs[k + 1] + abs(values[k])
 
-    extension_table: dict[int, list[tuple[Fraction, int, int, Fraction]]] = {}
+    extension_table: dict[int, list[tuple[int, int, int, int]]] = {}
 
-    def extensions(start: int) -> list[tuple[Fraction, int, int, Fraction]]:
+    def extensions(start: int) -> list[tuple[int, int, int, int]]:
         """(|d|, qi, ri, d) for every nonzero pair from ``start`` on, |d| ascending."""
         table = extension_table.get(start)
         if table is None:
@@ -152,18 +162,19 @@ def james_norm(
             extension_table[start] = table
         return table
 
-    memo: dict[tuple, NormValue] = {}
+    memo: dict[tuple[int, ...], NormValue] = {}
     best_lower = zero
     best_upper = zero
     best_selection: Optional[PairSelection] = None
+    # the incumbent as a ratio in the search's units: x <= best_lower
+    # iff x * denominator <= numerator
+    numerator, denominator = 0, 1
 
-    stack: list[tuple[int, tuple[Fraction, ...], tuple[int, ...], Fraction]] = [
-        (0, (), (), zero)
-    ]
+    stack: list[tuple[int, tuple[int, ...], tuple[int, ...], int]] = [(0, (), (), 0)]
     while stack:
         start, diffs, used, l1 = stack.pop()
         # bound: every future pair contributes at most its endpoints' weights
-        if diffs and l1 + suffix_abs[start] <= best_lower:
+        if diffs and (l1 + suffix_abs[start]) * denominator <= numerator:
             continue
         table = extensions(start)
         if table:
@@ -183,15 +194,16 @@ def james_norm(
             key = tuple(abs(d) for d in diffs)
             value = memo.get(key)
             if value is None:
-                vec = FinVec(tuple((j + 1, d) for j, d in enumerate(diffs)))
-                if base.upper_bound(vec) <= best_lower:
+                if base.upper_bound(key) * denominator <= numerator:
                     continue
+                vec = FinVec(tuple((j + 1, Fraction(d, scale)) for j, d in enumerate(diffs)))
                 value = base.eval(vec)
                 memo[key] = value
             lo, hi = lower_of(value), upper_of(value)
             if lo > best_lower:
                 best_lower = lo
                 best_selection = PairSelection(used)
+                numerator, denominator = lo.numerator * scale, lo.denominator
             if hi > best_upper:
                 best_upper = hi
 

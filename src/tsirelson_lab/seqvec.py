@@ -20,6 +20,8 @@ Rational = Union[int, Fraction, str]
 
 
 def _frac(value: Rational) -> Fraction:
+    if type(value) is Fraction:  # immutable, so it can be shared as is
+        return value
     if isinstance(value, float):
         raise TypeError(f"floats are not exact; got {value!r}")
     return Fraction(value)
@@ -82,7 +84,11 @@ class FinVec:
         """Build a vector from (index, coeff) pairs, summing duplicates."""
         acc: dict[int, Fraction] = {}
         for index, coeff in pairs:
-            acc[index] = acc.get(index, Fraction(0)) + _frac(coeff)
+            c = _frac(coeff)
+            if index in acc:
+                acc[index] += c
+            else:
+                acc[index] = c
         return FinVec(tuple((i, c) for i, c in sorted(acc.items()) if c != 0))
 
     @staticmethod

@@ -31,6 +31,13 @@ def random_vec(rng, lo, hi):
     return FinVec.from_pairs((i, rng.choice(POOL)) for i in idx)
 
 
+def scaled_magnitudes(y):
+    """|y_1|, ..., |y_top| times the lcm of y's denominators, as ints, and that lcm."""
+    scale = math.lcm(*(c.denominator for _, c in y.entries))
+    top = y.entries[-1][0]
+    return [int(abs(y.coeff(i)) * scale) for i in range(1, top + 1)], scale
+
+
 class TestPairing:
     def test_biorthogonality(self):
         assert pairing(e(1), e(1)) == 1
@@ -235,19 +242,33 @@ class TestSchreierRegime:
                 [(1, rng.choice(POOL))]
                 + [(i, rng.choice(POOL)) for i in range(2, top + 1) if rng.random() < 0.75]
             )
-            bound = engine.upper_bound(y)
-            assert dual_norm(y) <= bound <= lp_norm(y, 1)
+            magnitudes, scale = scaled_magnitudes(y)
+            bound = engine.upper_bound(magnitudes)
+            assert dual_norm(y) * scale <= bound <= lp_norm(y, 1) * scale
         # one dyadic block is in the regime, so the bound is exact there
         for j in range(1, 4):
             block = random_vec(rng, 2**j, 2 ** (j + 1) - 1)
-            assert engine.upper_bound(block) == dual_norm(block)
+            magnitudes, scale = scaled_magnitudes(block)
+            assert engine.upper_bound(magnitudes) == dual_norm(block) * scale
+        # positions 1 | 2-3 | 4-7 | 8-11: four blocks, the first a single entry
+        four_blocks = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5]
+        assert engine.upper_bound(four_blocks) == 3 + (1 + 4) + (9 + 5) + (6 + 5)
+        # positions 1 | 2-3 | 4-7 | 8: the last block is a single entry
+        single_last = [2, 7, 1, 8, 2, 8, 1, 8]
+        assert engine.upper_bound(single_last) == 2 + (7 + 1) + (8 + 8) + 8
+        for magnitudes in (four_blocks, single_last):
+            y = FinVec.from_pairs((j + 1, F(m, 7)) for j, m in enumerate(magnitudes))
+            bound = F(engine.upper_bound(magnitudes), 7)
+            assert dual_norm(y) <= bound <= lp_norm(y, 1)
 
     def test_default_upper_bound_is_l1(self):
         rng = random.Random(59)
         for _ in range(10):
             y = random_vec(rng, 1, 8)
+            magnitudes, scale = scaled_magnitudes(y)
             for engine in (LpEngine(1), LpEngine(math.inf), TsirelsonEngine()):
-                assert engine.upper_bound(y) == lp_norm(y, 1) >= engine.eval_exact(y)
+                bound = engine.upper_bound(magnitudes)
+                assert bound == lp_norm(y, 1) * scale >= engine.eval_exact(y) * scale
 
 
 class TestGenericCuttingPlane:

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from tsirelson_lab.seqvec import EventuallyConstantSeq, FinVec
-from tsirelson_lab.dualnorm import DualTsirelsonEngine, LpEngine
+from tsirelson_lab.dualnorm import DualTsirelsonEngine, LpEngine, NormEngine
 from tsirelson_lab.jamesify import (
     JamesEngine,
     PairSelection,
@@ -31,6 +31,22 @@ def w(n):
 def random_vec(rng, lo, hi):
     idx = [i for i in range(lo, hi + 1) if rng.random() < 0.7] or [hi]
     return FinVec.from_pairs((i, rng.choice(POOL)) for i in idx)
+
+
+class CountingEngine(NormEngine):
+    """A base engine that counts its evaluations."""
+
+    is_1_unconditional = True
+
+    def __init__(self, base):
+        self.base, self.name, self.calls = base, base.name, 0
+
+    def eval(self, x):
+        self.calls += 1
+        return self.base.eval(x)
+
+    def upper_bound(self, magnitudes):
+        return self.base.upper_bound(magnitudes)
 
 
 def james_brute(a, engine, extra=2):
@@ -150,6 +166,42 @@ class TestJamesNormAgainstBruteForce:
         for _ in range(25):
             a = random_vec(rng, 1, 6)
             assert james_norm(a, T_STAR) == james_brute(a, T_STAR)
+
+
+class TestIntegerSearch:
+    # denominators with no common factor, so the search's lcm scale is large
+    MIXED = [F(v) for v in ("2/7", "-5/11", "3/13", "1/3", "-1", "4/7")]
+    ENGINES = [DualTsirelsonEngine(), LpEngine(1), LpEngine(math.inf)]
+
+    def mixed_vec(self, rng, top):
+        idx = [i for i in range(1, top + 1) if rng.random() < 0.75] or [top]
+        return FinVec.from_pairs((i, rng.choice(self.MIXED)) for i in idx)
+
+    def test_mixed_denominators_match_brute_force_with_witness(self):
+        rng = random.Random(29)
+        for _ in range(12):
+            a = self.mixed_vec(rng, 5)
+            for engine in self.ENGINES:
+                value, selection = james_norm(a, engine, with_witness=True)
+                assert value == james_brute(a, engine)
+                assert engine.eval(difference_vector(a, selection)) == value
+
+    def test_scaling_keeps_value_selection_and_work(self):
+        # the prunes compare in the search's integer units, so a scaled
+        # vector must be pruned exactly as the unscaled one
+        rng = random.Random(31)
+        for _ in range(8):
+            a = self.mixed_vec(rng, 6)
+            for engine in self.ENGINES:
+                counted = CountingEngine(engine)
+                value, selection = james_norm(a, counted, with_witness=True)
+                evaluations = counted.calls
+                for c in (F(1, 6), F(7, 3), F(1, 1001)):
+                    counted.calls = 0
+                    scaled, scaled_selection = james_norm(a.scale(c), counted, with_witness=True)
+                    assert scaled == c * value
+                    assert scaled_selection == selection
+                    assert counted.calls == evaluations
 
 
 class TestJamesNormAxioms:

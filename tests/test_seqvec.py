@@ -68,6 +68,13 @@ class TestFinVec:
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             FinVec.from_pairs([(1, 0.5)])
+        with pytest.raises(TypeError):
+            FinVec.from_pairs([(1, F(1, 2)), (1, 0.5)])
+
+    def test_from_pairs_sums_repeats_of_any_input_type(self):
+        x = FinVec.from_pairs([(3, F(1, 3)), (1, 2), (3, "1/6"), (2, F(1)), (3, 1), (2, -1)])
+        assert x.entries == ((1, F(2)), (3, F(3, 2)))
+        assert all(type(c) is F for _, c in x.entries)
 
     def test_json_roundtrip(self):
         x = vec((4, "1"), (5, "-2/3"))
