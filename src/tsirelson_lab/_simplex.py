@@ -4,7 +4,7 @@ A :class:`Tableau` is the optimal simplex tableau of
 
     max c.x  subject to  A x <= b, x >= 0
 
-with rational data.  ``maximize`` builds it with b >= 0, so the origin is
+with integer data.  ``maximize`` builds it with b >= 0, so the origin is
 feasible and no phase 1 is needed, and solves it with the primal simplex.
 ``Tableau.add_row`` then appends one more constraint a.x <= beta without
 starting again: the row gets its own slack column and is reduced against
@@ -16,14 +16,15 @@ the column with the least ratio of reduced cost to that row's negative
 entry enters.  This is the textbook row-generation step of a cutting-plane
 loop (Chvátal, *Linear Programming*, 1983, ch. 10).
 
-Integer arithmetic.  Each row is stored as integers: a row with rational
-entries is multiplied by the lcm s of their denominators, and its slack
-then measures s times the slack of the row as given.  The tableau kept in
-memory is d times the true tableau of this integer program (right-hand
-sides, reduced costs and objective value included), where d > 0 is the
-determinant of the current basis matrix B.  Every stored entry is then an
-entry of adj(B) times integer data, so an integer.  A pivot on stored
-entry p leaves the pivot row as it is and replaces every other entry a by
+Integer arithmetic.  The data are ints (rational data are scaled first
+by ``seqvec.scaled_integers``; anything else raises ``TypeError``, as a
+``Fraction`` would floor-divide silently below), and a row may stand for
+itself over a positive denominator.  The tableau kept in memory is d
+times the true tableau (right-hand sides, reduced costs and objective
+included), where d > 0 is the determinant of the current basis matrix B.
+Every stored entry is then an entry of adj(B) times integer data, so an
+integer.  A pivot on stored entry p leaves the pivot row as it is and
+replaces every other entry a by
 
     (p * a - f * r) // d,
 
@@ -42,25 +43,17 @@ pivots per row and column by its largest-change rule (Dantzig pricing in
 the primal, most negative right-hand side in the dual), ties going to the
 lowest index, and then falls back to Bland's rule (lowest basic or column
 index), which cannot cycle.  The largest-change rules compare reduced
-costs and right-hand sides in the units of the rows as given, so scaling a
-row to integers does not change which pivot is taken.
+costs and right-hand sides in the units of the rows as given, so a row
+over a denominator takes the pivots of the divided row.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from numbers import Rational
 
 # largest-change pivots allowed per (rows + variables + 1) in one loop
 # before Bland's rule takes over
 PIVOT_BUDGET = 50
-
-
-def _integers(values: list[Rational]) -> tuple[list[int], int]:
-    """Integers s * v for rational values v, with s the lcm of their denominators."""
-    s = lcm(*(v.denominator for v in values))
-    return [v.numerator * (s // v.denominator) for v in values], s
 
 
 class Tableau:
@@ -72,15 +65,15 @@ class Tableau:
     reduced costs and ``objective`` the objective at the basic solution,
     all multiplied by the basis determinant ``denominator`` (see the
     module docstring).  ``units[j]`` is the factor by which column j's
-    variable exceeds the one it stands for: 1 for x_j, the integer scale
-    of its row for a slack.  Between public calls the tableau is optimal.
+    variable exceeds the one it stands for: 1 for x_j, its row's
+    denominator for a slack.  Between public calls the tableau is optimal.
     """
 
     def __init__(
         self,
-        objective: list[Rational],
-        rows: list[list[Rational]],
-        rhs: list[Rational],
+        objective: list[int],
+        rows: list[list[int]],
+        rhs: list[int],
         denominators: list[int] | None = None,
     ):
         n = len(objective)
@@ -88,9 +81,10 @@ class Tableau:
             raise ValueError("inconsistent LP dimensions")
         if any(b < 0 for b in rhs):
             raise ValueError("rhs must be nonnegative (origin must be feasible)")
+        if any(type(c) is not int for c in objective):
+            raise TypeError(f"objective {objective!r} is not all ints")
         self.n = n
-        costs, self._objective_scale = _integers(objective)
-        self.reduced = [-c for c in costs]
+        self.reduced = [-c for c in objective]
         self.objective = 0
         self.denominator = 1
         self.units = [1] * n
@@ -104,7 +98,7 @@ class Tableau:
     @property
     def value(self) -> Fraction:
         """The optimal objective value, exact."""
-        return Fraction(self.objective, self.denominator * self._objective_scale)
+        return Fraction(self.objective, self.denominator)
 
     def numerators(self) -> list[int]:
         """The optimal x as integers over ``denominator``."""
@@ -122,10 +116,9 @@ class Tableau:
     @property
     def cost(self) -> list[Fraction]:
         """The reduced costs of the program as given; a slack's is its row's dual price."""
-        scale = self.denominator * self._objective_scale
-        return [Fraction(c * u, scale) for c, u in zip(self.reduced, self.units)]
+        return [Fraction(c * u, self.denominator) for c, u in zip(self.reduced, self.units)]
 
-    def add_row(self, row: list[Rational], rhs: Rational, denominator: int = 1) -> None:
+    def add_row(self, row: list[int], rhs: int, denominator: int = 1) -> None:
         """Add the constraint (row / denominator) . x <= rhs / denominator and re-optimize.
 
         Raises ``ArithmeticError`` if the constraint makes the program
@@ -137,10 +130,10 @@ class Tableau:
         self._append(row, rhs, denominator)
         self._dual()
 
-    def _append(self, row: list[Rational], rhs: Rational, denominator: int) -> None:
+    def _append(self, a: list[int], b: int, denominator: int) -> None:
         """Append a constraint with a basic slack, reduced against the basis."""
-        a, s = _integers([*row, rhs])
-        b = a.pop()
+        if any(type(v) is not int for v in (*a, b, denominator)):
+            raise TypeError(f"row {a!r} <= {b!r} over {denominator!r} is not all ints")
         d = self.denominator
         width = len(self.reduced)
         new = [d * v for v in a] + [0] * (width - self.n) + [d]
@@ -161,7 +154,7 @@ class Tableau:
         self.rows.append(new)
         self.rhs.append(b)
         self.reduced.append(0)
-        self.units.append(s * denominator)
+        self.units.append(denominator)
         self.basis.append(width)
 
     def _budget(self) -> int:
@@ -264,17 +257,17 @@ class Tableau:
 
 
 def maximize(
-    objective: list[Rational],
-    rows: list[list[Rational]],
-    rhs: list[Rational],
+    objective: list[int],
+    rows: list[list[int]],
+    rhs: list[int],
     denominators: list[int] | None = None,
 ) -> Tableau:
     """Maximize objective . x over {x >= 0 : rows x <= rhs} exactly.
 
-    Requires rhs >= 0.  Row i and rhs[i] may be given as integers over a
-    common positive ``denominators[i]``; the constraint is the same, and
-    its slack is priced as that of the divided row.  Raises if the
-    program is unbounded (callers are expected to include box
+    Requires int data and rhs >= 0.  Row i and rhs[i] may stand for
+    themselves divided by a positive ``denominators[i]``; the constraint
+    is the same, and its slack is priced as that of the divided row.
+    Raises if the program is unbounded (callers are expected to include box
     constraints that prevent this).  The returned optimal tableau carries
     ``value`` and ``solution`` and takes further constraints with
     ``add_row``.

@@ -691,6 +691,11 @@ def replay_certificate(cert: Certificate) -> Fraction:
                 raise AssertionError("witness selection does not attain the norm")
             return attained
         return james_norm(combined, T_STAR)
+    if check == "q_decay":
+        # the blocks are the canonical basis, so combine(u, a) is a itself
+        report = w["report"]
+        a = FinVec.from_json_obj(report["witness"]["minimizers"][-1])
+        return james_norm(a, T_STAR) / lower_of(lp_norm(a, Fraction(report["q"])))
     if check == "shrinking_series":
         total = Fraction(0)
         for level in w.get("levels", []):

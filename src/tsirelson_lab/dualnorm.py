@@ -14,10 +14,11 @@ of the T dynamic program per round gives the maximizer f as an integer
 row (``norming_functional``), and f(x) = ||x|| is the test.  The linear
 program is solved from the origin once; each cut is appended to the
 optimal tableau and the dual simplex re-optimizes from there
-(``_simplex.Tableau.add_row``).  The loop runs on integers: the optimizer
-goes to the program as the tableau's integer numerators over its
-denominator (the norming functional of a vector is that of any positive
-multiple), and the value becomes a ``Fraction`` once, when it returns.
+(``_simplex.Tableau.add_row``).  The loop runs on integers: |y| is scaled
+once (``seqvec.scaled_integers``), the optimizer goes to the program as
+the tableau's integer numerators over its denominator (the norming
+functional of a vector is that of any positive multiple), and the value
+becomes a ``Fraction`` once, when it returns.
 Tree functionals over a fixed support hull form a finite set and every
 added cut is new, so the loop terminates with an exactly converged value.
 
@@ -50,7 +51,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Optional, Sequence, Union
 
 from . import _simplex
@@ -60,6 +60,7 @@ from .seqvec import (
     NormBounds,
     NormValue,
     lp_norm,
+    scaled_integers,
 )
 from .tsirelson import (
     admissible_partitions,
@@ -172,8 +173,7 @@ def support_function_norm(
     value.
     """
     support = list(y.support())
-    scale = lcm(*(c.denominator for _, c in y.entries))
-    w = [abs(c.numerator) * (scale // c.denominator) for _, c in y.entries]
+    w, scale = scaled_integers([abs(c) for _, c in y.entries])
     width = len(support)
     seen: set[tuple[int, ...]] = set()
 
@@ -234,14 +234,17 @@ def dual_norm(y: FinVec) -> Fraction:
     closed form of the module docstring.  Otherwise the cutting-plane loop
     only stops once the working-set optimizer lies in the primal ball, at
     which point the restricted LP value is the support function value
-    itself.  Those values are cached by the coefficient magnitudes of y,
-    which is all the norm depends on.
+    itself.  Those values are cached by the magnitudes of y, which is all
+    the norm depends on, as integers with their scale: y and 2y never
+    share a key, and y and its sign flips always do.
     """
     if y.is_zero:
         return Fraction(0)
-    if len(y.entries) <= y.entries[0][0]:
-        return _two_largest(abs(c) for _, c in y.entries)
-    key = tuple((i, abs(c)) for i, c in y.entries)
+    values, scale = scaled_integers([c for _, c in y.entries])
+    magnitudes = [abs(v) for v in values]
+    if len(magnitudes) <= y.entries[0][0]:
+        return Fraction(_two_largest(magnitudes), scale)
+    key = (scale, y.support(), tuple(magnitudes))
     value = _dual_cache.get(key)
     if value is None:
         value = support_function_norm(y, norming_functional)
@@ -273,24 +276,24 @@ def dual_norm_exact_small(y: FinVec) -> Fraction:
             f"the exhaustive oracle is limited to {MAX_EXACT_HULL}"
         )
     support = list(y.support())
-    scale = lcm(*(c.denominator for _, c in y.entries))
-    w = [abs(c) * scale for _, c in y.entries]
+    w, scale = scaled_integers([abs(c) for _, c in y.entries])
     position = {index: k for k, index in enumerate(support)}
 
     rows = []
+    denominators = []
     seen = set()
     for f in tree_functionals(hull):
         row = [Fraction(0)] * len(support)
         for i, c in f:
             if i in position:
                 row[position[i]] = c
-        key = tuple(row)
-        if key not in seen and any(v != 0 for v in row):
+        row, denominator = scaled_integers(row)
+        key = (denominator, *row)
+        if key not in seen and any(row):
             seen.add(key)
             rows.append(row)
-    rhs = [Fraction(1)] * len(rows)
-    result = _simplex.maximize(w, rows, rhs)
-    return result.value / scale
+            denominators.append(denominator)
+    return _simplex.maximize(w, rows, denominators, denominators).value / scale
 
 
 _functional_cache: dict[tuple[int, int], tuple] = {}

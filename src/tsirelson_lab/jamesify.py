@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional
 
 from .dualnorm import DualTsirelsonEngine, NormEngine
@@ -44,6 +43,7 @@ from .seqvec import (
     NormBounds,
     NormValue,
     lower_of,
+    scaled_integers,
     upper_of,
 )
 
@@ -120,9 +120,9 @@ def james_norm(
     position's sorted extension list is built once per call and shared by
     every path that reaches it.
 
-    The search runs on ints: a is scaled once by the lcm of its
-    coefficient denominators, so differences, l1 sums, bounds and memo
-    keys are integers in units of 1/scale, and both prunes compare
+    The search runs on ints: a's values at its canonical indices (all its
+    values) are scaled once, so differences, l1 sums, bounds and memo keys
+    are integers in units of 1/scale, and both prunes compare
     ``bound * best.denominator <= best.numerator * scale``.  Scaling by a
     positive integer keeps every ordering and tie, so the search visits
     the same nodes as one on Fractions.  A leaf becomes a ``FinVec`` of
@@ -139,8 +139,7 @@ def james_norm(
         return (zero, None) if with_witness else zero
 
     indices = canonical_selection_indices(a)
-    scale = lcm(*(c.denominator for _, c in a.entries))
-    values = [c.numerator * (scale // c.denominator) for c in map(a.coeff, indices)]
+    values, scale = scaled_integers([a.coeff(i) for i in indices])
     count = len(indices)
     suffix_abs = [0] * (count + 1)
     for k in range(count - 1, -1, -1):

@@ -27,6 +27,16 @@ def _frac(value: Rational) -> Fraction:
     return Fraction(value)
 
 
+def scaled_integers(values: Sequence[Union[int, Fraction]]) -> tuple[list[int], int]:
+    """Rationals as ints in one unit: (ints, scale), ints[k] = values[k] * scale.
+
+    ``scale`` is the lcm of the denominators, the least that works.  The
+    exact norms scale once with this and compute on ints.
+    """
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
 @dataclass(frozen=True)
 class IndexInterval:
     """Nonempty integer interval [lo, hi] of positive indices."""
@@ -147,9 +157,6 @@ class FinVec:
 
     __rmul__ = __mul__
 
-    def abs(self) -> FinVec:
-        return FinVec(tuple((i, abs(c)) for i, c in self.entries))
-
     # -- serialization -------------------------------------------------------
 
     def to_json_obj(self) -> dict:
@@ -163,7 +170,9 @@ class FinVec:
         for k, entry in enumerate(obj["entries"]):
             try:
                 index, coeff = entry
-                pairs.append((int(index), Fraction(str(coeff))))
+                if type(index) is not int:  # no bool, float or string
+                    raise TypeError(f"index {index!r} is not a JSON integer")
+                pairs.append((index, Fraction(str(coeff))))
             except (TypeError, ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"bad vector entry #{k}: {entry!r} ({exc})") from exc
         return FinVec.from_pairs(pairs)
@@ -303,16 +312,12 @@ def _rational_power_bounds(
     return nth_root_bounds(powered, exponent.denominator, tolerance)
 
 
-def lp_norm(
-    x: FinVec,
-    q: Union[int, Fraction, float],
-    tolerance: Fraction = DEFAULT_ROOT_TOLERANCE,
-) -> NormValue:
+def lp_norm(x: FinVec, q: Union[int, Fraction, float]) -> NormValue:
     """The l_q norm of x for q >= 1 (q = math.inf for the sup norm).
 
     Exact rational for q in {1, inf} and whenever the q-th root happens to
     be rational; otherwise a :class:`NormBounds` enclosure of width at most
-    ``tolerance``.
+    ``DEFAULT_ROOT_TOLERANCE``.
     """
     if isinstance(q, float):
         if math.isinf(q) and q > 0:
@@ -327,7 +332,7 @@ def lp_norm(
         return Fraction(0)
     if q == 1:
         return sum((abs(c) for _, c in x.entries), Fraction(0))
-    inner_tol = tolerance / (4 * len(x.entries))
+    inner_tol = DEFAULT_ROOT_TOLERANCE / (4 * len(x.entries))
     lo_sum = Fraction(0)
     hi_sum = Fraction(0)
     for _, c in x.entries:
@@ -335,8 +340,8 @@ def lp_norm(
         lo_sum += lo
         hi_sum += hi
     inv = 1 / q
-    lo_root = _rational_power_bounds(lo_sum, inv, tolerance / 4)[0]
-    hi_root = _rational_power_bounds(hi_sum, inv, tolerance / 4)[1]
+    lo_root = _rational_power_bounds(lo_sum, inv, DEFAULT_ROOT_TOLERANCE / 4)[0]
+    hi_root = _rational_power_bounds(hi_sum, inv, DEFAULT_ROOT_TOLERANCE / 4)[1]
     if lo_root == hi_root:
         return lo_root
     return NormBounds(lo_root, hi_root)
@@ -429,7 +434,9 @@ class EventuallyConstantSeq:
         if not isinstance(obj, dict) or "tail_value" not in obj:
             raise ValueError("sequence JSON must be an object with 'tail_value'")
         try:
-            head = [Fraction(str(c)) for c in obj.get("head", [])]
+            if not isinstance(head := obj.get("head", []), list):
+                raise TypeError(f"head {head!r} is not a list")
+            head = [Fraction(str(c)) for c in head]
             tail = Fraction(str(obj["tail_value"]))
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad sequence JSON: {exc}") from exc

@@ -41,8 +41,8 @@ size for the part counts that arise:
   The family term counts only when K >= 2; a single-part family gives
   (1/2)||a..b||, which never exceeds the norm.
 
-The program runs on integers.  The coefficients are multiplied by the lcm
-of their denominators, and each magnitude is shifted left by the support
+The program runs on integers.  The magnitudes are scaled to integers once
+(``seqvec.scaled_integers``), and each is shifted left by the support
 size n, so the family term's 1/2 is an exact ``>> 1``: a tree over m
 support points has depth at most m - 1 (each part of a family is a proper
 sub-run), so a value reached at depth t, within any subproblem, carries
@@ -60,7 +60,7 @@ an integer row (a leaf at depth t gets 2^(D - t) over 2^D) without
 building a tree; it is the separation oracle of the T* cutting plane.
 
 Evaluation is pure; the module-level value cache is write-once (keyed on
-the coefficient absolute values, which 1-unconditionality justifies) and
+the scaled magnitudes and their scale, as 1-unconditionality allows) and
 invisible to callers, so parallel evaluation of distinct vectors is safe.
 """
 
@@ -68,10 +68,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterator, Union
 
-from .seqvec import FinVec, IndexInterval
+from .seqvec import FinVec, IndexInterval, scaled_integers
 
 HALF = Fraction(1, 2)
 
@@ -290,24 +289,16 @@ class _NormProgram:
 _norm_cache: dict[tuple, Fraction] = {}
 
 
-def _program(x: FinVec) -> tuple[int, _NormProgram]:
-    """The program of x scaled to integer magnitudes, with the scale."""
-    scale = lcm(*(c.denominator for _, c in x.entries))
-    return scale, _NormProgram(
-        [i for i, _ in x.entries],
-        [abs(c.numerator) * (scale // c.denominator) for _, c in x.entries],
-    )
-
-
 def tsirelson_norm(x: FinVec) -> Fraction:
     """Exact Tsirelson norm of a finitely supported vector."""
     if x.is_zero:
         return Fraction(0)
-    key = tuple((i, abs(c)) for i, c in x.entries)
+    magnitudes, scale = scaled_integers([abs(c) for _, c in x.entries])
+    key = (scale, x.support(), tuple(magnitudes))
     cached = _norm_cache.get(key)
     if cached is not None:
         return cached
-    scale, program = _program(x)
+    program = _NormProgram(list(x.support()), magnitudes)
     value = Fraction(program.solve(0, program.size - 1)[0], scale << program.size)
     _norm_cache[key] = value
     return value
@@ -320,7 +311,8 @@ def tsirelson_norm_with_maximizer(x: FinVec) -> tuple[Fraction, EvaluationTree]:
     """
     if x.is_zero:
         raise ValueError("the zero vector has no maximizing functional")
-    scale, program = _program(x)
+    magnitudes, scale = scaled_integers([abs(c) for _, c in x.entries])
+    program = _NormProgram(list(x.support()), magnitudes)
     last = program.size - 1
     signs = [1 if c > 0 else -1 for _, c in x.entries]
     return (

@@ -224,6 +224,13 @@ class TestRunSuite:
         digest = hashlib.sha256(report.dumps().encode("utf-8")).hexdigest()
         assert digest == QUICK_SUITE_SEED_7_SHA256
 
+    def test_every_quick_suite_certificate_replays(self):
+        report = run_suite({"seed": 7, "checks": QUICK_SUITE})
+        checks = {cert.check_id.split("[")[0] for cert in report.certificates}
+        assert checks == {entry["name"] for entry in QUICK_SUITE}
+        for cert in report.certificates:
+            assert replay_certificate(cert) == cert.lhs, cert.check_id
+
     def test_zero_samples_rejected(self):
         for name in ("partition_bound", "block_domination", "cor10"):
             with pytest.raises(ValueError, match="samples"):

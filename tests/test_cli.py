@@ -83,6 +83,20 @@ class TestCommands:
         assert code == 2
         assert "entry #0" in err
 
+    @pytest.mark.parametrize("vec", ['[[2.9,"1"],[3,"1"]]', '[[true,"1"]]'])
+    def test_non_integer_index_exits_2(self, vec, capsys):
+        # int() truncation used to evaluate e2 + e3 here and print 1
+        code, out, err = run_cli(["norm", "--vec", vec], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "entry #0" in err and "not a JSON integer" in err
+
+    def test_string_head_exits_2(self, capsys):
+        code, out, err = run_cli(
+            ["bidual-norm", "--seq", '{"head": "12", "tail_value": "0"}'], capsys
+        )
+        assert code == 2 and out == "" and "not a list" in err
+
     def test_unknown_space_exits_2(self, capsys):
         code, _, err = run_cli(["norm", "--space", "X", "--vec", "w2"], capsys)
         assert code == 2 and "unknown space" in err

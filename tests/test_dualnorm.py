@@ -1,10 +1,11 @@
+import itertools
 import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from tsirelson_lab.seqvec import FinVec, IndexInterval, lp_norm, shift_support
+from tsirelson_lab.seqvec import FinVec, IndexInterval, lp_norm, scaled_integers, shift_support
 from tsirelson_lab.tsirelson import norming_functional, tsirelson_norm
 from tsirelson_lab import dualnorm
 from tsirelson_lab.dualnorm import (
@@ -32,10 +33,9 @@ def random_vec(rng, lo, hi):
 
 
 def scaled_magnitudes(y):
-    """|y_1|, ..., |y_top| times the lcm of y's denominators, as ints, and that lcm."""
-    scale = math.lcm(*(c.denominator for _, c in y.entries))
-    top = y.entries[-1][0]
-    return [int(abs(y.coeff(i)) * scale) for i in range(1, top + 1)], scale
+    """|y_1|, ..., |y_top| as ints in the unit of ``scaled_integers``, and its scale."""
+    values, scale = scaled_integers([y.coeff(i) for i in range(1, y.entries[-1][0] + 1)])
+    return [abs(v) for v in values], scale
 
 
 class TestPairing:
@@ -96,6 +96,18 @@ class TestExactSmallOracle:
 
 
 class TestDualNormProperties:
+    def test_cache_keys_ignore_signs_and_keep_the_scale(self, monkeypatch):
+        monkeypatch.setattr(dualnorm, "_dual_cache", {})
+        y = FinVec.from_pairs([(1, F(1, 2)), (2, F(-2, 3)), (3, F(3)), (5, F(1, 6))])
+        value = dual_norm(y)
+        for signs in itertools.product((1, -1), repeat=4):
+            flipped = FinVec.from_pairs((i, s * c) for s, (i, c) in zip(signs, y.entries))
+            assert dual_norm(flipped) == value
+        assert len(dualnorm._dual_cache) == 1
+        # 2y has the integer magnitudes of y over half its scale
+        assert dual_norm(2 * y) == 2 * value
+        assert len(dualnorm._dual_cache) == 2
+
     def test_duality_bound(self):
         rng = random.Random(17)
         for _ in range(40):

@@ -13,6 +13,7 @@ from tsirelson_lab.seqvec import (
     lp_norm,
     nth_root_bounds,
     restrict,
+    scaled_integers,
     shift_support,
 )
 
@@ -84,6 +85,12 @@ class TestFinVec:
     def test_json_bad_entry_is_named(self):
         with pytest.raises(ValueError, match="entry #1"):
             FinVec.loads('[[1,"1"],[2,"x/y"]]')
+
+    @pytest.mark.parametrize("index", ["2.9", "2.0", "true", "false", '"3"', "null"])
+    def test_json_index_must_be_an_integer(self, index):
+        # int() would truncate 2.9 to 2 and read true as 1
+        with pytest.raises(ValueError, match=r"entry #1: .*not a JSON integer"):
+            FinVec.loads(f'[[1,"1"],[{index},"1"]]')
 
 
 class TestRestrictShift:
@@ -185,6 +192,37 @@ class TestEventuallyConstantSeq:
     def test_json_roundtrip(self):
         x = EventuallyConstantSeq.from_values([1, "1/3"], "-2")
         assert EventuallyConstantSeq.from_json_obj(x.to_json_obj()) == x
+
+    @pytest.mark.parametrize("head", ["12", {"1": "1"}, 12])
+    def test_json_head_must_be_a_list(self, head):
+        # iterating the string "12" would read the head (1, 2)
+        with pytest.raises(ValueError, match="not a list"):
+            EventuallyConstantSeq.from_json_obj({"head": head, "tail_value": "0"})
+
+
+class TestScaledIntegers:
+    @pytest.mark.parametrize(
+        "values, least",
+        [
+            ([F(-3, 4), F(5, 6), 2, F(0), F(-7, 9)], 36),
+            ([F(-1, 2), F(-1, 2)], 2),
+            ([F(3), -4, 0], 1),
+            ([F(2**70 + 1, 3**20), F(-1, 5**9)], 3**20 * 5**9),
+            ([], 1),
+        ],
+    )
+    def test_negative_and_mixed_denominators(self, values, least):
+        ints, scale = scaled_integers(values)
+        assert scale == least
+        assert all(type(v) is int for v in ints)
+        assert [F(v, scale) for v in ints] == values
+
+    @given(st.lists(rationals, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_is_the_least_scale(self, values):
+        ints, scale = scaled_integers(values)
+        assert [F(v, scale) for v in ints] == values
+        assert all(any((v * k).denominator != 1 for v in values) for k in range(1, scale))
 
 
 class TestRestrictContractivity:

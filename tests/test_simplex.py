@@ -3,8 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from tsirelson_lab import _simplex
+from tsirelson_lab import _simplex, dualnorm
 from tsirelson_lab._simplex import maximize
+from tsirelson_lab.seqvec import FinVec, scaled_integers
 
 # dyadic coefficients, as in flattened tree functionals, plus a few negatives
 COEFFS = [F(0), F(0), F(1), F(1, 2), F(1, 4), F(3, 4), F(1, 8), F(-1, 2)]
@@ -17,7 +18,7 @@ def random_lp(rng):
     half-space or a tighter one) or are zero, so pivots are degenerate.
     """
     n = rng.randint(1, 6)
-    objective = [rng.choice([F(1), F(2), F(1, 2), F(3), F(0)]) for _ in range(n)]
+    objective, _ = scaled_integers([rng.choice([F(1), F(2), F(1, 2), F(3), F(0)]) for _ in range(n)])
     rows = [[F(int(i == j)) for i in range(n)] for j in range(n)]
     for _ in range(rng.randint(0, 14)):
         kind = rng.random()
@@ -31,6 +32,26 @@ def random_lp(rng):
         else:
             rows.append([rng.choice(COEFFS) for _ in range(n)])
     return objective, rows
+
+
+def integer_program(rows, rhs):
+    """(rows, rhs, denominators): each row scaled with its rhs by ``scaled_integers``.
+
+    Row i over denominators[i] is the row as given, so its slack is priced
+    as the given row's.
+    """
+    scaled = [scaled_integers([*row, b]) for row, b in zip(rows, rhs)]
+    return [ints[:-1] for ints, _ in scaled], [ints[-1] for ints, _ in scaled], [s for _, s in scaled]
+
+
+def solve(objective, rows, rhs):
+    """``maximize`` on the rational rows, given to the tableau as integers."""
+    return maximize(objective, *integer_program(rows, rhs))
+
+
+def add_row(tableau, row, b):
+    ((ints,), (b,), (denominator,)) = integer_program([row], [b])
+    tableau.add_row(ints, b, denominator)
 
 
 def assert_optimal(tableau, objective, rows, rhs):
@@ -56,11 +77,11 @@ def assert_optimal(tableau, objective, rows, rhs):
 def warm_and_cold(rng):
     objective, rows = random_lp(rng)
     rhs = [F(1)] * len(rows)
-    cold = maximize(objective, rows, rhs)
+    cold = solve(objective, rows, rhs)
     first = rng.randint(len(objective), len(rows))
-    warm = maximize(objective, rows[:first], rhs[:first])
+    warm = solve(objective, rows[:first], rhs[:first])
     for row in rows[first:]:
-        warm.add_row(row, F(1))
+        add_row(warm, row, F(1))
     return objective, rows, rhs, cold, warm
 
 
@@ -86,13 +107,13 @@ def test_bland_fallback_gives_the_same_optima(monkeypatch):
 
 
 def test_known_optimum():
-    # max x + y subject to x <= 1, y <= 1, x + y <= 3/2
-    tableau = maximize([F(1), F(1)], [[F(1), F(0)], [F(0), F(1)]], [F(1), F(1)])
+    # max x + y subject to x <= 1, y <= 1, x + y <= 3/2 (given as 2x + 2y <= 3 over 2)
+    tableau = maximize([1, 1], [[1, 0], [0, 1]], [1, 1])
     assert tableau.value == 2 and tableau.solution == (1, 1)
-    tableau.add_row([F(1), F(1)], F(3, 2))
+    tableau.add_row([2, 2], 3, 2)
     assert tableau.value == F(3, 2)
     # a constraint the optimum already satisfies changes nothing
-    tableau.add_row([F(1), F(0)], F(1))
+    tableau.add_row([1, 0], 1)
     assert tableau.value == F(3, 2)
 
 
@@ -103,35 +124,52 @@ def test_empty_program():
 
 def test_inconsistent_dimensions():
     with pytest.raises(ValueError, match="dimensions"):
-        maximize([F(1), F(1)], [[F(1)]], [F(1)])
+        maximize([1, 1], [[1]], [1])
     with pytest.raises(ValueError, match="dimensions"):
-        maximize([F(1)], [[F(1)]], [F(1), F(1)])
-    tableau = maximize([F(1)], [[F(1)]], [F(1)])
+        maximize([1], [[1]], [1, 1])
+    tableau = maximize([1], [[1]], [1])
     with pytest.raises(ValueError, match="dimensions"):
-        tableau.add_row([F(1), F(1)], F(1))
+        tableau.add_row([1, 1], 1)
+
+
+def test_non_integer_data_rejected():
+    # a Fraction would floor-divide silently in the fraction-free pivot
+    with pytest.raises(TypeError, match="int"):
+        maximize([1, 1], [[F(1, 2), 1]], [1])
+    with pytest.raises(TypeError, match="int"):
+        maximize([F(1, 2)], [[1]], [1])
+    with pytest.raises(TypeError, match="int"):
+        maximize([1], [[1]], [F(1)])
+    with pytest.raises(TypeError, match="int"):
+        maximize([1], [[1.0]], [1])
+    tableau = maximize([1], [[1]], [1])
+    with pytest.raises(TypeError, match="int"):
+        tableau.add_row([F(1, 2)], 1)
+    with pytest.raises(TypeError, match="int"):
+        tableau.add_row([1], 1, F(2))
 
 
 def test_negative_rhs_rejected():
     with pytest.raises(ValueError, match="nonnegative"):
-        maximize([F(1)], [[F(1)]], [F(-1)])
+        maximize([1], [[1]], [-1])
 
 
 def test_unbounded():
     with pytest.raises(ArithmeticError, match="unbounded"):
-        maximize([F(1), F(1)], [[F(1), F(0)]], [F(1)])
+        maximize([1, 1], [[1, 0]], [1])
 
 
 def test_infeasible_row():
-    tableau = maximize([F(1)], [[F(1)]], [F(1)])
+    tableau = maximize([1], [[1]], [1])
     with pytest.raises(ArithmeticError, match="infeasible"):
-        tableau.add_row([F(1)], F(-1))
+        tableau.add_row([1], -1)
 
 
 def test_negative_rhs_row_is_allowed_when_feasible():
-    # -x <= -1/2 moves the feasible set off the origin
-    tableau = maximize([F(-1), F(1)], [[F(1), F(0)], [F(0), F(1)]], [F(1), F(1)])
+    # -x <= -1/2, given as -2x <= -1 over 2, moves the feasible set off the origin
+    tableau = maximize([-1, 1], [[1, 0], [0, 1]], [1, 1])
     assert tableau.value == 1
-    tableau.add_row([F(-1), F(0)], F(-1, 2))
+    tableau.add_row([-2, 0], -1, 2)
     assert tableau.value == F(1, 2) and tableau.solution == (F(1, 2), 1)
 
 
@@ -238,7 +276,7 @@ def general_lp(rng):
     rows repeat, scale or zero an earlier one, so pivots are degenerate.
     """
     n = rng.randint(1, 5)
-    objective = [abs(rational(rng, 4)) for _ in range(n)]
+    objective, _ = scaled_integers([abs(rational(rng, 4)) for _ in range(n)])
     bounds = [abs(rational(rng, 6)) + F(1, 3) for _ in range(n)]
     x0 = [u * F(rng.randint(0, 3), 3) for u in bounds]
     rows = [[F(int(i == j)) for i in range(n)] for j in range(n)]
@@ -278,11 +316,11 @@ def assert_same_tableau(tableau, reference):
 
 def check_against_reference(rng):
     objective, rows, rhs, cold = general_lp(rng)
-    tableau = maximize(objective, rows[:cold], rhs[:cold])
+    tableau = solve(objective, rows[:cold], rhs[:cold])
     reference = ReferenceTableau(objective, rows[:cold], rhs[:cold])
     assert_same_tableau(tableau, reference)
     for row, b in zip(rows[cold:], rhs[cold:]):
-        tableau.add_row(row, b)
+        add_row(tableau, row, b)
         reference.add_row(row, b)
         assert_same_tableau(tableau, reference)
     assert_optimal(tableau, objective, rows, rhs)
@@ -307,12 +345,15 @@ def test_rows_over_denominators_are_the_divided_rows():
     rng = random.Random(12)
     for _ in range(150):
         objective, rows, rhs, cold = general_lp(rng)
-        denominators = [rng.choice((1, 2, 4, 3, 2**40)) for _ in rows]
-        scaled = [[v * d for v in row] for row, d in zip(rows, denominators)]
-        tableau = maximize(objective, scaled[:cold], [b * d for b, d in zip(rhs, denominators[:cold])], denominators[:cold])
+        factors = [rng.choice((1, 2, 4, 3, 2**40)) for _ in rows]
+        int_rows, int_rhs, scales = integer_program(rows, rhs)
+        scaled = [[v * f for v in row] for row, f in zip(int_rows, factors)]
+        scaled_rhs = [b * f for b, f in zip(int_rhs, factors)]
+        denominators = [s * f for s, f in zip(scales, factors)]
+        tableau = maximize(objective, scaled[:cold], scaled_rhs[:cold], denominators[:cold])
         reference = ReferenceTableau(objective, rows[:cold], rhs[:cold])
-        for row, b, d in zip(scaled[cold:], rhs[cold:], denominators[cold:]):
-            tableau.add_row(row, b * d, d)
+        for row, b, d in zip(scaled[cold:], scaled_rhs[cold:], denominators[cold:]):
+            tableau.add_row(row, b, d)
         for row, b in zip(rows[cold:], rhs[cold:]):
             reference.add_row(row, b)
         assert_same_tableau(tableau, reference)
@@ -325,7 +366,7 @@ def test_any_pivot_matches_fraction_reference():
     signs = set()
     for _ in range(150):
         objective, rows, rhs, cold = general_lp(rng)
-        tableau = maximize(objective, rows[:cold], rhs[:cold])
+        tableau = solve(objective, rows[:cold], rhs[:cold])
         reference = ReferenceTableau(objective, rows[:cold], rhs[:cold])
         for _ in range(4):
             choices = [
@@ -342,3 +383,42 @@ def test_any_pivot_matches_fraction_reference():
             reference._pivot(i, j)
             assert_same_tableau(tableau, reference)
     assert signs == {False, True}
+
+
+def test_tstar_programs_give_the_fraction_functionals(monkeypatch):
+    # both T* programs pass each functional f, cuts included, as its integers
+    # over their scale with f(x) <= 1 as rhs: every tableau must be that of
+    # the Fraction rows, with slacks priced as theirs
+    calls = {"maximize": 0, "add_row": 0}
+
+    def functional(row, b, denominator):
+        assert b == denominator
+        f = [F(v, denominator) for v in row]
+        assert scaled_integers(f) == (row, denominator)
+        return f
+
+    def checked_maximize(objective, rows, rhs, denominators=None):
+        calls["maximize"] += 1
+        tableau = maximize(objective, rows, rhs, denominators)
+        functionals = [functional(*row) for row in zip(rows, rhs, denominators)]
+        tableau.reference = ReferenceTableau(objective, functionals, [F(1)] * len(rows))
+        assert_same_tableau(tableau, tableau.reference)
+        return tableau
+
+    def checked_add_row(tableau, row, rhs, denominator=1):
+        calls["add_row"] += 1
+        add_row(tableau, row, rhs, denominator)
+        tableau.reference.add_row(functional(row, rhs, denominator), F(1))
+        assert_same_tableau(tableau, tableau.reference)
+
+    add_row = _simplex.Tableau.add_row
+    monkeypatch.setattr(_simplex, "maximize", checked_maximize)
+    monkeypatch.setattr(_simplex.Tableau, "add_row", checked_add_row)
+    monkeypatch.setattr(dualnorm, "_dual_cache", {})
+    rng = random.Random(21)
+    for _ in range(20):
+        lo = rng.randint(1, 4)
+        hi = lo + rng.randint(1, 4)  # the Fraction reference is slow on longer hulls
+        y = FinVec.from_pairs((i, rng.choice(COEFFS[2:])) for i in range(lo, hi + 1))
+        assert dualnorm.dual_norm_exact_small(y) == dualnorm.dual_norm(y)
+    assert calls["maximize"] >= 30 and calls["add_row"] >= 15

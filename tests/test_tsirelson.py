@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsirelson_lab import tsirelson
 from tsirelson_lab.seqvec import FinVec, IndexInterval, restrict
 from tsirelson_lab.tsirelson import (
     IntervalPartition,
@@ -167,6 +168,18 @@ class TestNormExamples:
 
 
 class TestNormProperties:
+    def test_cache_keys_ignore_signs_and_keep_the_scale(self, monkeypatch):
+        monkeypatch.setattr(tsirelson, "_norm_cache", {})
+        x = FinVec.from_pairs([(2, F(1, 2)), (3, F(-2, 3)), (4, F(3)), (7, F(1, 6))])
+        value = tsirelson_norm(x)
+        for signs in itertools.product((1, -1), repeat=4):
+            flipped = FinVec.from_pairs((i, s * c) for s, (i, c) in zip(signs, x.entries))
+            assert tsirelson_norm(flipped) == value
+        assert len(tsirelson._norm_cache) == 1
+        # 2x has the integer magnitudes of x over half its scale
+        assert tsirelson_norm(2 * x) == 2 * value
+        assert len(tsirelson._norm_cache) == 2
+
     def test_fixed_point_on_random_vectors(self):
         rng = random.Random(5)
         for _ in range(60):
