@@ -18,13 +18,12 @@ loop (Chvátal, *Linear Programming*, 1983, ch. 10).
 
 Integer arithmetic.  The data are ints (rational data are scaled first
 by ``seqvec.scaled_integers``; anything else raises ``TypeError``, as a
-``Fraction`` would floor-divide silently below), and a row may stand for
-itself over a positive denominator.  The tableau kept in memory is d
-times the true tableau (right-hand sides, reduced costs and objective
-included), where d > 0 is the determinant of the current basis matrix B.
-Every stored entry is then an entry of adj(B) times integer data, so an
-integer.  A pivot on stored entry p leaves the pivot row as it is and
-replaces every other entry a by
+``Fraction`` would floor-divide silently below).  The tableau kept in
+memory is d times the true tableau (right-hand sides, reduced costs and
+objective included), where d > 0 is the determinant of the current basis
+matrix B.  Every stored entry is then an entry of adj(B) times integer
+data, so an integer.  A pivot on stored entry p leaves the pivot row as it
+is and replaces every other entry a by
 
     (p * a - f * r) // d,
 
@@ -38,18 +37,18 @@ by d and subtracts the basic rows, which needs no division at all.
 Ratios are compared by cross-multiplication, and values leave as
 ``Fraction`` only through ``value``, ``solution`` and ``cost``.
 
-Both loops share one pivot routine.  Each makes at most ``PIVOT_BUDGET``
-pivots per row and column by its largest-change rule (Dantzig pricing in
-the primal, most negative right-hand side in the dual), ties going to the
-lowest index, and then falls back to Bland's rule (lowest basic or column
-index), which cannot cycle.  The largest-change rules compare reduced
-costs and right-hand sides in the units of the rows as given, so a row
-over a denominator takes the pivots of the divided row.
+The primal and the dual simplex are one loop with two pivot choices.
+Each makes at most ``PIVOT_BUDGET`` pivots per row and column by its
+largest-change rule (Dantzig pricing in the primal, most negative
+right-hand side in the dual), ties going to the lowest index, and then
+falls back to Bland's rule (lowest column or basic index), which cannot
+cycle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Callable, Optional
 
 # largest-change pivots allowed per (rows + variables + 1) in one loop
 # before Bland's rule takes over
@@ -64,18 +63,10 @@ class Tableau:
     variable ``basis[i]`` in the nonbasic ones, ``reduced`` holds the
     reduced costs and ``objective`` the objective at the basic solution,
     all multiplied by the basis determinant ``denominator`` (see the
-    module docstring).  ``units[j]`` is the factor by which column j's
-    variable exceeds the one it stands for: 1 for x_j, its row's
-    denominator for a slack.  Between public calls the tableau is optimal.
+    module docstring).  Between public calls the tableau is optimal.
     """
 
-    def __init__(
-        self,
-        objective: list[int],
-        rows: list[list[int]],
-        rhs: list[int],
-        denominators: list[int] | None = None,
-    ):
+    def __init__(self, objective: list[int], rows: list[list[int]], rhs: list[int]):
         n = len(objective)
         if any(len(row) != n for row in rows) or len(rhs) != len(rows):
             raise ValueError("inconsistent LP dimensions")
@@ -87,13 +78,12 @@ class Tableau:
         self.reduced = [-c for c in objective]
         self.objective = 0
         self.denominator = 1
-        self.units = [1] * n
         self.rows: list[list[int]] = []
         self.rhs: list[int] = []
         self.basis: list[int] = []
-        for i, (row, b) in enumerate(zip(rows, rhs)):
-            self._append(row, b, denominators[i] if denominators else 1)
-        self._primal()
+        for row, b in zip(rows, rhs):
+            self._append(row, b)
+        self._optimize(self._primal_choice)
 
     @property
     def value(self) -> Fraction:
@@ -115,11 +105,11 @@ class Tableau:
 
     @property
     def cost(self) -> list[Fraction]:
-        """The reduced costs of the program as given; a slack's is its row's dual price."""
-        return [Fraction(c * u, self.denominator) for c, u in zip(self.reduced, self.units)]
+        """The reduced costs; a slack's is its row's dual price."""
+        return [Fraction(c, self.denominator) for c in self.reduced]
 
-    def add_row(self, row: list[int], rhs: int, denominator: int = 1) -> None:
-        """Add the constraint (row / denominator) . x <= rhs / denominator and re-optimize.
+    def add_row(self, row: list[int], rhs: int) -> None:
+        """Add the constraint row . x <= rhs and re-optimize.
 
         Raises ``ArithmeticError`` if the constraint makes the program
         infeasible (possible only for rhs < 0); the tableau is then no
@@ -127,13 +117,13 @@ class Tableau:
         """
         if len(row) != self.n:
             raise ValueError("inconsistent LP dimensions")
-        self._append(row, rhs, denominator)
-        self._dual()
+        self._append(row, rhs)
+        self._optimize(self._dual_choice)
 
-    def _append(self, a: list[int], b: int, denominator: int) -> None:
+    def _append(self, a: list[int], b: int) -> None:
         """Append a constraint with a basic slack, reduced against the basis."""
-        if any(type(v) is not int for v in (*a, b, denominator)):
-            raise TypeError(f"row {a!r} <= {b!r} over {denominator!r} is not all ints")
+        if any(type(v) is not int for v in (*a, b)):
+            raise TypeError(f"row {a!r} <= {b!r} is not all ints")
         d = self.denominator
         width = len(self.reduced)
         new = [d * v for v in a] + [0] * (width - self.n) + [d]
@@ -154,80 +144,65 @@ class Tableau:
         self.rows.append(new)
         self.rhs.append(b)
         self.reduced.append(0)
-        self.units.append(denominator)
         self.basis.append(width)
 
-    def _budget(self) -> int:
-        return PIVOT_BUDGET * (len(self.rows) + self.n + 1)
+    def _optimize(self, choose: Callable[[bool], Optional[tuple[int, int]]]) -> None:
+        """Pivot on ``choose(largest_change)`` until it returns None.
 
-    def _primal(self) -> None:
-        rows, rhs, basis, reduced, units = self.rows, self.rhs, self.basis, self.reduced, self.units
+        ``largest_change`` is true for the first ``PIVOT_BUDGET`` pivots
+        per row and column, and false (Bland's rule) after them.
+        """
+        budget = PIVOT_BUDGET * (len(self.rows) + self.n + 1)
         pivots = 0
-        budget = self._budget()
-        while True:
-            entering = -1
-            if pivots < budget:  # Dantzig: most negative reduced cost as given
-                most_negative = 0
-                for j, c in enumerate(reduced):
-                    if c < 0 and c * units[j] < most_negative:
-                        most_negative = c * units[j]
-                        entering = j
-            else:  # Bland: first improving column
-                for j, c in enumerate(reduced):
-                    if c < 0:
-                        entering = j
-                        break
-            if entering < 0:
-                return
-
-            leaving = -1
-            for i, row in enumerate(rows):
-                coeff = row[entering]
-                if coeff > 0:
-                    if leaving < 0:
-                        leaving = i
-                        continue
-                    # rhs[i] / coeff against rhs[leaving] / row[leaving][entering]
-                    here = rhs[i] * rows[leaving][entering]
-                    best = rhs[leaving] * coeff
-                    if here < best or (here == best and basis[i] < basis[leaving]):
-                        leaving = i
-            if leaving < 0:
-                raise ArithmeticError("unbounded linear program")
-            self._pivot(leaving, entering)
+        while (choice := choose(pivots < budget)) is not None:
+            self._pivot(*choice)
             pivots += 1
 
-    def _dual(self) -> None:
-        rhs, basis, reduced, units = self.rhs, self.basis, self.reduced, self.units
-        pivots = 0
-        budget = self._budget()
-        while True:
-            leaving = -1
-            if pivots < budget:  # most negative basic value as given
-                for i, b in enumerate(rhs):
-                    if b < 0 and (
-                        leaving < 0 or b * units[basis[leaving]] < rhs[leaving] * units[basis[i]]
-                    ):
-                        leaving = i
-            else:  # Bland: the infeasible row with the lowest basic variable
-                for i, b in enumerate(rhs):
-                    if b < 0 and (leaving < 0 or basis[i] < basis[leaving]):
-                        leaving = i
-            if leaving < 0:
-                return
+    def _primal_choice(self, largest_change: bool) -> Optional[tuple[int, int]]:
+        """(leaving, entering) of a primal pivot, or None at an optimum."""
+        rows, rhs, basis, reduced = self.rows, self.rhs, self.basis, self.reduced
+        if largest_change:  # Dantzig: the first most negative reduced cost
+            least = min(reduced, default=0)
+            entering = reduced.index(least) if least < 0 else -1
+        else:  # Bland: the first improving column
+            entering = next((j for j, c in enumerate(reduced) if c < 0), -1)
+        if entering < 0:
+            return None
+        leaving = -1
+        for i, row in enumerate(rows):
+            coeff = row[entering]
+            if coeff > 0:
+                if leaving < 0:
+                    leaving = i
+                    continue
+                # rhs[i] / coeff against rhs[leaving] / row[leaving][entering]
+                here = rhs[i] * rows[leaving][entering]
+                best = rhs[leaving] * coeff
+                if here < best or (here == best and basis[i] < basis[leaving]):
+                    leaving = i
+        if leaving < 0:
+            raise ArithmeticError("unbounded linear program")
+        return leaving, entering
 
-            entering = -1
-            row = self.rows[leaving]
-            for j, coeff in enumerate(row):
-                # reduced[j] / -coeff against the best ratio so far
-                if coeff < 0 and (
-                    entering < 0 or reduced[j] * row[entering] > reduced[entering] * coeff
-                ):
-                    entering = j
-            if entering < 0:
-                raise ArithmeticError("infeasible linear program")
-            self._pivot(leaving, entering)
-            pivots += 1
+    def _dual_choice(self, largest_change: bool) -> Optional[tuple[int, int]]:
+        """(leaving, entering) of a dual pivot, or None once primal feasible."""
+        rhs, basis, reduced = self.rhs, self.basis, self.reduced
+        if largest_change:  # the first most negative basic value
+            least = min(rhs, default=0)
+            leaving = rhs.index(least) if least < 0 else -1
+        else:  # Bland: the infeasible row with the lowest basic variable
+            leaving = min(((basis[i], i) for i, b in enumerate(rhs) if b < 0), default=(0, -1))[1]
+        if leaving < 0:
+            return None
+        entering = -1
+        row = self.rows[leaving]
+        for j, coeff in enumerate(row):
+            # reduced[j] / -coeff against the best ratio so far
+            if coeff < 0 and (entering < 0 or reduced[j] * row[entering] > reduced[entering] * coeff):
+                entering = j
+        if entering < 0:
+            raise ArithmeticError("infeasible linear program")
+        return leaving, entering
 
     def _pivot(self, leaving: int, entering: int) -> None:
         rows, rhs = self.rows, self.rhs
@@ -256,20 +231,12 @@ class Tableau:
         self.basis[leaving] = entering
 
 
-def maximize(
-    objective: list[int],
-    rows: list[list[int]],
-    rhs: list[int],
-    denominators: list[int] | None = None,
-) -> Tableau:
+def maximize(objective: list[int], rows: list[list[int]], rhs: list[int]) -> Tableau:
     """Maximize objective . x over {x >= 0 : rows x <= rhs} exactly.
 
-    Requires int data and rhs >= 0.  Row i and rhs[i] may stand for
-    themselves divided by a positive ``denominators[i]``; the constraint
-    is the same, and its slack is priced as that of the divided row.
-    Raises if the program is unbounded (callers are expected to include box
-    constraints that prevent this).  The returned optimal tableau carries
-    ``value`` and ``solution`` and takes further constraints with
-    ``add_row``.
+    Requires int data and rhs >= 0.  Raises if the program is unbounded
+    (callers are expected to include box constraints that prevent this).
+    The returned optimal tableau carries ``value``, ``solution`` and
+    ``cost`` and takes further constraints with ``add_row``.
     """
-    return Tableau(objective, rows, rhs, denominators)
+    return Tableau(objective, rows, rhs)

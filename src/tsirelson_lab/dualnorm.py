@@ -15,10 +15,12 @@ row (``norming_functional``), and f(x) = ||x|| is the test.  The linear
 program is solved from the origin once; each cut is appended to the
 optimal tableau and the dual simplex re-optimizes from there
 (``_simplex.Tableau.add_row``).  The loop runs on integers: |y| is scaled
-once (``seqvec.scaled_integers``), the optimizer goes to the program as
-the tableau's integer numerators over its denominator (the norming
-functional of a vector is that of any positive multiple), and the value
-becomes a ``Fraction`` once, when it returns.
+once (``seqvec.scaled_integers``), each functional f with integers a over
+denominator D enters the program as the row a.x <= D, which is f(x) <= 1,
+the optimizer goes to the program as the tableau's integer numerators
+over its denominator (the norming functional of a vector is that of any
+positive multiple), and the value becomes a ``Fraction`` once, when it
+returns.
 Tree functionals over a fixed support hull form a finite set and every
 added cut is new, so the loop terminates with an exactly converged value.
 
@@ -165,12 +167,13 @@ def support_function_norm(
     works in the nonnegative orthant with LP variables only on support(y):
     1-unconditionality makes the norm solid, so zeroing coordinates
     outside the objective's support keeps the optimizer feasible without
-    changing its value.  The LP is solved once; each round passes the
-    optimizer to the oracle as integers over the tableau's denominator,
-    adds the new cut to the optimal tableau and re-optimizes with the dual
-    simplex.  The loop stops once the working-set optimizer lies inside
-    the ball, making the restricted LP value the exact support-function
-    value.
+    changing its value.  Each functional enters the LP as its integer
+    coefficients with its denominator as the right-hand side.  The LP is
+    solved once; each round passes the optimizer to the oracle as integers
+    over the tableau's denominator, adds the new cut to the optimal tableau
+    and re-optimizes with the dual simplex.  The loop stops once the
+    working-set optimizer lies inside the ball, making the restricted LP
+    value the exact support-function value.
     """
     support = list(y.support())
     w, scale = scaled_integers([abs(c) for _, c in y.entries])
@@ -190,15 +193,15 @@ def support_function_norm(
 
     all_columns = list(range(width))
     rows = [cut([k], [1], 1) for k in all_columns]
-    denominators = [1] * width
+    rhs = [1] * width
     # warm start: the functional norming the direction of y itself
     first, denominator = oracle(support, w)
     row = cut(all_columns, first, denominator)
     if row is not None:
         rows.append(row)
-        denominators.append(denominator)
-    # every row says f(x) <= 1: its rhs numerator is its denominator
-    tableau = _simplex.maximize(w, rows, denominators, denominators)
+        rhs.append(denominator)
+    # f(x) <= 1 goes in as f's integers . x <= f's denominator
+    tableau = _simplex.maximize(w, rows, rhs)
 
     while True:
         x = tableau.numerators()
@@ -210,7 +213,7 @@ def support_function_norm(
         row = cut(columns, coefficients, denominator)
         if row is None:
             raise AssertionError("cutting plane stalled on a repeated constraint")
-        tableau.add_row(row, denominator, denominator)
+        tableau.add_row(row, denominator)
 
 
 def _two_largest(values):
@@ -280,7 +283,7 @@ def dual_norm_exact_small(y: FinVec) -> Fraction:
     position = {index: k for k, index in enumerate(support)}
 
     rows = []
-    denominators = []
+    rhs = []
     seen = set()
     for f in tree_functionals(hull):
         row = [Fraction(0)] * len(support)
@@ -292,8 +295,8 @@ def dual_norm_exact_small(y: FinVec) -> Fraction:
         if key not in seen and any(row):
             seen.add(key)
             rows.append(row)
-            denominators.append(denominator)
-    return _simplex.maximize(w, rows, denominators, denominators).value / scale
+            rhs.append(denominator)
+    return _simplex.maximize(w, rows, rhs).value / scale
 
 
 _functional_cache: dict[tuple[int, int], tuple] = {}

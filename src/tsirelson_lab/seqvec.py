@@ -265,12 +265,14 @@ def _int_nth_root(n: int, k: int) -> tuple[int, bool]:
         raise ValueError("nth root needs n >= 0 and k >= 1")
     if n in (0, 1) or k == 1:
         return n, True
-    r = int(round(n ** (1.0 / k)))
-    while r > 0 and r**k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r, r**k == n
+    # integer Newton from 2^ceil(bits / k) > n^(1/k): the iterates fall
+    # monotonically to the floor root, and stop falling there
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r, r**k == n
+        r = s
 
 
 def nth_root_bounds(

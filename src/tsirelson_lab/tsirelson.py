@@ -53,8 +53,7 @@ ties are those of the exact rationals; the value leaves as
 
 ``tsirelson_maximizer`` replays the dynamic program's argmax choices into
 an :class:`EvaluationTree` whose flattened functional f attains
-f(x) = ||x|| and lies in the dual unit ball.  ``tsirelson_norm_with_maximizer``
-returns the value and that tree from one program.  ``norming_functional``
+f(x) = ||x|| and lies in the dual unit ball.  ``norming_functional``
 walks the same choices for a nonnegative integer vector and returns f as
 an integer row (a leaf at depth t gets 2^(D - t) over 2^D) without
 building a tree; it is the separation oracle of the T* cutting plane.
@@ -156,13 +155,25 @@ class TreeNode:
 EvaluationTree = Union[TreeLeaf, TreeNode]
 
 
+def _json_int(value, field: str) -> int:
+    if type(value) is not int:  # no bool, float or string
+        raise ValueError(f"tree {field} {value!r} is not a JSON integer")
+    return value
+
+
 def evaluation_tree_from_json(obj: dict) -> EvaluationTree:
-    if obj.get("type") == "leaf":
-        return TreeLeaf(int(obj["index"]), int(obj["sign"]))
-    if obj.get("type") == "node":
-        parts = tuple(IndexInterval(int(lo), int(hi)) for lo, hi in obj["parts"])
+    """The tree of ``to_json_obj`` output; ``ValueError`` on anything else."""
+    kind = obj.get("type") if isinstance(obj, dict) else None
+    if kind == "leaf":
+        return TreeLeaf(_json_int(obj.get("index"), "index"), _json_int(obj.get("sign"), "sign"))
+    if kind == "node" and isinstance(obj.get("parts"), list) and isinstance(obj.get("children"), list):
+        parts = []
+        for part in obj["parts"]:
+            if not (isinstance(part, list) and len(part) == 2):
+                raise ValueError(f"tree part {part!r} is not a [lo, hi] pair")
+            parts.append(IndexInterval(*(_json_int(v, "part endpoint") for v in part)))
         children = tuple(evaluation_tree_from_json(c) for c in obj["children"])
-        return TreeNode(IntervalPartition(parts), children)
+        return TreeNode(IntervalPartition(tuple(parts)), children)
     raise ValueError(f"not an evaluation tree: {obj!r}")
 
 
@@ -304,23 +315,6 @@ def tsirelson_norm(x: FinVec) -> Fraction:
     return value
 
 
-def tsirelson_norm_with_maximizer(x: FinVec) -> tuple[Fraction, EvaluationTree]:
-    """||x|| and a maximizing evaluation tree, from one dynamic program.
-
-    The value is not cached; the tree is that of ``tsirelson_maximizer``.
-    """
-    if x.is_zero:
-        raise ValueError("the zero vector has no maximizing functional")
-    magnitudes, scale = scaled_integers([abs(c) for _, c in x.entries])
-    program = _NormProgram(list(x.support()), magnitudes)
-    last = program.size - 1
-    signs = [1 if c > 0 else -1 for _, c in x.entries]
-    return (
-        Fraction(program.solve(0, last)[0], scale << program.size),
-        program.build_tree(0, last, signs),
-    )
-
-
 def norming_functional(indices: list[int], values: list[int]) -> tuple[list[int], int]:
     """The flattened maximizer of a nonnegative vector, as an integer row.
 
@@ -346,4 +340,9 @@ def tsirelson_maximizer(x: FinVec) -> EvaluationTree:
     Ties are broken by the deterministic argmax order of the dynamic
     program, so equal inputs always yield the same tree.
     """
-    return tsirelson_norm_with_maximizer(x)[1]
+    if x.is_zero:
+        raise ValueError("the zero vector has no maximizing functional")
+    magnitudes, _ = scaled_integers([abs(c) for _, c in x.entries])
+    program = _NormProgram(list(x.support()), magnitudes)
+    signs = [1 if c > 0 else -1 for _, c in x.entries]
+    return program.build_tree(0, program.size - 1, signs)

@@ -97,6 +97,12 @@ class TestCommands:
         )
         assert code == 2 and out == "" and "not a list" in err
 
+    def test_l2_norm_beyond_float_range(self, capsys):
+        # the k-th root used to guess in floats and exit 1 with an OverflowError
+        code, out, err = run_cli(["norm", "--space", "l2", "--vec", '[[1,"1e200"]]'], capsys)
+        assert code == 0 and err == ""
+        assert out.strip() == str(10**200)
+
     def test_unknown_space_exits_2(self, capsys):
         code, _, err = run_cli(["norm", "--space", "X", "--vec", "w2"], capsys)
         assert code == 2 and "unknown space" in err
@@ -137,6 +143,14 @@ class TestCertifyCommand:
     def test_unknown_suite_exits_2(self, capsys):
         code, _, _ = run_cli(["certify", "--suite", "nope"], capsys)
         assert code == 2
+
+    def test_q_decay_with_large_q(self, tmp_path, capsys):
+        # the q-th roots of q_decay overflowed a float guess at q = 2000
+        config = tmp_path / "suite.json"
+        config.write_text('{"checks": [{"name": "q_decay", "levels": 1, "q": 2000}]}')
+        code, out, err = run_cli(["certify", "--suite", str(config)], capsys)
+        assert code == 0 and err == ""
+        assert json.loads(out)["certificates"][0]["pass"] is True
 
     def test_config_file_suite(self, tmp_path, capsys):
         config = tmp_path / "suite.json"

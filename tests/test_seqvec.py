@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +11,7 @@ from tsirelson_lab.seqvec import (
     FinVec,
     IndexInterval,
     NormBounds,
+    _int_nth_root,
     lp_norm,
     nth_root_bounds,
     restrict,
@@ -159,6 +161,22 @@ class TestRootBounds:
         lo, hi = nth_root_bounds(F(2), 2)
         assert lo < hi and lo**2 < 2 < hi**2
         assert hi - lo <= F(1, 10**12)
+
+    def test_integer_root_beyond_float_range(self):
+        # a float guess n ** (1 / k) overflows past about 1.8e308
+        assert _int_nth_root(10**400, 2) == (10**200, True)
+        assert _int_nth_root(10**400 - 1, 2) == (10**200 - 1, False)
+        assert _int_nth_root(3**2000, 2000) == (3, True)
+
+    def test_integer_root_is_the_floor_root(self):
+        rng = random.Random(17)
+        for _ in range(3000):
+            k = rng.choice([1, 2, 3, 5, 7, 64, 2000])
+            n = rng.choice([rng.randint(0, 10**6), rng.getrandbits(rng.randint(1, 4000)), rng.randint(1, 99) ** k])
+            n += rng.choice([-1, 0, 1]) if n else 0
+            r, exact = _int_nth_root(n, k)
+            assert r**k <= n < (r + 1) ** k
+            assert exact == (r**k == n)
 
 
 class TestEventuallyConstantSeq:

@@ -35,23 +35,9 @@ def random_lp(rng):
 
 
 def integer_program(rows, rhs):
-    """(rows, rhs, denominators): each row scaled with its rhs by ``scaled_integers``.
-
-    Row i over denominators[i] is the row as given, so its slack is priced
-    as the given row's.
-    """
-    scaled = [scaled_integers([*row, b]) for row, b in zip(rows, rhs)]
-    return [ints[:-1] for ints, _ in scaled], [ints[-1] for ints, _ in scaled], [s for _, s in scaled]
-
-
-def solve(objective, rows, rhs):
-    """``maximize`` on the rational rows, given to the tableau as integers."""
-    return maximize(objective, *integer_program(rows, rhs))
-
-
-def add_row(tableau, row, b):
-    ((ints,), (b,), (denominator,)) = integer_program([row], [b])
-    tableau.add_row(ints, b, denominator)
+    """(rows, rhs) as ints: each row scaled with its rhs by ``scaled_integers``."""
+    scaled = [scaled_integers([*row, b])[0] for row, b in zip(rows, rhs)]
+    return [ints[:-1] for ints in scaled], [ints[-1] for ints in scaled]
 
 
 def assert_optimal(tableau, objective, rows, rhs):
@@ -76,12 +62,12 @@ def assert_optimal(tableau, objective, rows, rhs):
 
 def warm_and_cold(rng):
     objective, rows = random_lp(rng)
-    rhs = [F(1)] * len(rows)
-    cold = solve(objective, rows, rhs)
+    rows, rhs = integer_program(rows, [F(1)] * len(rows))
+    cold = maximize(objective, rows, rhs)
     first = rng.randint(len(objective), len(rows))
-    warm = solve(objective, rows[:first], rhs[:first])
-    for row in rows[first:]:
-        add_row(warm, row, F(1))
+    warm = maximize(objective, rows[:first], rhs[:first])
+    for row, b in zip(rows[first:], rhs[first:]):
+        warm.add_row(row, b)
     return objective, rows, rhs, cold, warm
 
 
@@ -107,10 +93,10 @@ def test_bland_fallback_gives_the_same_optima(monkeypatch):
 
 
 def test_known_optimum():
-    # max x + y subject to x <= 1, y <= 1, x + y <= 3/2 (given as 2x + 2y <= 3 over 2)
+    # max x + y subject to x <= 1, y <= 1, 2x + 2y <= 3
     tableau = maximize([1, 1], [[1, 0], [0, 1]], [1, 1])
     assert tableau.value == 2 and tableau.solution == (1, 1)
-    tableau.add_row([2, 2], 3, 2)
+    tableau.add_row([2, 2], 3)
     assert tableau.value == F(3, 2)
     # a constraint the optimum already satisfies changes nothing
     tableau.add_row([1, 0], 1)
@@ -146,7 +132,7 @@ def test_non_integer_data_rejected():
     with pytest.raises(TypeError, match="int"):
         tableau.add_row([F(1, 2)], 1)
     with pytest.raises(TypeError, match="int"):
-        tableau.add_row([1], 1, F(2))
+        tableau.add_row([1], F(1))
 
 
 def test_negative_rhs_rejected():
@@ -166,10 +152,10 @@ def test_infeasible_row():
 
 
 def test_negative_rhs_row_is_allowed_when_feasible():
-    # -x <= -1/2, given as -2x <= -1 over 2, moves the feasible set off the origin
+    # -2x <= -1 moves the feasible set off the origin
     tableau = maximize([-1, 1], [[1, 0], [0, 1]], [1, 1])
     assert tableau.value == 1
-    tableau.add_row([-2, 0], -1, 2)
+    tableau.add_row([-2, 0], -1)
     assert tableau.value == F(1, 2) and tableau.solution == (F(1, 2), 1)
 
 
@@ -201,6 +187,10 @@ class ReferenceTableau:
         return tuple(x)
 
     def add_row(self, row, rhs):
+        self._append(row, rhs)
+        self._loop(self._dual_choice)
+
+    def _append(self, row, rhs):
         for other in self.rows:
             other.append(F(0))
         self.cost.append(F(0))
@@ -214,7 +204,6 @@ class ReferenceTableau:
         self.rows.append(new)
         self.rhs.append(b)
         self.basis.append(len(self.cost) - 1)
-        self._loop(self._dual_choice)
 
     def _loop(self, choose):
         budget = _simplex.PIVOT_BUDGET * (len(self.rows) + self.n + 1)
@@ -268,8 +257,9 @@ def rational(rng, top):
 
 
 def general_lp(rng):
-    """A bounded LP with rhs other than 1, feasible at a known point x0.
+    """A bounded integer LP with rhs other than 1, feasible at a known point x0.
 
+    The rows are drawn rational and scaled with their rhs to integers.
     Box rows x_j <= u_j come first.  The other rows go through x0 or lie
     beyond it; the first ``cold`` of them have rhs >= 0 (the origin is
     feasible), the rest may have rhs < 0 and are for ``add_row``.  Some
@@ -298,10 +288,11 @@ def general_lp(rng):
             b = max(b, F(0))
         rows.append(row)
         rhs.append(b)
-    return objective, rows, rhs, n + cold
+    return objective, *integer_program(rows, rhs), n + cold
 
 
 def assert_same_tableau(tableau, reference):
+    assert tableau.basis == reference.basis
     assert tableau.value == reference.value
     assert tableau.solution == reference.solution
     assert tableau.cost == reference.cost
@@ -316,11 +307,11 @@ def assert_same_tableau(tableau, reference):
 
 def check_against_reference(rng):
     objective, rows, rhs, cold = general_lp(rng)
-    tableau = solve(objective, rows[:cold], rhs[:cold])
+    tableau = maximize(objective, rows[:cold], rhs[:cold])
     reference = ReferenceTableau(objective, rows[:cold], rhs[:cold])
     assert_same_tableau(tableau, reference)
     for row, b in zip(rows[cold:], rhs[cold:]):
-        add_row(tableau, row, b)
+        tableau.add_row(row, b)
         reference.add_row(row, b)
         assert_same_tableau(tableau, reference)
     assert_optimal(tableau, objective, rows, rhs)
@@ -340,23 +331,25 @@ def test_integer_tableau_matches_fraction_reference_under_bland(monkeypatch):
         check_against_reference(rng)
 
 
-def test_rows_over_denominators_are_the_divided_rows():
-    # integer rows over a denominator price their slacks like the divided rows
-    rng = random.Random(12)
-    for _ in range(150):
+@pytest.mark.parametrize("budget", [_simplex.PIVOT_BUDGET, 0])
+def test_dual_loop_with_several_infeasible_rows_matches_reference(budget, monkeypatch):
+    # add_row leaves one infeasible row; appending several before the dual
+    # loop runs makes its leaving-row choice (and ties in it) matter
+    monkeypatch.setattr(_simplex, "PIVOT_BUDGET", budget)
+    rng = random.Random(18)
+    several = 0
+    for _ in range(200):
         objective, rows, rhs, cold = general_lp(rng)
-        factors = [rng.choice((1, 2, 4, 3, 2**40)) for _ in rows]
-        int_rows, int_rhs, scales = integer_program(rows, rhs)
-        scaled = [[v * f for v in row] for row, f in zip(int_rows, factors)]
-        scaled_rhs = [b * f for b, f in zip(int_rhs, factors)]
-        denominators = [s * f for s, f in zip(scales, factors)]
-        tableau = maximize(objective, scaled[:cold], scaled_rhs[:cold], denominators[:cold])
+        tableau = maximize(objective, rows[:cold], rhs[:cold])
         reference = ReferenceTableau(objective, rows[:cold], rhs[:cold])
-        for row, b, d in zip(scaled[cold:], scaled_rhs[cold:], denominators[cold:]):
-            tableau.add_row(row, b, d)
         for row, b in zip(rows[cold:], rhs[cold:]):
-            reference.add_row(row, b)
+            tableau._append(row, b)
+            reference._append(row, b)
+        several += sum(b < 0 for b in reference.rhs) > 1
+        reference._loop(reference._dual_choice)
+        tableau._optimize(tableau._dual_choice)
         assert_same_tableau(tableau, reference)
+    assert several >= 40
 
 
 def test_any_pivot_matches_fraction_reference():
@@ -366,7 +359,7 @@ def test_any_pivot_matches_fraction_reference():
     signs = set()
     for _ in range(150):
         objective, rows, rhs, cold = general_lp(rng)
-        tableau = solve(objective, rows[:cold], rhs[:cold])
+        tableau = maximize(objective, rows[:cold], rhs[:cold])
         reference = ReferenceTableau(objective, rows[:cold], rhs[:cold])
         for _ in range(4):
             choices = [
@@ -386,29 +379,28 @@ def test_any_pivot_matches_fraction_reference():
 
 
 def test_tstar_programs_give_the_fraction_functionals(monkeypatch):
-    # both T* programs pass each functional f, cuts included, as its integers
-    # over their scale with f(x) <= 1 as rhs: every tableau must be that of
-    # the Fraction rows, with slacks priced as theirs
+    # both T* programs pass each functional f, cuts included, as the
+    # integer row of f's integers <= f's denominator: every tableau must be
+    # the Fraction reference's on the same rows
     calls = {"maximize": 0, "add_row": 0}
 
-    def functional(row, b, denominator):
-        assert b == denominator
-        f = [F(v, denominator) for v in row]
-        assert scaled_integers(f) == (row, denominator)
-        return f
+    def check_functional(row, b):
+        assert scaled_integers([F(v, b) for v in row]) == (row, b)
 
-    def checked_maximize(objective, rows, rhs, denominators=None):
+    def checked_maximize(objective, rows, rhs):
         calls["maximize"] += 1
-        tableau = maximize(objective, rows, rhs, denominators)
-        functionals = [functional(*row) for row in zip(rows, rhs, denominators)]
-        tableau.reference = ReferenceTableau(objective, functionals, [F(1)] * len(rows))
+        for row, b in zip(rows, rhs):
+            check_functional(row, b)
+        tableau = maximize(objective, rows, rhs)
+        tableau.reference = ReferenceTableau(objective, rows, rhs)
         assert_same_tableau(tableau, tableau.reference)
         return tableau
 
-    def checked_add_row(tableau, row, rhs, denominator=1):
+    def checked_add_row(tableau, row, rhs):
         calls["add_row"] += 1
-        add_row(tableau, row, rhs, denominator)
-        tableau.reference.add_row(functional(row, rhs, denominator), F(1))
+        check_functional(row, rhs)
+        add_row(tableau, row, rhs)
+        tableau.reference.add_row(row, rhs)
         assert_same_tableau(tableau, tableau.reference)
 
     add_row = _simplex.Tableau.add_row

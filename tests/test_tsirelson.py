@@ -17,7 +17,6 @@ from tsirelson_lab.tsirelson import (
     norming_functional,
     tsirelson_maximizer,
     tsirelson_norm,
-    tsirelson_norm_with_maximizer,
 )
 from tsirelson_lab.dualnorm import pairing
 
@@ -100,7 +99,6 @@ def assert_matches_definition(x):
     expected = definition_norm(x)
     assert tsirelson_norm(x) == expected
     assert pairing(tsirelson_maximizer(x).flatten(), x) == expected
-    assert tsirelson_norm_with_maximizer(x)[0] == expected
 
 
 class TestDefinitionOracle:
@@ -131,7 +129,7 @@ class TestDefinitionOracle:
             expected = definition_norm(x)
             assert expected == max(max(magnitudes), F(1, 2) * sum(magnitudes))
             assert tsirelson_norm(x) == expected
-            assert tsirelson_norm_with_maximizer(x)[0] == expected
+            assert pairing(tsirelson_maximizer(x).flatten(), x) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -282,6 +280,29 @@ class TestMaximizer:
         tree = tsirelson_maximizer(e(4) + e(5) + e(6))
         assert evaluation_tree_from_json(tree.to_json_obj()) == tree
 
+    @pytest.mark.parametrize(
+        "obj, field",
+        [
+            ({"type": "leaf", "index": 2.9, "sign": 1}, "index"),
+            ({"type": "leaf", "index": True, "sign": 1}, "index"),
+            ({"type": "leaf", "index": "2", "sign": 1}, "index"),
+            ({"type": "leaf", "index": 2}, "sign"),
+            ({"type": "leaf", "index": 2, "sign": True}, "sign"),
+            ({"type": "leaf", "index": 2, "sign": 1.0}, "sign"),
+            ({"type": "node", "parts": [[2, 2.5]], "children": [{"type": "leaf", "index": 2, "sign": 1}]}, "endpoint"),
+            ({"type": "node", "parts": [[True, 2]], "children": [{"type": "leaf", "index": 2, "sign": 1}]}, "endpoint"),
+            ({"type": "node", "parts": [2], "children": [{"type": "leaf", "index": 2, "sign": 1}]}, "part"),
+            ({"type": "node", "parts": [[2, 2]], "children": "leaf"}, "evaluation tree"),
+            ([{"type": "leaf", "index": 2, "sign": 1}], "evaluation tree"),
+            ("leaf", "evaluation tree"),
+            (None, "evaluation tree"),
+        ],
+    )
+    def test_json_rejects_non_integer_fields(self, obj, field):
+        # int() used to read 2.9 as 2 and true as 1, and a list raised AttributeError
+        with pytest.raises(ValueError, match=field):
+            evaluation_tree_from_json(obj)
+
     @pytest.mark.parametrize("lo", [1, 12])
     def test_attains_norm_at_support_30(self, lo):
         rng = random.Random(lo)
@@ -304,9 +325,8 @@ class TestMaximizer:
         start = rng.randint(size, 2 * size) if late else 1
         indices = sorted(rng.sample(range(start, start + 2 * size), size)) if late else range(1, size + 1)
         x = FinVec.from_pairs((i, rng.choice(pool) * rng.choice((1, -1))) for i in indices)
-        value, tree = tsirelson_norm_with_maximizer(x)
-        assert tree == tsirelson_maximizer(x)
-        assert tsirelson_norm(x) == value == pairing(tree.flatten(), x)
+        tree = tsirelson_maximizer(x)
+        assert tsirelson_norm(x) == pairing(tree.flatten(), x)
 
     def test_norming_functional_is_the_flattened_maximizer(self):
         rng = random.Random(13)
