@@ -16,6 +16,13 @@ the column with the least ratio of reduced cost to that row's negative
 entry enters.  This is the textbook row-generation step of a cutting-plane
 loop (Chvátal, *Linear Programming*, 1983, ch. 10).
 
+``Tableau.set_objective`` changes the objective instead.  The rows and the
+basis do not depend on it, so the basis stays primal feasible; with c_B
+the new costs of the basic variables, the stored reduced costs become
+sum_i c_B[i] * row_i - d * c and the objective sum_i c_B[i] * rhs_i, both
+integers, and the primal simplex re-optimizes from there.  The first
+solve is this step on the basis of all slacks.
+
 Integer arithmetic.  The data are ints (rational data are scaled first
 by ``seqvec.scaled_integers``; anything else raises ``TypeError``, as a
 ``Fraction`` would floor-divide silently below).  The tableau kept in
@@ -72,10 +79,8 @@ class Tableau:
             raise ValueError("inconsistent LP dimensions")
         if any(b < 0 for b in rhs):
             raise ValueError("rhs must be nonnegative (origin must be feasible)")
-        if any(type(c) is not int for c in objective):
-            raise TypeError(f"objective {objective!r} is not all ints")
         self.n = n
-        self.reduced = [-c for c in objective]
+        self.reduced = [0] * n
         self.objective = 0
         self.denominator = 1
         self.rows: list[list[int]] = []
@@ -83,6 +88,7 @@ class Tableau:
         self.basis: list[int] = []
         for row, b in zip(rows, rhs):
             self._append(row, b)
+        self._price(objective)
         self._optimize(self._primal_choice)
 
     @property
@@ -119,6 +125,35 @@ class Tableau:
             raise ValueError("inconsistent LP dimensions")
         self._append(row, rhs)
         self._optimize(self._dual_choice)
+
+    def set_objective(self, objective: list[int]) -> None:
+        """Replace the objective with ``objective`` . x and re-optimize.
+
+        The constraints are unchanged, so the current basis stays primal
+        feasible; only the reduced costs and the objective value are
+        rebuilt from it before the primal simplex runs.
+        """
+        self._price(objective)
+        self._optimize(self._primal_choice)
+
+    def _price(self, objective: list[int]) -> None:
+        """Make ``objective`` the objective: its reduced costs and value at the current basis."""
+        if len(objective) != self.n:
+            raise ValueError("inconsistent LP dimensions")
+        if any(type(c) is not int for c in objective):
+            raise TypeError(f"objective {objective!r} is not all ints")
+        d = self.denominator
+        reduced = [-d * c for c in objective] + [0] * (len(self.reduced) - self.n)
+        value = 0
+        for i, j in enumerate(self.basis):
+            c = objective[j] if j < self.n else 0
+            if c:
+                for k, v in enumerate(self.rows[i]):
+                    if v:
+                        reduced[k] += c * v
+                value += c * self.rhs[i]
+        self.reduced = reduced
+        self.objective = value
 
     def _append(self, a: list[int], b: int) -> None:
         """Append a constraint with a basic slack, reduced against the basis."""
@@ -237,6 +272,7 @@ def maximize(objective: list[int], rows: list[list[int]], rhs: list[int]) -> Tab
     Requires int data and rhs >= 0.  Raises if the program is unbounded
     (callers are expected to include box constraints that prevent this).
     The returned optimal tableau carries ``value``, ``solution`` and
-    ``cost`` and takes further constraints with ``add_row``.
+    ``cost``, takes further constraints with ``add_row`` and new
+    objectives with ``set_objective``.
     """
     return Tableau(objective, rows, rhs)

@@ -29,6 +29,7 @@ from .seqvec import (
     lp_norm,
     lower_of,
     restrict,
+    scaled_integers,
     upper_of,
 )
 
@@ -137,7 +138,8 @@ def check_window_bound(
     ]
     for y in vectors:
         value = dual_norm(y)
-        sup = max(abs(c) for _, c in y.entries)
+        values, scale = scaled_integers([c for _, c in y.entries])
+        sup = Fraction(max(map(abs, values)), scale)
         ratio = value / sup
         if ratio > worst_ratio or worst is None:
             worst_ratio = ratio

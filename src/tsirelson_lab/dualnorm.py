@@ -40,17 +40,48 @@ program.  Each dyadic block [2^j, 2^(j+1)) is in the regime, so by the
 triangle inequality the blocks' closed forms add up to an upper bound on
 ||y||* for every y (``DualTsirelsonEngine.upper_bound``).
 
+The first coordinate peels off.  An admissible family E_1 < ... < E_n
+has n <= min E_1, so a part holding index 1 is the only part of its
+family, and that family contributes (1/2)||E_1 x||_T <= (1/2)||x||_T,
+which attains ||x||_T only at x = 0.  Every other family misses index 1
+and sees only x' = x restricted to {2, 3, ...}, so the implicit equation
+of T gives ||x||_T = max(|x_1|, ||x'||_T).  The unit ball is then the
+product [-1, 1] x (unit ball on {2, 3, ...}), and its support function
+adds: ||y||* = |y_1| + ||y'||*.  ``dual_norm`` applies this to every
+support holding index 1 and at least one more index.  Supports {1, 2}
+and {1, 2, 3} become closed forms, since their tails are in the Schreier
+regime.  Every other tail is looked up in lowest terms (its magnitudes
+and scale divided by their gcd), so the tails of different heads share
+one cache entry.
+
+Prefix tails share one program.  Every James leaf has the support
+{1, ..., k}, so its tail is {2, ..., k}, and all tails of one length are
+optimized over the same ball with the same cuts.  ``_tail_pool`` keeps,
+per process, one cutting-plane program for each such tail: the optimal
+tableau and the set of cuts it has seen.  A new tail objective replaces
+the tableau's objective (``_simplex.Tableau.set_objective``) and the cut
+loop continues from that basis; the cuts already in the tableau are
+valid for every objective.  This is the cut pool of branch and cut
+(Padberg and Rinaldi, *SIAM Review* 33, 1991).  A pooled tableau keeps
+every cut it was given, so it grows with the number of distinct cuts on
+its support (the default suite leaves 7 tableaux of at most 32 rows).
+Values never depend on the pool: each is the exact support-function
+value, and only the work to reach it changes with what the pool holds,
+so serial runs and worker processes give the same values.  The pool is
+not thread-safe: concurrent calls on one prefix length would pivot one
+tableau at the same time.  Other supports run the loop from scratch on
+state local to the call (``support_function_norm``), and the value
+caches hold finished values (and per-window functional sets), written
+once.
+
 ``dual_norm_exact_small`` cross-validates the loop on small hulls by
 enumerating the complete (dominance-pruned) set of tree functionals up
 front and solving a single exact linear program over it.
-
-Cutting-plane state is local to each call; the module-level caches hold
-only finished values (and per-window functional sets), written once, so
-concurrent calls on distinct vectors are independent.
 """
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
@@ -110,6 +141,18 @@ class NormEngine(ABC):
         """
         return sum(magnitudes)
 
+    def eval_magnitudes(self, magnitudes: Sequence[int], scale: int) -> NormValue:
+        """||x|| for |x_1|, ..., |x_k| given as ints, as in ``upper_bound``.
+
+        ``magnitudes[j]`` is |x_(j+1)| times the positive ``scale``; the
+        value comes back exact, not times the scale.  This default builds
+        the vector and calls ``eval``, which is right for 1-unconditional
+        norms.
+        """
+        return self.eval(
+            FinVec(tuple((j + 1, Fraction(m, scale)) for j, m in enumerate(magnitudes) if m))
+        )
+
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}>"
 
@@ -142,6 +185,12 @@ class DualTsirelsonEngine(NormEngine):
     def eval(self, x: FinVec) -> Fraction:
         return dual_norm(x)
 
+    def eval_magnitudes(self, magnitudes: Sequence[int], scale: int) -> Fraction:
+        """``dual_norm`` of the vector, peeled at index 1 on the ints directly."""
+        if len(magnitudes) < 2 or 0 in magnitudes:
+            return super().eval_magnitudes(magnitudes, scale)
+        return _peeled_dual_norm(magnitudes, tuple(range(2, len(magnitudes) + 1)), scale)
+
     def upper_bound(self, magnitudes: Sequence[int]) -> int:
         """Sum over the dyadic blocks [2^j, 2^(j+1)) of their closed-form T* norms."""
         total = 0
@@ -173,15 +222,32 @@ def support_function_norm(
     over the tableau's denominator, adds the new cut to the optimal tableau
     and re-optimizes with the dual simplex.  The loop stops once the
     working-set optimizer lies inside the ball, making the restricted LP
-    value the exact support-function value.
+    value the exact support-function value.  Nothing outlives the call.
     """
-    support = list(y.support())
     w, scale = scaled_integers([abs(c) for _, c in y.entries])
+    return _cutting_plane(list(y.support()), oracle)(w) / scale
+
+
+def _cutting_plane(
+    support: list[int],
+    oracle: Callable[[list[int], list[int]], tuple[list[int], int]],
+) -> Callable[[list[int]], Fraction]:
+    """The cutting-plane loop on one support, as ``solve(w)``.
+
+    ``solve(w)`` returns the maximum of w . x over the unit ball, for
+    positive int magnitudes ``w`` aligned with ``support``.  The first call
+    solves from the origin; a later call replaces the objective of the
+    last optimal tableau (``Tableau.set_objective``) and continues the loop
+    from that basis with the cuts found so far.  Every cut is a constraint
+    of the unit ball whatever the objective, so each value is exact.
+    """
     width = len(support)
+    all_columns = list(range(width))
     seen: set[tuple[int, ...]] = set()
+    tableau: Optional[_simplex.Tableau] = None
 
     def cut(columns: list[int], coefficients: list[int], denominator: int) -> Optional[list[int]]:
-        """The constraint row of a functional on support(y), or None if already used."""
+        """The constraint row of a functional on the support, or None if already used."""
         row = [0] * width
         for k, c in zip(columns, coefficients):
             row[k] = c
@@ -191,29 +257,34 @@ def support_function_norm(
         seen.add(key)
         return row
 
-    all_columns = list(range(width))
-    rows = [cut([k], [1], 1) for k in all_columns]
-    rhs = [1] * width
-    # warm start: the functional norming the direction of y itself
-    first, denominator = oracle(support, w)
-    row = cut(all_columns, first, denominator)
-    if row is not None:
-        rows.append(row)
-        rhs.append(denominator)
-    # f(x) <= 1 goes in as f's integers . x <= f's denominator
-    tableau = _simplex.maximize(w, rows, rhs)
+    def solve(w: list[int]) -> Fraction:
+        nonlocal tableau
+        if tableau is None:
+            rows = [cut([k], [1], 1) for k in all_columns]
+            rhs = [1] * width
+            # warm start: the functional norming the direction of w itself
+            first, denominator = oracle(support, w)
+            row = cut(all_columns, first, denominator)
+            if row is not None:
+                rows.append(row)
+                rhs.append(denominator)
+            # f(x) <= 1 goes in as f's integers . x <= f's denominator
+            tableau = _simplex.maximize(w, rows, rhs)
+        else:
+            tableau.set_objective(w)
+        while True:
+            x = tableau.numerators()
+            columns = [k for k in all_columns if x[k]]
+            values = [x[k] for k in columns]
+            coefficients, denominator = oracle([support[k] for k in columns], values)
+            if sum(c * v for c, v in zip(coefficients, values)) <= denominator * tableau.denominator:
+                return tableau.value
+            row = cut(columns, coefficients, denominator)
+            if row is None:
+                raise AssertionError("cutting plane stalled on a repeated constraint")
+            tableau.add_row(row, denominator)
 
-    while True:
-        x = tableau.numerators()
-        columns = [k for k in all_columns if x[k]]
-        values = [x[k] for k in columns]
-        coefficients, denominator = oracle([support[k] for k in columns], values)
-        if sum(c * v for c, v in zip(coefficients, values)) <= denominator * tableau.denominator:
-            return tableau.value / scale
-        row = cut(columns, coefficients, denominator)
-        if row is None:
-            raise AssertionError("cutting plane stalled on a repeated constraint")
-        tableau.add_row(row, denominator)
+    return solve
 
 
 def _two_largest(values):
@@ -228,31 +299,70 @@ def _two_largest(values):
 
 
 _dual_cache: dict[tuple, Fraction] = {}
+# k -> the cutting-plane loop of the support {2, ..., k}, with its last tableau
+_tail_pool: dict[int, Callable[[list[int]], Fraction]] = {}
 
 
 def dual_norm(y: FinVec) -> Fraction:
     """The dual norm ||y||*, exact.
 
     In the Schreier regime (support size <= min support) the value is the
-    closed form of the module docstring.  Otherwise the cutting-plane loop
-    only stops once the working-set optimizer lies in the primal ball, at
-    which point the restricted LP value is the support function value
-    itself.  Those values are cached by the magnitudes of y, which is all
-    the norm depends on, as integers with their scale: y and 2y never
-    share a key, and y and its sign flips always do.
+    closed form of the module docstring.  A support holding index 1 is
+    peeled: ||y||* = |y_1| + ||y restricted to {2, 3, ...}||* (module
+    docstring).  Otherwise the cutting-plane loop only stops once the
+    working-set optimizer lies in the primal ball, at which point the
+    restricted LP value is the support function value itself.  Those
+    values are cached by the magnitudes of y, which is all the norm
+    depends on, as integers with their scale: y and 2y never share a key,
+    and y and its sign flips always do.
     """
     if y.is_zero:
         return Fraction(0)
     values, scale = scaled_integers([c for _, c in y.entries])
     magnitudes = [abs(v) for v in values]
-    if len(magnitudes) <= y.entries[0][0]:
+    first = y.entries[0][0]
+    if len(magnitudes) <= first:
         return Fraction(_two_largest(magnitudes), scale)
+    if first == 1:
+        return _peeled_dual_norm(magnitudes, y.support()[1:], scale)
     key = (scale, y.support(), tuple(magnitudes))
     value = _dual_cache.get(key)
     if value is None:
         value = support_function_norm(y, norming_functional)
         _dual_cache[key] = value
     return value
+
+
+def _peeled_dual_norm(magnitudes: Sequence[int], tail_support: tuple[int, ...], scale: int) -> Fraction:
+    """|y_1| + ||y restricted to {2, 3, ...}||*, for y with index 1 and more in its support.
+
+    ``magnitudes`` are |y| at 1 and then at ``tail_support``, all positive,
+    times ``scale``.  The tail is in lowest terms before it is looked up,
+    so it shares its cache entry with every head it was reached from and
+    with the tail as a vector of its own.  A tail {2, ..., k} outside the
+    Schreier regime is re-solved on the pooled cutting plane of its
+    support.
+    """
+    tail = magnitudes[1:]
+    if len(tail) <= tail_support[0]:
+        return Fraction(magnitudes[0] + _two_largest(tail), scale)
+    common = math.gcd(scale, *tail)
+    tail_scale = scale // common
+    tail = [m // common for m in tail]
+    key = (tail_scale, tail_support, tuple(tail))
+    value = _dual_cache.get(key)
+    if value is None:
+        top = tail_support[-1]
+        if top == len(tail) + 1:  # the support is {2, ..., top}
+            solve = _tail_pool.get(top)
+            if solve is None:
+                solve = _tail_pool[top] = _cutting_plane(list(tail_support), norming_functional)
+            value = solve(tail) / tail_scale
+        else:
+            vector = FinVec(tuple((i, Fraction(m, tail_scale)) for i, m in zip(tail_support, tail)))
+            value = support_function_norm(vector, norming_functional)
+        _dual_cache[key] = value
+    return Fraction(magnitudes[0], scale) + value
 
 
 # an alias, not a wrapper: both names are one function object

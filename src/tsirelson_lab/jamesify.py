@@ -125,8 +125,9 @@ def james_norm(
     are integers in units of 1/scale, and both prunes compare
     ``bound * best.denominator <= best.numerator * scale``.  Scaling by a
     positive integer keeps every ordering and tie, so the search visits
-    the same nodes as one on Fractions.  A leaf becomes a ``FinVec`` of
-    ``Fraction(d, scale)`` only when the base evaluates it.
+    the same nodes as one on Fractions.  A leaf goes to the base as these
+    ints too (``base.eval_magnitudes(|d|, scale)``); the base's value is
+    exact.
 
     Returns an exact Fraction for exact bases (NormBounds otherwise); with
     ``with_witness`` also returns a maximizing :class:`PairSelection`
@@ -195,8 +196,7 @@ def james_norm(
             if value is None:
                 if base.upper_bound(key) * denominator <= numerator:
                     continue
-                vec = FinVec(tuple((j + 1, Fraction(d, scale)) for j, d in enumerate(diffs)))
-                value = base.eval(vec)
+                value = base.eval_magnitudes(key, scale)
                 memo[key] = value
             lo, hi = lower_of(value), upper_of(value)
             if lo > best_lower:

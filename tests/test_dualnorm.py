@@ -4,10 +4,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsirelson_lab.seqvec import FinVec, IndexInterval, lp_norm, scaled_integers, shift_support
 from tsirelson_lab.tsirelson import norming_functional, tsirelson_norm
-from tsirelson_lab import dualnorm
+from tsirelson_lab import _simplex, dualnorm
 from tsirelson_lab.dualnorm import (
     MAX_EXACT_HULL,
     DualTsirelsonEngine,
@@ -281,6 +283,131 @@ class TestSchreierRegime:
             for engine in (LpEngine(1), LpEngine(math.inf), TsirelsonEngine()):
                 bound = engine.upper_bound(magnitudes)
                 assert bound == lp_norm(y, 1) * scale >= engine.eval_exact(y) * scale
+
+
+def prefix_vec(rng, top):
+    """A seeded vector with support exactly {1, ..., top}."""
+    return FinVec.from_pairs((i, rng.choice(POOL)) for i in range(1, top + 1))
+
+
+@st.composite
+def vectors_through_one(draw):
+    """Vectors with index 1 and at least one more index in [2, 9] in their support."""
+    coefficient = st.builds(
+        F, st.integers(min_value=-6, max_value=6).filter(bool), st.integers(min_value=1, max_value=6)
+    )
+    tail = draw(st.lists(st.integers(min_value=2, max_value=9), min_size=1, max_size=8, unique=True))
+    return FinVec.from_pairs((i, draw(coefficient)) for i in [1, *tail])
+
+
+@pytest.fixture
+def fresh_state(monkeypatch):
+    """Empty value cache and tail pool, so every value below is computed."""
+    monkeypatch.setattr(dualnorm, "_dual_cache", {})
+    monkeypatch.setattr(dualnorm, "_tail_pool", {})
+
+
+class TestPeel:
+    def test_matches_the_exhaustive_oracle(self, fresh_state):
+        rng = random.Random(61)
+        pooled = 0
+        for _ in range(60):
+            hi = rng.randint(2, MAX_EXACT_HULL)
+            y = random_vec(rng, 2, hi) + F(rng.choice((1, -1)), rng.randint(1, 4)) * e(1)
+            assert dual_norm(y) == dual_norm_exact_small(y)
+            pooled += y.support() == tuple(range(1, hi + 1)) and hi > 3
+        assert pooled >= 5
+
+    @settings(max_examples=40, deadline=None)
+    @given(vectors_through_one())
+    def test_first_coordinate_adds(self, y):
+        head, tail = abs(y.entries[0][1]), FinVec(y.entries[1:])
+        # the unpeeled cutting plane on all of y checks the identity itself
+        assert dual_norm(y) == head + dual_norm(tail) == support_function_norm(y, norming_functional)
+
+    def test_zero_and_singleton_take_their_own_paths(self, fresh_state, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError(f"reached with {args}")
+
+        monkeypatch.setattr(dualnorm, "_peeled_dual_norm", unreachable)
+        monkeypatch.setattr(dualnorm, "support_function_norm", unreachable)
+        assert dual_norm(FinVec.zero()) == 0
+        assert dual_norm(F(-3, 7) * e(1)) == F(3, 7)
+        engine = DualTsirelsonEngine()
+        assert engine.eval_magnitudes([3], 6) == F(1, 2)
+        assert engine.eval_magnitudes([], 5) == 0
+        assert dualnorm._dual_cache == {} and dualnorm._tail_pool == {}
+
+    def test_tails_share_their_cache_entry(self, fresh_state, monkeypatch):
+        # a tail is looked up in lowest terms, whatever the head's denominator
+        solved = []
+
+        def counted(y, oracle):
+            solved.append(y)
+            return support_function_norm(y, oracle)
+
+        monkeypatch.setattr(dualnorm, "support_function_norm", counted)
+        tail = FinVec.from_pairs([(2, 1), (3, F(1, 2)), (5, -2), (6, 1)])
+        value = dual_norm(tail)
+        for head in (F(1), F(1, 2), F(-1, 3), F(7, 4)):
+            assert dual_norm(head * e(1) + tail) == abs(head) + value
+        assert solved == [tail]
+        prefix_tail = FinVec.from_pairs([(2, 3), (3, 1), (4, 2)])
+        value = dual_norm(prefix_tail)
+        engine = DualTsirelsonEngine()
+        assert engine.eval_magnitudes([1, 12, 4, 8], 4) == F(1, 4) + value
+        assert engine.eval_magnitudes([5, 3, 1, 2], 1) == 5 + value
+        assert solved == [tail, prefix_tail] and dualnorm._tail_pool == {}
+
+    def test_pooled_prefixes_in_any_order(self, fresh_state, monkeypatch):
+        rng = random.Random(67)
+        vectors = [prefix_vec(rng, rng.randint(4, 10)) for _ in range(40)]
+        resolves = []
+        set_objective = _simplex.Tableau.set_objective
+        monkeypatch.setattr(
+            _simplex.Tableau, "set_objective", lambda tableau, w: resolves.append(w) or set_objective(tableau, w)
+        )
+
+        def values(order, clear_each):
+            monkeypatch.setattr(dualnorm, "_dual_cache", {})
+            monkeypatch.setattr(dualnorm, "_tail_pool", {})
+            found = {}
+            for k in order:
+                if clear_each:
+                    dualnorm._dual_cache.clear()
+                    dualnorm._tail_pool.clear()
+                found[k] = dual_norm(vectors[k])
+            return [found[k] for k in range(len(vectors))]
+
+        forward = values(range(len(vectors)), False)
+        assert len(resolves) >= 20
+        assert values(reversed(range(len(vectors))), False) == forward
+        resolves.clear()
+        assert values(range(len(vectors)), True) == forward
+        assert resolves == []
+        for y, value in zip(vectors, forward):
+            assert value == support_function_norm(y, norming_functional)
+
+
+class TestEvalMagnitudes:
+    @pytest.mark.parametrize("engine", [LpEngine(1), LpEngine(math.inf), DualTsirelsonEngine()])
+    def test_matches_eval_of_the_vector(self, engine, fresh_state):
+        rng = random.Random(71)
+        shared = 0
+        # zero tails, a zero head and interior zeros first
+        fixed = [([3, 0, 0, 0], 2), ([0, 0, 0, 0], 5), ([0, 4, 0, 0, 2], 2), ([0, 1, 2, 3, 4], 6)]
+        for k in range(80 + len(fixed)):
+            scale = rng.choice((1, 2, 6, 12, 35))
+            magnitudes = [rng.choice((0, 1, 2, 3, 4, 6, 10, 12)) for _ in range(rng.randint(1, 9))]
+            if rng.random() < 0.7:
+                magnitudes = [m or 1 for m in magnitudes]
+            if k < len(fixed):
+                magnitudes, scale = fixed[k]
+            shared += math.gcd(scale, *magnitudes) > 1
+            x = FinVec.from_pairs((j + 1, F(m, scale)) for j, m in enumerate(magnitudes))
+            assert engine.eval_magnitudes(magnitudes, scale) == engine.eval(x)
+            assert engine.eval_magnitudes(tuple(magnitudes), scale) == engine.eval(x)
+        assert shared >= 10
 
 
 class TestGenericCuttingPlane:

@@ -92,6 +92,48 @@ def test_bland_fallback_gives_the_same_optima(monkeypatch):
         assert_optimal(warm, objective, rows, rhs)
 
 
+def test_objective_change_gives_the_cold_solve():
+    # set_objective re-optimizes from the old basis; the value must be a
+    # cold solve's, and the tableau the Fraction reference's after the
+    # same step
+    rng = random.Random(23)
+    for _ in range(200):
+        objective, rows, rhs, cold, warm = warm_and_cold(rng)
+        reference = ReferenceTableau(objective, rows, rhs)
+        for _ in range(2):
+            objective = [rng.choice((0, 1, 2, 3, 5, 8)) for _ in objective]
+            for tableau in (cold, warm):
+                tableau.set_objective(objective)
+                assert tableau.value == maximize(objective, rows, rhs).value
+                assert_optimal(tableau, objective, rows, rhs)
+            reference.set_objective(objective)
+            assert_same_tableau(cold, reference)
+    for _ in range(100):
+        objective, rows, rhs, cold = general_lp(rng)
+        tableau = maximize(objective, rows[:cold], rhs[:cold])
+        reference = ReferenceTableau(objective, rows[:cold], rhs[:cold])
+        for row, b in zip(rows[cold:], rhs[cold:]):
+            tableau.add_row(row, b)
+            reference.add_row(row, b)
+        objective = scaled_integers([rational(rng, 4) for _ in objective])[0]
+        if all(c <= 0 for c in objective) or rng.random() < 0.5:
+            objective = [abs(c) for c in objective]
+        tableau.set_objective(objective)
+        reference.set_objective(objective)
+        assert_same_tableau(tableau, reference)
+        assert_optimal(tableau, objective, rows, rhs)
+
+
+def test_objective_change_checks_its_data():
+    tableau = maximize([1, 1], [[1, 0], [0, 1]], [1, 1])
+    with pytest.raises(ValueError, match="dimensions"):
+        tableau.set_objective([1])
+    with pytest.raises(TypeError, match="int"):
+        tableau.set_objective([1, F(1, 2)])
+    tableau.set_objective([2, -1])
+    assert tableau.value == 2 and tableau.solution == (1, 0)
+
+
 def test_known_optimum():
     # max x + y subject to x <= 1, y <= 1, 2x + 2y <= 3
     tableau = maximize([1, 1], [[1, 0], [0, 1]], [1, 1])
@@ -189,6 +231,16 @@ class ReferenceTableau:
     def add_row(self, row, rhs):
         self._append(row, rhs)
         self._loop(self._dual_choice)
+
+    def set_objective(self, objective):
+        # reduced costs c_B . rows - c and value c_B . rhs of the current basis
+        self.cost = [-F(c) for c in objective] + [F(0)] * (len(self.cost) - self.n)
+        self.value = F(0)
+        for i, j in enumerate(self.basis):
+            if j < self.n and objective[j]:
+                self.cost = [v + objective[j] * w for v, w in zip(self.cost, self.rows[i])]
+                self.value += objective[j] * self.rhs[i]
+        self._loop(self._primal_choice)
 
     def _append(self, row, rhs):
         for other in self.rows:
@@ -381,8 +433,9 @@ def test_any_pivot_matches_fraction_reference():
 def test_tstar_programs_give_the_fraction_functionals(monkeypatch):
     # both T* programs pass each functional f, cuts included, as the
     # integer row of f's integers <= f's denominator: every tableau must be
-    # the Fraction reference's on the same rows
-    calls = {"maximize": 0, "add_row": 0}
+    # the Fraction reference's on the same rows, also after the objective
+    # changes on a pooled tail program
+    calls = {"maximize": 0, "add_row": 0, "set_objective": 0}
 
     def check_functional(row, b):
         assert scaled_integers([F(v, b) for v in row]) == (row, b)
@@ -403,14 +456,28 @@ def test_tstar_programs_give_the_fraction_functionals(monkeypatch):
         tableau.reference.add_row(row, rhs)
         assert_same_tableau(tableau, tableau.reference)
 
+    def checked_set_objective(tableau, objective):
+        calls["set_objective"] += 1
+        set_objective(tableau, objective)
+        tableau.reference.set_objective(objective)
+        assert_same_tableau(tableau, tableau.reference)
+
     add_row = _simplex.Tableau.add_row
+    set_objective = _simplex.Tableau.set_objective
     monkeypatch.setattr(_simplex, "maximize", checked_maximize)
     monkeypatch.setattr(_simplex.Tableau, "add_row", checked_add_row)
+    monkeypatch.setattr(_simplex.Tableau, "set_objective", checked_set_objective)
     monkeypatch.setattr(dualnorm, "_dual_cache", {})
+    monkeypatch.setattr(dualnorm, "_tail_pool", {})
     rng = random.Random(21)
     for _ in range(20):
         lo = rng.randint(1, 4)
         hi = lo + rng.randint(1, 4)  # the Fraction reference is slow on longer hulls
         y = FinVec.from_pairs((i, rng.choice(COEFFS[2:])) for i in range(lo, hi + 1))
         assert dualnorm.dual_norm_exact_small(y) == dualnorm.dual_norm(y)
-    assert calls["maximize"] >= 30 and calls["add_row"] >= 15
+    # supports {1, ..., 4} and {1, ..., 5} peel to the pooled tails {2, 3, 4}
+    # and {2, ..., 5}, so most of these are re-solves of a pooled program
+    for _ in range(12):
+        y = FinVec.from_pairs((i, rng.choice(COEFFS[2:])) for i in range(1, rng.randint(4, 5) + 1))
+        assert dualnorm.dual_norm_exact_small(y) == dualnorm.dual_norm(y)
+    assert calls["maximize"] >= 30 and calls["add_row"] >= 15 and calls["set_objective"] >= 8
