@@ -20,7 +20,7 @@ from inspect import signature
 from typing import Callable, Optional, Sequence
 
 from .blockseq import SAMPLE_POOL, BlockSequence, combine, normalize, random_block_sequence
-from .dualnorm import DualTsirelsonEngine, dual_norm
+from .dualnorm import DualTsirelsonEngine, dual_norm, dual_norm_magnitudes
 from .jamesify import JamesEngine, PairSelection, difference_vector, james_norm
 from .seqvec import (
     FinVec,
@@ -96,19 +96,32 @@ class QEstimateReport:
         }
 
 
-def _sample_vector(rng: random.Random, indices: Sequence[int]) -> FinVec:
+# SAMPLE_POOL as ints over one scale, in the same order
+_POOL_INTS, _POOL_SCALE = scaled_integers(SAMPLE_POOL)
+
+
+def _sample_ints(rng: random.Random, indices: Sequence[int]) -> tuple[list[int], list[int]]:
+    """A random vector on ``indices`` as (its support, its values times ``_POOL_SCALE``)."""
     chosen = [i for i in indices if rng.random() < 0.75]
     if not chosen:
         chosen = [rng.choice(list(indices))]
-    return FinVec.from_pairs((i, rng.choice(SAMPLE_POOL)) for i in chosen)
+    return chosen, [rng.choice(_POOL_INTS) for _ in chosen]
 
 
-def _window_patterns(n: int) -> list[FinVec]:
+def _vector(support: Sequence[int], values: Sequence[int], scale: int) -> FinVec:
+    """The vector with entries values[k] / scale at support[k] (increasing, nonzero)."""
+    return FinVec(tuple((i, Fraction(v, scale)) for i, v in zip(support, values)))
+
+
+def _sample_vector(rng: random.Random, indices: Sequence[int]) -> FinVec:
+    return _vector(*_sample_ints(rng, indices), _POOL_SCALE)
+
+
+def _window_patterns(n: int) -> list[tuple[list[int], list[int]]]:
+    """The indicator, the alternating signs and each spike of (n, 2n], as ints at scale 1."""
     window = list(range(n + 1, 2 * n + 1))
-    indicator = FinVec.from_pairs((i, 1) for i in window)
-    alternating = FinVec.from_pairs((i, (-1) ** k) for k, i in enumerate(window))
-    spikes = [FinVec.basis(i) for i in window]
-    return [indicator, alternating] + spikes
+    alternating = [(-1) ** k for k in range(n)]
+    return [(window, [1] * n), (window, alternating)] + [([i], [1]) for i in window]
 
 
 def check_window_bound(
@@ -125,27 +138,34 @@ def check_window_bound(
     constant 2 is sharp.  Including index n breaks the inequality for
     every n - the indicator of [2, 4] already has dual norm 3 - so the
     closed window admits no such constant-2 certificate at all.
+
+    Each vector is scored on ints: with |y| = magnitudes / scale, the
+    ratio ||y||* / ||y||_inf is ``dual_norm_magnitudes(...) * scale /
+    max(magnitudes)``, and ratios are compared by cross-multiplying.
+    Only the worst vector becomes a ``FinVec``.
     """
     least, most = WINDOW_NS
     if not least <= n <= most:
         raise ValueError(f"window bound check is calibrated for {least} <= n <= {most}")
     rng = random.Random(seed)
     window = list(range(n + 1, 2 * n + 1))
-    worst_ratio = Fraction(0)
-    worst: Optional[tuple[FinVec, Fraction, Fraction]] = None
-    vectors = _window_patterns(n) + [
-        _sample_vector(rng, window) for _ in range(samples)
-    ]
-    for y in vectors:
-        value = dual_norm(y)
-        values, scale = scaled_integers([c for _, c in y.entries])
-        sup = Fraction(max(map(abs, values)), scale)
-        ratio = value / sup
-        if ratio > worst_ratio or worst is None:
-            worst_ratio = ratio
-            worst = (y, value, sup)
+    candidates = [(support, values, 1) for support, values in _window_patterns(n)]
+    candidates += [(*_sample_ints(rng, window), _POOL_SCALE) for _ in range(samples)]
+    # the worst ratio so far is worst_numerator / worst_denominator
+    worst_numerator, worst_denominator = 0, 1
+    worst: Optional[tuple[list[int], list[int], int, Fraction]] = None
+    for support, values, scale in candidates:
+        magnitudes = [abs(v) for v in values]
+        value = dual_norm_magnitudes(tuple(support), magnitudes, scale)
+        numerator = value.numerator * scale
+        denominator = value.denominator * max(magnitudes)
+        if numerator * worst_denominator > worst_numerator * denominator or worst is None:
+            worst_numerator, worst_denominator = numerator, denominator
+            worst = (support, values, scale, value)
     assert worst is not None
-    y, value, sup = worst
+    support, values, scale, value = worst
+    y = _vector(support, values, scale)
+    worst_ratio = Fraction(worst_numerator, worst_denominator)
     return Certificate(
         check_id=f"window_bound[n={n}]",
         params={"n": n, "window": [n + 1, 2 * n], "samples": samples, "seed": seed},
@@ -155,7 +175,7 @@ def check_window_bound(
         witness={
             "vector": y.to_json_obj(),
             "dual_norm": str(value),
-            "sup_norm": str(sup),
+            "sup_norm": str(Fraction(max(map(abs, values)), scale)),
         },
         passed=worst_ratio <= constant,
     )

@@ -34,11 +34,11 @@ singletons from it is admissible, and every admissible family sums to at
 most the l1 norm, so ||x||_T = max(||x||_inf, (1/2)||x||_1) there
 (Casazza and Shura, *Tsirelson's Space*, LNM 1363, 1989, ch. I).  That
 unit ball is {||x||_inf <= 1, ||x||_1 <= 2}, so ||y||* is the sum of the
-two largest |y_i| (just |y_i| when s = 1).  ``dual_norm`` returns this
-closed form for regime vectors without touching the cache or the linear
-program.  Each dyadic block [2^j, 2^(j+1)) is in the regime, so by the
-triangle inequality the blocks' closed forms add up to an upper bound on
-||y||* for every y (``DualTsirelsonEngine.upper_bound``).
+two largest |y_i| (just |y_i| when s = 1).  ``dual_norm_magnitudes``
+returns this closed form for regime vectors without touching the cache or
+the linear program.  Each dyadic block [2^j, 2^(j+1)) is in the regime,
+so by the triangle inequality the blocks' closed forms add up to an upper
+bound on ||y||* for every y (``DualTsirelsonEngine.upper_bound``).
 
 The first coordinate peels off.  An admissible family E_1 < ... < E_n
 has n <= min E_1, so a part holding index 1 is the only part of its
@@ -47,12 +47,12 @@ which attains ||x||_T only at x = 0.  Every other family misses index 1
 and sees only x' = x restricted to {2, 3, ...}, so the implicit equation
 of T gives ||x||_T = max(|x_1|, ||x'||_T).  The unit ball is then the
 product [-1, 1] x (unit ball on {2, 3, ...}), and its support function
-adds: ||y||* = |y_1| + ||y'||*.  ``dual_norm`` applies this to every
-support holding index 1 and at least one more index.  Supports {1, 2}
-and {1, 2, 3} become closed forms, since their tails are in the Schreier
-regime.  Every other tail is looked up in lowest terms (its magnitudes
-and scale divided by their gcd), so the tails of different heads share
-one cache entry.
+adds: ||y||* = |y_1| + ||y'||*.  ``dual_norm_magnitudes`` applies this
+to every support holding index 1 and at least one more index.  Supports
+{1, 2} and {1, 2, 3} become closed forms, since their tails are in the
+Schreier regime.  Every other tail is looked up in lowest terms (its
+magnitudes and scale divided by their gcd), so the tails of different
+heads share one cache entry.
 
 Prefix tails share one program.  Every James leaf has the support
 {1, ..., k}, so its tail is {2, ..., k}, and all tails of one length are
@@ -73,6 +73,13 @@ tableau at the same time.  Other supports run the loop from scratch on
 state local to the call (``support_function_norm``), and the value
 caches hold finished values (and per-window functional sets), written
 once.
+
+All of this runs on ints, behind one entry point:
+``dual_norm_magnitudes(support, magnitudes, scale)`` takes |y| as positive
+ints times one scale.  ``dual_norm`` scales a vector once and calls it;
+James leaves (``DualTsirelsonEngine.eval_magnitudes``) and the window
+check of ``certify`` call it with their own ints.  Cache keys are in
+lowest terms, so every caller of one vector shares one entry.
 
 ``dual_norm_exact_small`` cross-validates the loop on small hulls by
 enumerating the complete (dominance-pruned) set of tree functionals up
@@ -186,10 +193,11 @@ class DualTsirelsonEngine(NormEngine):
         return dual_norm(x)
 
     def eval_magnitudes(self, magnitudes: Sequence[int], scale: int) -> Fraction:
-        """``dual_norm`` of the vector, peeled at index 1 on the ints directly."""
-        if len(magnitudes) < 2 or 0 in magnitudes:
-            return super().eval_magnitudes(magnitudes, scale)
-        return _peeled_dual_norm(magnitudes, tuple(range(2, len(magnitudes) + 1)), scale)
+        """``dual_norm_magnitudes`` at the positions whose magnitude is nonzero."""
+        support = tuple(j + 1 for j, m in enumerate(magnitudes) if m)
+        if not support:
+            return Fraction(0)
+        return dual_norm_magnitudes(support, [m for m in magnitudes if m], scale)
 
     def upper_bound(self, magnitudes: Sequence[int]) -> int:
         """Sum over the dyadic blocks [2^j, 2^(j+1)) of their closed-form T* norms."""
@@ -304,65 +312,56 @@ _tail_pool: dict[int, Callable[[list[int]], Fraction]] = {}
 
 
 def dual_norm(y: FinVec) -> Fraction:
-    """The dual norm ||y||*, exact.
-
-    In the Schreier regime (support size <= min support) the value is the
-    closed form of the module docstring.  A support holding index 1 is
-    peeled: ||y||* = |y_1| + ||y restricted to {2, 3, ...}||* (module
-    docstring).  Otherwise the cutting-plane loop only stops once the
-    working-set optimizer lies in the primal ball, at which point the
-    restricted LP value is the support function value itself.  Those
-    values are cached by the magnitudes of y, which is all the norm
-    depends on, as integers with their scale: y and 2y never share a key,
-    and y and its sign flips always do.
-    """
+    """The dual norm ||y||*, exact: ``dual_norm_magnitudes`` of |y| scaled to ints."""
     if y.is_zero:
         return Fraction(0)
-    values, scale = scaled_integers([c for _, c in y.entries])
-    magnitudes = [abs(v) for v in values]
-    first = y.entries[0][0]
+    support, coefficients = zip(*y.entries)
+    values, scale = scaled_integers(coefficients)
+    return dual_norm_magnitudes(support, [abs(v) for v in values], scale)
+
+
+def dual_norm_magnitudes(support: tuple[int, ...], magnitudes: Sequence[int], scale: int) -> Fraction:
+    """The dual norm of the y with |y_i| = magnitudes[k] / scale at i = support[k].
+
+    ``support`` is a nonempty tuple of increasing indices and every
+    magnitude is a positive int.  In the Schreier regime (support size <=
+    min support) the value is the closed form of the module docstring.  A
+    support holding index 1 is peeled: ||y||* = |y_1| + ||y restricted to
+    {2, 3, ...}||* (module docstring).  Otherwise the cutting-plane loop
+    only stops once the working-set optimizer lies in the primal ball, at
+    which point the restricted LP value is the support function value
+    itself.  Those values are cached by the magnitudes of y, which is all
+    the norm depends on, in lowest terms (magnitudes and scale over their
+    gcd): y and 2y never share a key, while y, its sign flips, and every
+    scaling of its ints with their scale always do.  A peeled tail
+    {2, ..., k} is re-solved on the pooled cutting plane of its length.
+    """
+    first = support[0]
     if len(magnitudes) <= first:
         return Fraction(_two_largest(magnitudes), scale)
     if first == 1:
-        return _peeled_dual_norm(magnitudes, y.support()[1:], scale)
-    key = (scale, y.support(), tuple(magnitudes))
+        head, support, magnitudes = magnitudes[0], support[1:], magnitudes[1:]
+        if len(magnitudes) <= support[0]:
+            return Fraction(head + _two_largest(magnitudes), scale)
+        head_value = Fraction(head, scale)
+    common = math.gcd(scale, *magnitudes)
+    if common > 1:
+        scale //= common
+        magnitudes = [m // common for m in magnitudes]
+    key = (scale, support, tuple(magnitudes))
     value = _dual_cache.get(key)
     if value is None:
-        value = support_function_norm(y, norming_functional)
-        _dual_cache[key] = value
-    return value
-
-
-def _peeled_dual_norm(magnitudes: Sequence[int], tail_support: tuple[int, ...], scale: int) -> Fraction:
-    """|y_1| + ||y restricted to {2, 3, ...}||*, for y with index 1 and more in its support.
-
-    ``magnitudes`` are |y| at 1 and then at ``tail_support``, all positive,
-    times ``scale``.  The tail is in lowest terms before it is looked up,
-    so it shares its cache entry with every head it was reached from and
-    with the tail as a vector of its own.  A tail {2, ..., k} outside the
-    Schreier regime is re-solved on the pooled cutting plane of its
-    support.
-    """
-    tail = magnitudes[1:]
-    if len(tail) <= tail_support[0]:
-        return Fraction(magnitudes[0] + _two_largest(tail), scale)
-    common = math.gcd(scale, *tail)
-    tail_scale = scale // common
-    tail = [m // common for m in tail]
-    key = (tail_scale, tail_support, tuple(tail))
-    value = _dual_cache.get(key)
-    if value is None:
-        top = tail_support[-1]
-        if top == len(tail) + 1:  # the support is {2, ..., top}
+        top = support[-1]
+        if first == 1 and top == len(support) + 1:  # a peeled tail {2, ..., top}
             solve = _tail_pool.get(top)
             if solve is None:
-                solve = _tail_pool[top] = _cutting_plane(list(tail_support), norming_functional)
-            value = solve(tail) / tail_scale
+                solve = _tail_pool[top] = _cutting_plane(list(support), norming_functional)
+            value = solve(list(magnitudes)) / scale
         else:
-            vector = FinVec(tuple((i, Fraction(m, tail_scale)) for i, m in zip(tail_support, tail)))
+            vector = FinVec(tuple((i, Fraction(m, scale)) for i, m in zip(support, magnitudes)))
             value = support_function_norm(vector, norming_functional)
         _dual_cache[key] = value
-    return Fraction(magnitudes[0], scale) + value
+    return head_value + value if first == 1 else value
 
 
 # an alias, not a wrapper: both names are one function object

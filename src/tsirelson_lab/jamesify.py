@@ -83,20 +83,37 @@ def difference_vector(a: FinVec, selection: PairSelection) -> FinVec:
     )
 
 
-def canonical_selection_indices(a: FinVec) -> list[int]:
-    """The canonical index set C(a) of the selection domain lemma."""
-    if a.is_zero:
-        return []
-    top = a.entries[-1][0]
-    values = [a.coeff(i) for i in range(1, top + 2)]  # padded with a zero
-    chosen: list[int] = []
-    run_start = 0
-    for k in range(1, len(values) + 1):
-        if k == len(values) or values[k] != values[run_start]:
-            chosen.append(run_start + 1)
-            if k - run_start >= 2:
-                chosen.append(run_start + 2)
-            run_start = k
+def canonical_selection_indices(a: FinVec) -> list[tuple[int, Fraction]]:
+    """The canonical index set C(a) of the selection domain lemma, with a's values.
+
+    Returns (index, a_index) in increasing index order.  The runs of the
+    padded sequence come from one pass over a's entries: an interior gap
+    is a zero run, and the padded zero at m+1 is a run of its own, since
+    a_m is nonzero.
+    """
+    chosen: list[tuple[int, Fraction]] = []
+
+    def add_run(first: int, last: int, value: Fraction) -> None:
+        chosen.append((first, value))
+        if last > first:
+            chosen.append((first + 1, value))
+
+    zero = Fraction(0)
+    start = end = 0  # the open run of equal entries is start..end (none yet)
+    value = zero
+    for i, c in a.entries:
+        if i == end + 1 and c == value:
+            end = i
+            continue
+        if end:
+            add_run(start, end, value)
+        if i > end + 1:
+            add_run(end + 1, i - 1, zero)
+        start = end = i
+        value = c
+    if end:
+        add_run(start, end, value)
+        add_run(end + 1, end + 1, zero)
     return chosen
 
 
@@ -120,6 +137,16 @@ def james_norm(
     position's sorted extension list is built once per call and shared by
     every path that reaches it.
 
+    Each search state is visited once.  The subtree under a node depends
+    only on its state: its first free canonical position and the |d| of
+    its pairs so far.  A state popped again is skipped.  Its earlier twin
+    was popped first, so that twin's whole subtree was searched before,
+    against an incumbent no larger than today's; the twin's leaves have the
+    same values, and a leaf replaces the incumbent only when strictly
+    better, so neither the value nor the witness changes.  An extension is
+    not pushed when its l1 bound already fails against the incumbent: the
+    incumbent only grows, so it would be pruned when popped.
+
     The search runs on ints: a's values at its canonical indices (all its
     values) are scaled once, so differences, l1 sums, bounds and memo keys
     are integers in units of 1/scale, and both prunes compare
@@ -139,17 +166,17 @@ def james_norm(
     if a.is_zero:
         return (zero, None) if with_witness else zero
 
-    indices = canonical_selection_indices(a)
-    values, scale = scaled_integers([a.coeff(i) for i in indices])
+    indices, coefficients = zip(*canonical_selection_indices(a))
+    values, scale = scaled_integers(coefficients)
     count = len(indices)
     suffix_abs = [0] * (count + 1)
     for k in range(count - 1, -1, -1):
         suffix_abs[k] = suffix_abs[k + 1] + abs(values[k])
 
-    extension_table: dict[int, list[tuple[int, int, int, int]]] = {}
+    extension_table: dict[int, list[tuple[int, int, int]]] = {}
 
-    def extensions(start: int) -> list[tuple[int, int, int, int]]:
-        """(|d|, qi, ri, d) for every nonzero pair from ``start`` on, |d| ascending."""
+    def extensions(start: int) -> list[tuple[int, int, int]]:
+        """(|d|, qi, ri) for every nonzero pair from ``start`` on, |d| ascending."""
         table = extension_table.get(start)
         if table is None:
             table = []
@@ -157,12 +184,13 @@ def james_norm(
                 for ri in range(qi + 1, count):
                     d = values[qi] - values[ri]
                     if d != 0:
-                        table.append((abs(d), qi, ri, d))
+                        table.append((abs(d), qi, ri))
             table.sort()
             extension_table[start] = table
         return table
 
     memo: dict[tuple[int, ...], NormValue] = {}
+    seen: set[tuple[int, tuple[int, ...]]] = set()
     best_lower = zero
     best_upper = zero
     best_selection: Optional[PairSelection] = None
@@ -170,34 +198,33 @@ def james_norm(
     # iff x * denominator <= numerator
     numerator, denominator = 0, 1
 
+    # a node is (first free canonical position, |d| so far, selection, l1)
     stack: list[tuple[int, tuple[int, ...], tuple[int, ...], int]] = [(0, (), (), 0)]
     while stack:
         start, diffs, used, l1 = stack.pop()
         # bound: every future pair contributes at most its endpoints' weights
         if diffs and (l1 + suffix_abs[start]) * denominator <= numerator:
             continue
+        state = (start, diffs)
+        if state in seen:
+            continue
+        seen.add(state)
         table = extensions(start)
         if table:
             # appending a nonzero pair never decreases a 1-unconditional
             # norm, so only unextendable selections need evaluating;
             # explore large differences first to tighten the incumbent
-            for size, qi, ri, d in table:
-                stack.append(
-                    (
-                        ri + 1,
-                        diffs + (d,),
-                        used + (indices[qi], indices[ri]),
-                        l1 + size,
-                    )
-                )
+            for size, qi, ri in table:
+                total = l1 + size
+                if (total + suffix_abs[ri + 1]) * denominator > numerator:
+                    stack.append((ri + 1, diffs + (size,), used + (indices[qi], indices[ri]), total))
         elif diffs:
-            key = tuple(abs(d) for d in diffs)
-            value = memo.get(key)
+            value = memo.get(diffs)
             if value is None:
-                if base.upper_bound(key) * denominator <= numerator:
+                if base.upper_bound(diffs) * denominator <= numerator:
                     continue
-                value = base.eval_magnitudes(key, scale)
-                memo[key] = value
+                value = base.eval_magnitudes(diffs, scale)
+                memo[diffs] = value
             lo, hi = lower_of(value), upper_of(value)
             if lo > best_lower:
                 best_lower = lo

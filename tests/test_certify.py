@@ -1,12 +1,14 @@
 import hashlib
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from tsirelson_lab.seqvec import FinVec
-from tsirelson_lab.blockseq import BlockSequence
+from tsirelson_lab.blockseq import SAMPLE_POOL, BlockSequence
 from tsirelson_lab import certify
+from tsirelson_lab.dualnorm import dual_norm
 from tsirelson_lab.certify import (
     QUICK_SUITE,
     UNIT_DEFAULTS,
@@ -31,7 +33,74 @@ def w(n):
     return FinVec.from_pairs((i, 1) for i in range(1, n + 1))
 
 
+def sample_vector_reference(rng, indices):
+    """The window sampler as a Fraction loop: indices first, then one pool draw each."""
+    chosen = [i for i in indices if rng.random() < 0.75]
+    if not chosen:
+        chosen = [rng.choice(list(indices))]
+    return FinVec.from_pairs((i, rng.choice(SAMPLE_POOL)) for i in chosen)
+
+
+def window_bound_reference(n, samples, seed, constant=F(2), patterns=True):
+    """check_window_bound on FinVecs: dual_norm, then the Fraction ratio to the sup norm."""
+    rng = random.Random(seed)
+    window = list(range(n + 1, 2 * n + 1))
+    vectors = []
+    if patterns:
+        vectors += [
+            FinVec.from_pairs((i, 1) for i in window),
+            FinVec.from_pairs((i, (-1) ** k) for k, i in enumerate(window)),
+        ] + [e(i) for i in window]
+    vectors += [sample_vector_reference(rng, window) for _ in range(samples)]
+    worst_ratio, worst = F(0), None
+    for y in vectors:
+        value = dual_norm(y)
+        sup = max(abs(c) for _, c in y.entries)
+        ratio = value / sup
+        if ratio > worst_ratio or worst is None:
+            worst_ratio, worst = ratio, (y, value, sup)
+    y, value, sup = worst
+    return Certificate(
+        check_id=f"window_bound[n={n}]",
+        params={"n": n, "window": [n + 1, 2 * n], "samples": samples, "seed": seed},
+        lhs=worst_ratio,
+        rhs=constant,
+        constant=constant,
+        witness={"vector": y.to_json_obj(), "dual_norm": str(value), "sup_norm": str(sup)},
+        passed=worst_ratio <= constant,
+    )
+
+
 class TestWindowBound:
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_integer_scoring_matches_the_fraction_loop(self, n):
+        # the whole certificate, witness vector included: a sampler that
+        # drew the random stream in another order would change it
+        for seed in (0, 1, 7, 11):
+            assert check_window_bound(n, samples=120, seed=seed) == window_bound_reference(n, 120, seed)
+        constant = F(19, 10)
+        assert check_window_bound(n, samples=5, seed=3, constant=constant) == window_bound_reference(
+            n, 5, 3, constant
+        )
+
+    def test_samples_alone_score_as_the_fraction_loop(self, monkeypatch):
+        # the indicator comes first and attains the sharp ratio 2, so it is
+        # the witness of every full run; without the patterns the samples'
+        # scores decide the certificate
+        monkeypatch.setattr(certify, "_window_patterns", lambda n: [])
+        for n in (2, 3, 6, 10):
+            for seed in (0, 7):
+                assert check_window_bound(n, samples=80, seed=seed) == window_bound_reference(
+                    n, 80, seed, patterns=False
+                )
+
+    def test_sampler_draws_the_reference_stream(self):
+        for seed in range(20):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for indices in (range(1, 6), range(4, 9), [7], range(10, 30)):
+                assert certify._sample_vector(ours, indices) == sample_vector_reference(theirs, indices)
+            assert ours.random() == theirs.random()
+
     def test_indicator_and_spike(self):
         cert = check_window_bound(3, samples=0, seed=0)
         assert cert.passed

@@ -17,6 +17,7 @@ from tsirelson_lab.dualnorm import (
     TsirelsonEngine,
     dual_norm,
     dual_norm_exact_small,
+    dual_norm_magnitudes,
     dual_norm_value,
     pairing,
     support_function_norm,
@@ -329,7 +330,7 @@ class TestPeel:
         def unreachable(*args):
             raise AssertionError(f"reached with {args}")
 
-        monkeypatch.setattr(dualnorm, "_peeled_dual_norm", unreachable)
+        monkeypatch.setattr(dualnorm, "_cutting_plane", unreachable)
         monkeypatch.setattr(dualnorm, "support_function_norm", unreachable)
         assert dual_norm(FinVec.zero()) == 0
         assert dual_norm(F(-3, 7) * e(1)) == F(3, 7)
@@ -339,7 +340,8 @@ class TestPeel:
         assert dualnorm._dual_cache == {} and dualnorm._tail_pool == {}
 
     def test_tails_share_their_cache_entry(self, fresh_state, monkeypatch):
-        # a tail is looked up in lowest terms, whatever the head's denominator
+        # a tail is looked up in lowest terms, whatever the head's denominator;
+        # the cutting plane gets |y| in lowest terms
         solved = []
 
         def counted(y, oracle):
@@ -351,13 +353,13 @@ class TestPeel:
         value = dual_norm(tail)
         for head in (F(1), F(1, 2), F(-1, 3), F(7, 4)):
             assert dual_norm(head * e(1) + tail) == abs(head) + value
-        assert solved == [tail]
+        assert solved == [FinVec.from_pairs((i, abs(c)) for i, c in tail.entries)]
         prefix_tail = FinVec.from_pairs([(2, 3), (3, 1), (4, 2)])
         value = dual_norm(prefix_tail)
         engine = DualTsirelsonEngine()
         assert engine.eval_magnitudes([1, 12, 4, 8], 4) == F(1, 4) + value
         assert engine.eval_magnitudes([5, 3, 1, 2], 1) == 5 + value
-        assert solved == [tail, prefix_tail] and dualnorm._tail_pool == {}
+        assert solved[1:] == [prefix_tail] and dualnorm._tail_pool == {}
 
     def test_pooled_prefixes_in_any_order(self, fresh_state, monkeypatch):
         rng = random.Random(67)
@@ -387,6 +389,38 @@ class TestPeel:
         assert resolves == []
         for y, value in zip(vectors, forward):
             assert value == support_function_norm(y, norming_functional)
+
+
+class TestDualNormMagnitudes:
+    def test_any_scale_shares_the_vector_entry(self, fresh_state, monkeypatch):
+        # (12, 6, 6, 6) at scale 6 is y = (2, 1, 1, 1) on {3, ..., 6}
+        solved = []
+
+        def counted(y, oracle):
+            solved.append(y)
+            return support_function_norm(y, oracle)
+
+        monkeypatch.setattr(dualnorm, "support_function_norm", counted)
+        y = FinVec.from_pairs([(3, 2), (4, -1), (5, 1), (6, 1)])
+        value = dual_norm(y)
+        assert len(dualnorm._dual_cache) == 1
+        assert dual_norm_magnitudes((3, 4, 5, 6), [12, 6, 6, 6], 6) == value
+        assert dual_norm_magnitudes((3, 4, 5, 6), (4, 2, 2, 2), 2) == value
+        assert len(dualnorm._dual_cache) == 1 and len(solved) == 1
+        # and the other way round: the int caller fills the entry first
+        dualnorm._dual_cache.clear()
+        assert dual_norm_magnitudes((3, 4, 5, 6), [12, 6, 6, 6], 6) == value
+        assert dual_norm(y) == value
+        assert len(dualnorm._dual_cache) == 1 and len(solved) == 2
+
+    def test_matches_dual_norm_at_any_scale(self, fresh_state):
+        rng = random.Random(73)
+        for _ in range(60):
+            y = random_vec(rng, rng.randint(1, 4), rng.randint(4, 9))
+            values, scale = scaled_integers([c for _, c in y.entries])
+            factor = rng.choice((1, 2, 5, 12))
+            magnitudes = [abs(v) * factor for v in values]
+            assert dual_norm_magnitudes(y.support(), magnitudes, scale * factor) == dual_norm(y)
 
 
 class TestEvalMagnitudes:

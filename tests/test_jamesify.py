@@ -34,18 +34,19 @@ def random_vec(rng, lo, hi):
 
 
 class CountingEngine(NormEngine):
-    """A base engine that counts its evaluations."""
+    """A base engine that counts its evaluations and its upper bounds."""
 
     is_1_unconditional = True
 
     def __init__(self, base):
-        self.base, self.name, self.calls = base, base.name, 0
+        self.base, self.name, self.calls, self.bounds = base, base.name, 0, 0
 
     def eval(self, x):
         self.calls += 1
         return self.base.eval(x)
 
     def upper_bound(self, magnitudes):
+        self.bounds += 1
         return self.base.upper_bound(magnitudes)
 
 
@@ -86,17 +87,58 @@ class TestDifferenceVector:
         assert difference_vector(e(2), PairSelection((5, 9))).is_zero
 
 
+def canonical_by_definition(a):
+    """C(a) with a's values, from the padded sequence (a_1, ..., a_m, 0) itself."""
+    if a.is_zero:
+        return []
+    top = a.entries[-1][0]
+    values = [a.coeff(i) for i in range(1, top + 2)]  # padded with a zero
+    chosen = []
+    run_start = 0
+    for k in range(1, len(values) + 1):
+        if k == len(values) or values[k] != values[run_start]:
+            chosen.append(run_start + 1)
+            if k - run_start >= 2:
+                chosen.append(run_start + 2)
+            run_start = k
+    return [(i, values[i - 1]) for i in chosen]
+
+
 class TestCanonicalIndices:
     def test_runs_get_two_representatives(self):
         # a = (1, 0, 0, 1, 1): zero run {2,3} and one run {4,5} both matter
         a = e(1) + e(4) + e(5)
-        assert canonical_selection_indices(a) == [1, 2, 3, 4, 5, 6]
+        assert canonical_selection_indices(a) == [(1, 1), (2, 0), (3, 0), (4, 1), (5, 1), (6, 0)]
 
     def test_w_pattern_collapses(self):
-        assert canonical_selection_indices(w(20)) == [1, 2, 21]
+        assert canonical_selection_indices(w(20)) == [(1, 1), (2, 1), (21, 0)]
 
     def test_zero(self):
         assert canonical_selection_indices(FinVec.zero()) == []
+
+    def test_one_pass_matches_the_definition(self):
+        rng = random.Random(37)
+        shapes = {"gap": 0, "run": 0, "last run": 0}
+        for _ in range(300):
+            top = rng.randint(1, 14)
+            coefficients = [rng.choice((F(0), F(0), F(1), F(-1), F(1, 2))) for _ in range(top)]
+            coefficients[-1] = coefficients[-1] or F(2)
+            if rng.random() < 0.3 and top > 1:
+                coefficients[-2] = coefficients[-1]  # a run up to the padded zero
+            a = FinVec.from_pairs((i + 1, c) for i, c in enumerate(coefficients) if c)
+            assert canonical_selection_indices(a) == canonical_by_definition(a)
+            shapes["gap"] += F(0) in coefficients
+            shapes["run"] += any(x == y != 0 for x, y in zip(coefficients, coefficients[1:]))
+            shapes["last run"] += top > 1 and coefficients[-2] == coefficients[-1]
+        assert min(shapes.values()) >= 50
+
+    def test_far_indices_cost_their_entries_only(self):
+        # the padded sequence of this vector has 4 000 006 terms
+        a = e(4_000_000) + 2 * e(4_000_005)
+        assert canonical_selection_indices(a) == [
+            (1, 0), (2, 0), (4_000_000, 1), (4_000_001, 0), (4_000_002, 0), (4_000_005, 2), (4_000_006, 0)
+        ]
+        assert james_norm(a, T_STAR) == 3
 
 
 class TestJamesNormExamples:
@@ -166,6 +208,37 @@ class TestJamesNormAgainstBruteForce:
         for _ in range(25):
             a = random_vec(rng, 1, 6)
             assert james_norm(a, T_STAR) == james_brute(a, T_STAR)
+
+    @pytest.mark.parametrize("engine", [T_STAR, LpEngine(1), LpEngine(math.inf)], ids=["Tstar", "l1", "linf"])
+    def test_repeated_values_with_witness(self, engine):
+        # few distinct values give many equal differences, so distinct
+        # selections reach the same search state and only the first is kept
+        rng = random.Random(41)
+        for _ in range(15):
+            a = FinVec.from_pairs((i, rng.choice((1, -1, 2))) for i in range(1, 7) if rng.random() < 0.8)
+            value, selection = james_norm(a, engine, with_witness=True)
+            assert value == james_brute(a, engine)
+            if not a.is_zero:
+                assert engine.eval(difference_vector(a, selection)) == value
+
+
+class TestSearchWork:
+    def test_states_are_visited_once(self):
+        # a 20..40 sample: twin states and push-time prunes keep the search
+        # to 1 376 leaf bounds (25 353 when every twin was searched); the
+        # leaves actually evaluated are the same 150
+        a = FinVec.from_pairs(
+            (i, F(c))
+            for i, c in [[20, "1"], [23, "1/3"], [24, "-1/2"], [25, "1/3"], [26, "1"], [28, "-1/2"],
+                         [29, "-1/3"], [31, "-1/3"], [33, "-1/2"], [34, "-2"], [35, "-1/2"], [36, "-1/2"],
+                         [39, "-1/3"], [40, "2"]]
+        )
+        counted = CountingEngine(T_STAR)
+        value, selection = james_norm(a, counted, with_witness=True)
+        assert value == F(15, 2)
+        assert selection == PairSelection((20, 24, 26, 28, 32, 34, 36, 40))
+        assert counted.calls == 150
+        assert counted.bounds <= 1376
 
 
 class TestIntegerSearch:
