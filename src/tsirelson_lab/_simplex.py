@@ -1,4 +1,4 @@
-"""Exact simplex for small dense linear programs, with row generation.
+"""Exact simplex for small linear programs, with row generation.
 
 A :class:`Tableau` is the optimal simplex tableau of
 
@@ -7,14 +7,14 @@ A :class:`Tableau` is the optimal simplex tableau of
 with integer data.  ``maximize`` builds it with b >= 0, so the origin is
 feasible and no phase 1 is needed, and solves it with the primal simplex.
 ``Tableau.add_row`` then appends one more constraint a.x <= beta without
-starting again: the row gets its own slack column and is reduced against
-the current basis (each basic variable's row is subtracted), which leaves
-the reduced costs untouched, so the tableau stays dual feasible and is
-primal infeasible at most in the new row.  The dual simplex restores
-feasibility: the row with the most negative right-hand side leaves, and
-the column with the least ratio of reduced cost to that row's negative
-entry enters.  This is the textbook row-generation step of a cutting-plane
-loop (Chvátal, *Linear Programming*, 1983, ch. 10).
+starting again: the row gets its own basic slack and is reduced against
+the current basis, which leaves the reduced costs untouched, so the
+tableau stays dual feasible and is primal infeasible at most in the new
+row.  The dual simplex restores feasibility: the row with the most
+negative right-hand side leaves, and the column with the least ratio of
+reduced cost to that row's negative entry enters.  This is the textbook
+row-generation step of a cutting-plane loop (Chvátal, *Linear
+Programming*, 1983, ch. 10).
 
 ``Tableau.set_objective`` changes the objective instead.  The rows and the
 basis do not depend on it, so the basis stays primal feasible; with c_B
@@ -22,6 +22,13 @@ the new costs of the basic variables, the stored reduced costs become
 sum_i c_B[i] * row_i - d * c and the objective sum_i c_B[i] * rhs_i, both
 integers, and the primal simplex re-optimizes from there.  The first
 solve is this step on the basis of all slacks.
+
+Condensed layout.  Variable j < n is x_j and variable n + i the slack of
+constraint i.  Only the n nonbasic columns are stored (Tucker's condensed
+tableau, Chvátal's dictionaries in ch. 2, lrs in Avis 2000): column k is
+variable ``nonbasic[k]``, and a basic variable's unit column is implicit.
+A cutting plane adds a basic slack per cut, so a pivot costs O(rows * n)
+entries, not O(rows * (n + rows)).
 
 Integer arithmetic.  The data are ints (rational data are scaled first
 by ``seqvec.scaled_integers``; anything else raises ``TypeError``, as a
@@ -39,17 +46,20 @@ pivot row in a's column; then d becomes p.  The new entry is the
 determinant of the new basis times a true tableau entry, an integer, so
 the division is exact (Edmonds, *J. Res. NBS* 71B, 1967; Bareiss,
 *Math. Comp.* 22, 1968).  A dual simplex pivot is negative; the pivot row
-is negated first, which keeps d positive.  Appending a row multiplies it
-by d and subtracts the basic rows, which needs no division at all.
+is negated first (s = -1, else s = 1), which keeps d positive.  The
+leaving variable takes the entering column: the same update on its
+implicit column s * d * e_leaving gives -f * s in every other row and in
+the reduced costs, and s * d in the pivot row.  Appending a row
+multiplies it by d and subtracts the basic rows, with no division.
 Ratios are compared by cross-multiplication, and values leave as
 ``Fraction`` only through ``value``, ``solution`` and ``cost``.
 
 The primal and the dual simplex are one loop with two pivot choices.
 Each makes at most ``PIVOT_BUDGET`` pivots per row and column by its
 largest-change rule (Dantzig pricing in the primal, most negative
-right-hand side in the dual), ties going to the lowest index, and then
-falls back to Bland's rule (lowest column or basic index), which cannot
-cycle.
+right-hand side in the dual, ties to the lowest row), and then falls back
+to Bland's rule, which cannot cycle.  Every other tie goes to the lowest
+variable id, never to a column position, which changes with each pivot.
 """
 
 from __future__ import annotations
@@ -65,12 +75,12 @@ PIVOT_BUDGET = 50
 class Tableau:
     """An optimal simplex tableau that accepts further constraint rows.
 
-    Column j < n is the variable x_j and column n + i the slack of
-    constraint i.  Row i of ``rows`` with ``rhs[i]`` expresses the basic
-    variable ``basis[i]`` in the nonbasic ones, ``reduced`` holds the
-    reduced costs and ``objective`` the objective at the basic solution,
-    all multiplied by the basis determinant ``denominator`` (see the
-    module docstring).  Between public calls the tableau is optimal.
+    Row i of ``rows`` with ``rhs[i]`` expresses the basic variable
+    ``basis[i]`` in the nonbasic ones: entry k, like ``reduced[k]``, is
+    for variable ``nonbasic[k]``; basic columns are not stored.
+    ``objective`` is the objective at the basic solution.  All are times
+    the basis determinant ``denominator`` (see the module docstring).
+    Between public calls the tableau is optimal.
     """
 
     def __init__(self, objective: list[int], rows: list[list[int]], rhs: list[int]):
@@ -86,6 +96,7 @@ class Tableau:
         self.rows: list[list[int]] = []
         self.rhs: list[int] = []
         self.basis: list[int] = []
+        self.nonbasic = list(range(n))
         for row, b in zip(rows, rhs):
             self._append(row, b)
         self._price(objective)
@@ -111,8 +122,9 @@ class Tableau:
 
     @property
     def cost(self) -> list[Fraction]:
-        """The reduced costs; a slack's is its row's dual price."""
-        return [Fraction(c, self.denominator) for c in self.reduced]
+        """The reduced costs by variable id; a slack's is its row's dual price."""
+        reduced = dict(zip(self.nonbasic, self.reduced))
+        return [Fraction(reduced.get(j, 0), self.denominator) for j in range(self.n + len(self.rows))]
 
     def add_row(self, row: list[int], rhs: int) -> None:
         """Add the constraint row . x <= rhs and re-optimize.
@@ -143,15 +155,12 @@ class Tableau:
         if any(type(c) is not int for c in objective):
             raise TypeError(f"objective {objective!r} is not all ints")
         d = self.denominator
-        reduced = [-d * c for c in objective] + [0] * (len(self.reduced) - self.n)
+        reduced = [-d * objective[j] if j < self.n else 0 for j in self.nonbasic]
         value = 0
         for i, j in enumerate(self.basis):
-            c = objective[j] if j < self.n else 0
-            if c:
-                for k, v in enumerate(self.rows[i]):
-                    if v:
-                        reduced[k] += c * v
-                value += c * self.rhs[i]
+            if j < self.n and objective[j]:
+                reduced = [r + objective[j] * v for r, v in zip(reduced, self.rows[i])]
+                value += objective[j] * self.rhs[i]
         self.reduced = reduced
         self.objective = value
 
@@ -160,26 +169,17 @@ class Tableau:
         if any(type(v) is not int for v in (*a, b)):
             raise TypeError(f"row {a!r} <= {b!r} is not all ints")
         d = self.denominator
-        width = len(self.reduced)
-        new = [d * v for v in a] + [0] * (width - self.n) + [d]
+        # slacks have no coefficient in a; subtracting a's coefficient times
+        # each basic row clears the basic columns, d times unit vectors
+        new = [d * a[j] if j < self.n else 0 for j in self.nonbasic]
         b *= d
-        # the stored basic columns are d times unit vectors, so subtracting
-        # a's coefficient times each basic row clears them; basic slacks
-        # have no coefficient in a
         for i, j in enumerate(self.basis):
-            if j < self.n:
-                factor = a[j]
-                if factor:
-                    for k, v in enumerate(self.rows[i]):
-                        if v:
-                            new[k] -= factor * v
-                    b -= factor * self.rhs[i]
-        for other in self.rows:
-            other.append(0)
+            if j < self.n and a[j]:
+                new = [w - a[j] * v for w, v in zip(new, self.rows[i])]
+                b -= a[j] * self.rhs[i]
+        self.basis.append(self.n + len(self.rows))
         self.rows.append(new)
         self.rhs.append(b)
-        self.reduced.append(0)
-        self.basis.append(width)
 
     def _optimize(self, choose: Callable[[bool], Optional[tuple[int, int]]]) -> None:
         """Pivot on ``choose(largest_change)`` until it returns None.
@@ -195,26 +195,20 @@ class Tableau:
 
     def _primal_choice(self, largest_change: bool) -> Optional[tuple[int, int]]:
         """(leaving, entering) of a primal pivot, or None at an optimum."""
-        rows, rhs, basis, reduced = self.rows, self.rhs, self.basis, self.reduced
-        if largest_change:  # Dantzig: the first most negative reduced cost
-            least = min(reduced, default=0)
-            entering = reduced.index(least) if least < 0 else -1
-        else:  # Bland: the first improving column
-            entering = next((j for j, c in enumerate(reduced) if c < 0), -1)
-        if entering < 0:
+        rows, rhs, basis = self.rows, self.rhs, self.basis
+        # (reduced cost, variable id, column) of each improving column
+        improving = [(c, j, k) for k, (c, j) in enumerate(zip(self.reduced, self.nonbasic)) if c < 0]
+        if not improving:
             return None
+        # Dantzig: the most negative reduced cost; Bland: the lowest id
+        entering = min(improving, key=None if largest_change else lambda t: t[1])[2]
         leaving = -1
         for i, row in enumerate(rows):
             coeff = row[entering]
-            if coeff > 0:
-                if leaving < 0:
-                    leaving = i
-                    continue
-                # rhs[i] / coeff against rhs[leaving] / row[leaving][entering]
-                here = rhs[i] * rows[leaving][entering]
-                best = rhs[leaving] * coeff
-                if here < best or (here == best and basis[i] < basis[leaving]):
-                    leaving = i
+            # rhs[i] / coeff against the least ratio so far
+            if coeff > 0 and (leaving < 0 or (rhs[i] * rows[leaving][entering], basis[i])
+                              < (rhs[leaving] * coeff, basis[leaving])):
+                leaving = i
         if leaving < 0:
             raise ArithmeticError("unbounded linear program")
         return leaving, entering
@@ -230,10 +224,11 @@ class Tableau:
         if leaving < 0:
             return None
         entering = -1
-        row = self.rows[leaving]
+        row, nonbasic = self.rows[leaving], self.nonbasic
         for j, coeff in enumerate(row):
-            # reduced[j] / -coeff against the best ratio so far
-            if coeff < 0 and (entering < 0 or reduced[j] * row[entering] > reduced[entering] * coeff):
+            # reduced[j] / -coeff against the least ratio so far
+            if coeff < 0 and (entering < 0 or (reduced[j] * row[entering], nonbasic[entering])
+                              > (reduced[entering] * coeff, nonbasic[j])):
                 entering = j
         if entering < 0:
             raise ArithmeticError("infeasible linear program")
@@ -243,27 +238,32 @@ class Tableau:
         rows, rhs = self.rows, self.rhs
         pivot_row = rows[leaving]
         p = pivot_row[entering]
+        s = 1
         if p < 0:
             pivot_row[:] = [-v for v in pivot_row]
             rhs[leaving] = -rhs[leaving]
-            p = -p
+            p, s = -p, -1
         d = self.denominator
         b = rhs[leaving]
+        # the leaving variable takes the entering column (module docstring)
         for i, row in enumerate(rows):
             if i == leaving:
                 continue
             f = row[entering]
             if f:
                 rows[i] = [(p * v - f * r) // d for v, r in zip(row, pivot_row)]
+                rows[i][entering] = -f * s
                 rhs[i] = (p * rhs[i] - f * b) // d
             elif p != d:
                 rows[i] = [p * v // d for v in row]
                 rhs[i] = p * rhs[i] // d
         f = self.reduced[entering]
         self.reduced[:] = [(p * v - f * r) // d for v, r in zip(self.reduced, pivot_row)]
+        self.reduced[entering] = -f * s
+        pivot_row[entering] = s * d
         self.objective = (p * self.objective - f * b) // d
         self.denominator = p
-        self.basis[leaving] = entering
+        self.basis[leaving], self.nonbasic[entering] = self.nonbasic[entering], self.basis[leaving]
 
 
 def maximize(objective: list[int], rows: list[list[int]], rhs: list[int]) -> Tableau:

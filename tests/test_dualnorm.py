@@ -423,6 +423,23 @@ class TestDualNormMagnitudes:
             assert dual_norm_magnitudes(y.support(), magnitudes, scale * factor) == dual_norm(y)
 
 
+class TestSimplexWork:
+    @pytest.mark.parametrize("n, value, pivots", [(12, F(13, 6), 133), (16, F(17, 8), 241)])
+    def test_closed_window_pivots(self, n, value, pivots, fresh_state, monkeypatch):
+        # the pivot count of a whole cutting plane; a tie broken by column
+        # position instead of variable id changes the work, not only the time
+        pivoted = []
+        pivot = _simplex.Tableau._pivot
+
+        def counted(tableau, leaving, entering):
+            pivoted.append((leaving, entering))
+            pivot(tableau, leaving, entering)
+
+        monkeypatch.setattr(_simplex.Tableau, "_pivot", counted)
+        assert dual_norm(FinVec.from_pairs((i, 1) for i in range(n, 2 * n + 1))) == value
+        assert len(pivoted) == pivots
+
+
 class TestEvalMagnitudes:
     @pytest.mark.parametrize("engine", [LpEngine(1), LpEngine(math.inf), DualTsirelsonEngine()])
     def test_matches_eval_of_the_vector(self, engine, fresh_state):

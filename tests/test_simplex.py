@@ -348,13 +348,14 @@ def assert_same_tableau(tableau, reference):
     assert tableau.value == reference.value
     assert tableau.solution == reference.solution
     assert tableau.cost == reference.cost
-    # the stored tableau is integral, and its basic columns are the
-    # determinant d > 0 times unit vectors
+    # the stored tableau keeps the nonbasic columns only, and each entry is
+    # the determinant d > 0 times the Fraction entry of its column's variable
     d = tableau.denominator
     assert type(d) is int and d > 0
-    assert all(type(v) is int for row in tableau.rows for v in row)
-    for i, j in enumerate(tableau.basis):
-        assert [row[j] for row in tableau.rows] == [d * (k == i) for k in range(len(tableau.rows))]
+    assert sorted(tableau.basis + tableau.nonbasic) == list(range(len(reference.cost)))
+    for row, expected in zip(tableau.rows, reference.rows, strict=True):
+        assert all(type(v) is int for v in row)
+        assert row == [d * expected[j] for j in tableau.nonbasic]
 
 
 def check_against_reference(rng):
@@ -424,10 +425,35 @@ def test_any_pivot_matches_fraction_reference():
                 break
             i, j = rng.choice(choices)
             signs.add(reference.rows[i][j] > 0)
-            tableau._pivot(i, j)
+            tableau._pivot(i, tableau.nonbasic.index(j))
             reference._pivot(i, j)
             assert_same_tableau(tableau, reference)
     assert signs == {False, True}
+
+
+def test_primal_pivots_outside_the_loop_match_fraction_reference():
+    # a wrong reduced cost on the leaving variable's new column makes the
+    # primal loop cycle instead of fail, so these pivots run one at a time,
+    # from the basis of all slacks with the objective priced but not solved
+    rng = random.Random(31)
+    pivots = 0
+    for _ in range(100):
+        objective, rows, rhs, cold = general_lp(rng)
+        zero = [0] * len(objective)
+        tableau = maximize(zero, rows[:cold], rhs[:cold])
+        reference = ReferenceTableau(zero, rows[:cold], rhs[:cold])
+        tableau._price(objective)
+        reference.cost[: len(objective)] = [-F(c) for c in objective]
+        for _ in range(3):
+            choice = tableau._primal_choice(True)
+            if choice is None:
+                break
+            leaving, entering = choice
+            reference._pivot(leaving, tableau.nonbasic[entering])
+            tableau._pivot(leaving, entering)
+            assert_same_tableau(tableau, reference)
+            pivots += 1
+    assert pivots >= 150
 
 
 def test_tstar_programs_give_the_fraction_functionals(monkeypatch):
