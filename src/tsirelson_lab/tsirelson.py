@@ -10,7 +10,7 @@ the next) is *admissible* when k <= min E_1.  The recursion is well founded
 on finitely supported vectors because every part of an admissible family
 with k >= 2 is a proper subset of the current support.
 
-Two reductions make the computation exact and polynomial in the support
+Three reductions make the computation exact and polynomial in the support
 size for the part counts that arise:
 
 * Interval parts suffice.  The norm is 1-unconditional, hence monotone
@@ -40,6 +40,21 @@ size for the part counts that arise:
 
   The family term counts only when K >= 2; a single-part family gives
   (1/2)||a..b||, which never exceeds the norm.
+* Singleton runs have a closed form.  A partition of s..b into exactly
+  b - s + 1 runs puts one point in each run, and there is only one such
+  partition, so split(s, b, b - s + 1) = |x_s| + ... + |x_b|, a difference
+  of prefix sums, with its first run ending at s.  This answers every
+  Schreier block (K = b - a + 1, the budget covers every point) in O(1),
+  so a support with at most min supp points costs O(n).
+
+The memo is indexed by position.  ``solve`` values, and how each is
+reached, sit in one list per right end b, filled from b downwards by a
+loop (so the recursion depth does not grow with the support size).  Each
+split column (b, k) is a list over its starts s holding the total and
+the end of the first run.  The split loop sums a row of ``solve(s, q)``
+values with the column (b, k - 1) over the run ends q in one pass, so it
+reads the cached entries without a call per candidate; a cache miss
+fills only the states the top-down recursion reaches.
 
 The program runs on integers.  The magnitudes are scaled to integers once
 (``seqvec.scaled_integers``), and each is shifted left by the support
@@ -51,22 +66,33 @@ All values share the one positive factor, so comparisons, argmaxes and
 ties are those of the exact rationals; the value leaves as
 ``Fraction(v, scale << n)``.
 
-``tsirelson_maximizer`` replays the dynamic program's argmax choices into
-an :class:`EvaluationTree` whose flattened functional f attains
-f(x) = ||x|| and lies in the dual unit ball.  ``norming_functional``
-walks the same choices for a nonnegative integer vector and returns f as
-an integer row (a leaf at depth t gets 2^(D - t) over 2^D) without
-building a tree; it is the separation oracle of the T* cutting plane.
+One solve serves both the norm and its maximizer.  The module-level cache
+maps the scaled magnitudes and their scale (1-unconditionality makes the
+signs irrelevant) to ``(value, shape)``.  The shape is the unsigned argmax
+tree by support positions: a leaf is its position, a node one
+(lo, hi, child) per part.  Every node has at least two children, so a
+shape over n points has at most 2n - 1 nodes; the entry stays O(n) and
+never holds the program's tables.  ``tsirelson_maximizer`` turns the shape
+into an :class:`EvaluationTree` with the indices and signs of the vector
+it is given, so x and -x share one entry; its flattened functional f
+attains f(x) = ||x|| and lies in the dual unit ball.
+``norming_functional`` reads the leaf depths of the same shape for a
+nonnegative integer vector and returns f as an integer row (a leaf at
+depth t gets 2^(D - t) over 2^D) without building a tree; it is the
+separation oracle of the T* cutting plane, whose inputs are LP iterates,
+so it is not cached.
 
-Evaluation is pure; the module-level value cache is write-once (keyed on
-the scaled magnitudes and their scale, as 1-unconditionality allows) and
-invisible to callers, so parallel evaluation of distinct vectors is safe.
+Evaluation is pure; the cache is write-once and invisible to callers, so
+parallel evaluation of distinct vectors is safe.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import add
 from typing import Iterator, Union
 
 from .seqvec import FinVec, IndexInterval, scaled_integers
@@ -153,6 +179,7 @@ class TreeNode:
 
 
 EvaluationTree = Union[TreeLeaf, TreeNode]
+Shape = Union[int, tuple]  # a leaf position, or one (lo, hi, shape) per part
 
 
 def _json_int(value, field: str) -> int:
@@ -206,113 +233,189 @@ def admissible_partitions(
     yield from place(first_start, k, [])
 
 
+class _SplitColumn:
+    """The split column (b, k): its totals and first-run ends over starts s.
+
+    Starts run over ``lo..b - k + 1``, stored from offset 0.  A column
+    (b, k) is reached only from a family of at least k parts, whose first
+    point has index >= k, so ``lo`` is the first position with index >= k.
+    The last start takes k singleton runs and is filled on creation;
+    ``low..b - k + 1`` is filled, and a start below ``low`` may be filled
+    on its own.
+    """
+
+    __slots__ = ("lo", "low", "totals", "ends")
+
+    def __init__(self, lo: int, last: int, total: int):
+        self.lo = lo
+        self.low = last
+        self.totals: list = [None] * (last - lo) + [total]
+        self.ends: list = [None] * (last - lo) + [last]
+
+
 class _NormProgram:
     """Dynamic program over partitions of support runs for one vector.
 
     The vector is given by its support ``indices`` and the integer
     magnitudes ``values`` there (the coefficients times a common scale).
-    Positions index the support points.  ``solve(a, b)`` is (norm of the
-    restriction to positions a..b, ``leaf``, ``pos``): the value is reached
-    by the coordinate at position ``pos`` when ``leaf``, else by a family
-    whose first part starts at ``pos`` and whose parts partition pos..b.
-    ``split(s, b, k)`` is (best total norm over partitions of positions
-    s..b into exactly k consecutive runs, position where the first run
-    ends).  On ties leaves beat families and the lowest position wins; in
-    ``split`` the earliest run end wins.  Values are integers: each
-    magnitude is shifted left by the support size, so every halving is an
-    exact ``>> 1`` (see the module docstring).
+    Positions index the support points.  ``solve(a, b)`` is the norm of
+    the restriction to positions a..b; ``reach[b][a]`` says how it is
+    reached: the position of a leaf, or ``~pos`` for a family whose first
+    part starts at ``pos`` and whose parts partition pos..b.
+    ``split(s, b, k)`` is the best total norm over partitions of positions
+    s..b into exactly k consecutive runs; its column keeps the position
+    where the first run ends.  On ties leaves beat families and the lowest
+    position wins; in ``split`` the earliest run end wins.  Values are
+    integers: each magnitude is shifted left by the support size, so every
+    halving is an exact ``>> 1`` (see the module docstring).
     """
 
+    __slots__ = ("indices", "values", "prefix", "value", "reach", "low", "rows", "columns")
+
     def __init__(self, indices: list[int], values: list[int]):
+        n = len(indices)
         self.indices = indices
-        self.size = len(indices)
-        self.values = [v << self.size for v in values]
-        self._solve_memo: dict[tuple[int, int], tuple[int, bool, int]] = {}
-        self._split_memo: dict[tuple[int, int, int], tuple[int, int]] = {}
+        self.values = [v << n for v in values]
+        self.prefix = list(accumulate(self.values, initial=0))
+        self.value: list = [None] * n  # value[b][a] = solve(a, b)
+        self.reach: list = [None] * n
+        self.low = list(range(1, n + 1))  # value[b] is filled on low[b]..b
+        self.rows = [[v] for v in self.values]  # rows[s][j] = solve(s, s + j)
+        self.columns: list = [None] * n  # columns[b][k] = split column (b, k)
 
-    def parts_budget(self, a: int, b: int) -> int:
-        """Part count of the families starting at position a inside a..b."""
-        return min(self.indices[a], b - a + 1)
+    def solve(self, a: int, b: int) -> int:
+        """Fills ``value[b]`` from its lowest filled position down to a."""
+        values = self.value[b]
+        low = self.low[b]
+        if a >= low:
+            return values[a]
+        if values is None:
+            values = self.value[b] = [None] * (b + 1)
+            reach = self.reach[b] = [None] * (b + 1)
+            values[b] = self.values[b]
+            reach[b] = low = self.low[b] = b
+        else:
+            reach = self.reach[b]
+        magnitudes, indices, prefix, lows = self.values, self.indices, self.prefix, self.low
+        for p in range(low - 1, a - 1, -1):
+            value, how = magnitudes[p], p
+            if values[p + 1] > value:
+                value, how = values[p + 1], reach[p + 1]
+            k = indices[p]
+            if k > b - p:  # the budget covers every point: singleton runs
+                family = (prefix[b + 1] - prefix[p]) >> 1
+            elif k >= 2:
+                family = self.split(p, b, k) >> 1
+            else:  # index 1 admits no family of two parts
+                family = -1
+            if family > value or (family == value and how < 0):
+                value, how = family, ~p
+            values[p] = value
+            reach[p] = how
+            lows[b] = p
+        return values[a]
 
-    def solve(self, a: int, b: int) -> tuple[int, bool, int]:
-        key = (a, b)
-        cached = self._solve_memo.get(key)
-        if cached is not None:
-            return cached
-        entry = (self.values[a], True, a)
-        if a < b:
-            rest = self.solve(a + 1, b)
-            if rest[0] > entry[0]:
-                entry = rest
-            k = self.parts_budget(a, b)
-            if k >= 2:
-                family = self.split(a, b, k)[0] >> 1
-                if family > entry[0] or (family == entry[0] and not entry[1]):
-                    entry = (family, False, a)
-        self._solve_memo[key] = entry
-        return entry
+    def column(self, b: int, k: int) -> _SplitColumn:
+        columns = self.columns[b]
+        if columns is None:
+            columns = self.columns[b] = [None] * (b + 2)
+        column = columns[k]
+        if column is None:
+            last = b - k + 1
+            total = self.prefix[b + 1] - self.prefix[last]
+            column = columns[k] = _SplitColumn(bisect_left(self.indices, k), last, total)
+        return column
 
-    def split(self, s: int, b: int, k: int) -> tuple[int, int]:
-        if k == 1:
-            return self.solve(s, b)[0], b
-        key = (s, b, k)
-        cached = self._split_memo.get(key)
-        if cached is not None:
-            return cached
-        best = None
-        for q in range(s, b - k + 2):
-            total = self.solve(s, q)[0] + self.split(q + 1, b, k - 1)[0]
-            if best is None or total > best[0]:
-                best = (total, q)
-        self._split_memo[key] = best
-        return best
+    def split(self, s: int, b: int, k: int) -> int:
+        """Needs k <= b - s: k singleton runs are answered by prefix sums."""
+        column = self.column(b, k)
+        totals = column.totals
+        i = s - column.lo
+        if totals[i] is not None:
+            return totals[i]
+        last = b - k + 1  # the first run ends at s..last
+        row = self.rows[s]
+        while len(row) <= last - s:
+            row.append(self.solve(s, s + len(row)))
+        if k == 2:
+            if self.low[b] > s + 1:
+                self.solve(s + 1, b)
+            rest = self.value[b][s + 1:]
+        else:
+            inner = self.column(b, k - 1)
+            inner_totals, lo = inner.totals, inner.lo
+            for r in range(inner.low - 1, s, -1):
+                if inner_totals[r - lo] is None:
+                    self.split(r, b, k - 1)
+            if inner.low > s + 1:
+                inner.low = s + 1
+            rest = inner_totals[s + 1 - lo:]
+        # row and rest align on the first run end q = s..last; map stops at rest's end
+        sums = list(map(add, row, rest))
+        total = totals[i] = max(sums)
+        column.ends[i] = s + sums.index(total)
+        return total
 
-    def runs(self, pos: int, b: int) -> list[tuple[int, int]]:
-        """The runs of the best family that starts at position pos inside pos..b."""
+    def shape(self, a: int, b: int) -> Shape:
+        """The argmax tree of ``solve(a, b)`` by positions (see ``_evaluate``)."""
+        if a == b:
+            return a
+        how = self.reach[b][a]
+        if how >= 0:
+            return how
+        pos = ~how
         runs = []
-        for k in range(self.parts_budget(pos, b), 0, -1):
-            q = self.split(pos, b, k)[1]
-            runs.append((pos, q))
+        for k in range(min(self.indices[pos], b - pos + 1), 1, -1):
+            if k == b - pos + 1:
+                q = pos
+            else:
+                column = self.columns[b][k]
+                q = column.ends[pos - column.lo]
+            runs.append((pos, q, self.shape(pos, q)))
             pos = q + 1
-        return runs
-
-    def build_tree(self, a: int, b: int, signs: list[int]) -> EvaluationTree:
-        _, leaf, pos = self.solve(a, b)
-        if leaf:
-            return TreeLeaf(self.indices[pos], signs[pos])
-        runs = self.runs(pos, b)
-        parts = tuple(
-            IndexInterval(self.indices[lo], self.indices[hi]) for lo, hi in runs
-        )
-        children = tuple(self.build_tree(lo, hi, signs) for lo, hi in runs)
-        return TreeNode(IntervalPartition(parts), children)
-
-    def leaf_depths(self, a: int, b: int, depth: int, out: list[tuple[int, int]]) -> None:
-        """Append (position, depth) for each leaf of ``build_tree(a, b)``."""
-        _, leaf, pos = self.solve(a, b)
-        if leaf:
-            out.append((pos, depth))
-            return
-        for lo, hi in self.runs(pos, b):
-            self.leaf_depths(lo, hi, depth + 1, out)
+        runs.append((pos, b, self.shape(pos, b)))
+        return tuple(runs)
 
 
-_norm_cache: dict[tuple, Fraction] = {}
+def _argmax(indices: list[int], values: list[int]) -> tuple[int, Shape]:
+    """The program's value (shifted left by the support size) and its shape."""
+    program = _NormProgram(indices, values)
+    last = len(indices) - 1
+    return program.solve(0, last), program.shape(0, last)
+
+
+_norm_cache: dict[tuple, tuple[Fraction, Shape]] = {}
+
+
+def _evaluate(x: FinVec) -> tuple[Fraction, Shape]:
+    """(||x||, shape) of a nonzero vector, from one solve per magnitude vector.
+
+    The shape is the unsigned argmax tree by support positions: a leaf is
+    its position, a node a tuple of (lo, hi, child) per part.  It has at
+    most 2n - 1 nodes and holds none of the program's tables.
+    """
+    magnitudes, scale = scaled_integers([abs(c) for _, c in x.entries])
+    key = (scale, x.support(), tuple(magnitudes))
+    entry = _norm_cache.get(key)
+    if entry is None:
+        value, shape = _argmax(list(x.support()), magnitudes)
+        entry = _norm_cache[key] = (Fraction(value, scale << len(magnitudes)), shape)
+    return entry
 
 
 def tsirelson_norm(x: FinVec) -> Fraction:
     """Exact Tsirelson norm of a finitely supported vector."""
     if x.is_zero:
         return Fraction(0)
-    magnitudes, scale = scaled_integers([abs(c) for _, c in x.entries])
-    key = (scale, x.support(), tuple(magnitudes))
-    cached = _norm_cache.get(key)
-    if cached is not None:
-        return cached
-    program = _NormProgram(list(x.support()), magnitudes)
-    value = Fraction(program.solve(0, program.size - 1)[0], scale << program.size)
-    _norm_cache[key] = value
-    return value
+    return _evaluate(x)[0]
+
+
+def _leaf_depths(shape: Shape, depth: int, out: list[tuple[int, int]]) -> None:
+    if isinstance(shape, int):
+        out.append((shape, depth))
+        return
+    for _, _, child in shape:
+        _leaf_depths(child, depth + 1, out)
 
 
 def norming_functional(indices: list[int], values: list[int]) -> tuple[list[int], int]:
@@ -322,27 +425,33 @@ def norming_functional(indices: list[int], values: list[int]) -> tuple[list[int]
     ``indices``.  Returns (coefficients, denominator): the functional of
     ``tsirelson_maximizer`` is coefficients[p] / denominator at indices[p].
     A leaf at depth t gets 2^(D - t) over 2^D, D the deepest leaf's depth,
-    so the row is in lowest terms.  No tree is built.
+    so the row is in lowest terms.  No tree is built and nothing is cached.
     """
-    program = _NormProgram(indices, values)
     leaves: list[tuple[int, int]] = []
-    program.leaf_depths(0, program.size - 1, 0, leaves)
+    _leaf_depths(_argmax(indices, values)[1], 0, leaves)
     deepest = max(depth for _, depth in leaves)
-    coefficients = [0] * program.size
+    coefficients = [0] * len(indices)
     for pos, depth in leaves:
         coefficients[pos] = 1 << (deepest - depth)
     return coefficients, 1 << deepest
+
+
+def _tree(shape: Shape, indices: list[int], signs: list[int]) -> EvaluationTree:
+    if isinstance(shape, int):
+        return TreeLeaf(indices[shape], signs[shape])
+    parts = tuple(IndexInterval(indices[lo], indices[hi]) for lo, hi, _ in shape)
+    children = tuple(_tree(child, indices, signs) for _, _, child in shape)
+    return TreeNode(IntervalPartition(parts), children)
 
 
 def tsirelson_maximizer(x: FinVec) -> EvaluationTree:
     """An evaluation tree whose flattened functional f has f(x) = ||x||.
 
     Ties are broken by the deterministic argmax order of the dynamic
-    program, so equal inputs always yield the same tree.
+    program, so equal inputs always yield the same tree.  The signs are
+    those of x, so x and -x share one cache entry.
     """
     if x.is_zero:
         raise ValueError("the zero vector has no maximizing functional")
-    magnitudes, _ = scaled_integers([abs(c) for _, c in x.entries])
-    program = _NormProgram(list(x.support()), magnitudes)
     signs = [1 if c > 0 else -1 for _, c in x.entries]
-    return program.build_tree(0, program.size - 1, signs)
+    return _tree(_evaluate(x)[1], list(x.support()), signs)

@@ -44,6 +44,12 @@ class TestCommands:
         )
         assert code == 0 and out.strip() == "3/2"
 
+    def test_norm_t_long_schreier_support(self, capsys):
+        # 991 points from index 1000: the program used to recurse once per
+        # point and die with RecursionError
+        code, out, err = run_cli(["norm", "--vec", "indicator:1000:1990"], capsys)
+        assert (code, out.strip(), err) == (0, "991/2", "")
+
     def test_norm_tstar(self, capsys):
         code, out, _ = run_cli(["norm", "--space", "Tstar", "--vec", "indicator:4:6"], capsys)
         assert code == 0 and out.strip() == "2"

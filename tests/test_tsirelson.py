@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction as F
 
@@ -339,6 +341,147 @@ class TestMaximizer:
             flat = tsirelson_maximizer(x).flatten()
             assert [F(c, denominator) for c in coefficients] == [abs(flat.coeff(i)) for i in indices]
             assert denominator == 1 or any(c == 1 for c in coefficients)
+
+
+def tree_sha256(tree):
+    return hashlib.sha256(json.dumps(tree.to_json_obj(), sort_keys=True).encode()).hexdigest()
+
+
+def primal_long_inputs(seed):
+    """The inputs of the benchmark's primal_long workload: two per support size."""
+    rng = random.Random(seed)
+    inputs = []
+    for size in (40, 32, 26, 20):
+        dense = range(1, size + 1)
+        start = rng.randint(size, 2 * size)
+        gapped = sorted(rng.sample(range(start, start + 2 * size), size))
+        for indices in (dense, gapped):
+            inputs.append(FinVec.from_pairs((i, rng.choice(POOL)) for i in indices))
+    return inputs
+
+
+class TestTieRules:
+    """Trees pinned from the dict-memo program, so a new memo keeps every tie."""
+
+    PRIMAL_LONG_SEED_7 = [
+        ("73/6", "465b707152065f9e774d62d000ad64defa9ff4ebe35091a945ab1a765b709307"),
+        ("107/6", "6a5131f8d37e8e0b16806cae3bf4b3e19930687a14e5536f8e3e9c0583b1da55"),
+        ("73/8", "4599cf1faf0198dd1ff9be0ca5f031f0144d7f4c240fed8fd94af83fc626748d"),
+        ("209/12", "e4bc379dd06ab1824ce28b30bdf1c51ca8b551aef5dbfc8f7606cec7f97d9f67"),
+        ("5", "8dd77b96d42ed29ed2297f8da489dacff48e6a3059043d6262ab76227feeb7ba"),
+        ("133/12", "c0977f79d90470ff9c345c78b4170c3132873ed891ea2a7a683b5eb668893cca"),
+        ("13/3", "7031340fcb71d7a89a9b0ed2979eb5aa231195679fbfae8445f07aef7d89942e"),
+        ("8", "a45a71d33ffbb1e46bc98565aae2e8d70e99872ed8dc87c258d23a355ed5fed9"),
+    ]
+
+    def test_primal_long_trees(self):
+        pinned = [(str(tsirelson_norm(x)), tree_sha256(tsirelson_maximizer(x)))
+                  for x in primal_long_inputs(7)]
+        assert pinned == self.PRIMAL_LONG_SEED_7
+
+    def test_indicator_tree(self):
+        x = FinVec.from_pairs((i, 1) for i in range(1, 31))
+        assert tsirelson_norm(x) == F(15, 2)
+        assert tree_sha256(tsirelson_maximizer(x)) == (
+            "5ed564f3098da94f8a1e88a43c1122d06c8e25d541db291026272128f1cd1d31"
+        )
+
+    def test_repeated_magnitudes_tree(self):
+        # magnitudes 1/2, 1, 3/2 repeat with alternating signs: many equal totals
+        x = FinVec.from_pairs((i, F((-1) ** i * (1 + i % 3), 2)) for i in range(2, 26))
+        assert tsirelson_norm(x) == F(13, 2)
+        assert tree_sha256(tsirelson_maximizer(x)) == (
+            "9df968bbe5ca57c0233a9fd75a33c6a81e45e723ff4f854209ec0cba420f355c"
+        )
+
+    def test_small_trees_with_equal_magnitudes(self):
+        # magnitudes 1 and 2 only: leaves tie with leaves, families and rests
+        rng = random.Random(31)
+        trees = []
+        for _ in range(300):
+            lo = rng.randint(1, 6)
+            indices = sorted(rng.sample(range(lo, lo + 12), rng.randint(1, 10)))
+            x = FinVec.from_pairs((i, rng.choice((1, -1, 2, -2))) for i in indices)
+            trees.append(json.dumps(tsirelson_maximizer(x).to_json_obj(), sort_keys=True))
+        assert hashlib.sha256("\n".join(trees).encode()).hexdigest() == (
+            "647dbe7753f7e7ba701054f765ead4818cfb1f6e5dbc08dfd01b4d9b1b12e3aa"
+        )
+
+    @pytest.mark.parametrize(
+        "values, row",
+        [
+            ([2, 6, 1, 2, 1, 3, 3, 3, 3, 2, 1, 3],
+             ([0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1], 2)),
+            ([1, 1, 1, 2, 2, 2, 2, 6, 2, 6, 1, 6, 2, 3, 3, 6, 2, 6],
+             ([0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 0, 1, 1, 1, 1, 1, 0, 1], 2)),
+            ([2, 6, 6, 2, 2, 6, 3, 6, 1, 6, 1, 3, 2, 6, 2, 2, 3, 6, 6, 3, 3, 2, 2, 2],
+             ([0, 0, 0, 0, 0, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 1, 1, 1, 1, 1], 4)),
+        ],
+    )
+    def test_norming_functional_rows(self, values, row):
+        assert norming_functional(list(range(2, 2 + len(values))), values) == row
+
+
+def shape_nodes(shape):
+    if isinstance(shape, int):
+        return 1
+    return 1 + sum(shape_nodes(child) for _, _, child in shape)
+
+
+class TestSharedEntry:
+    """The norm and the maximizer of one vector come from one cached solve."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        monkeypatch.setattr(tsirelson, "_norm_cache", {})
+        count = []
+
+        class Counted(tsirelson._NormProgram):
+            __slots__ = ()
+
+            def __init__(self, indices, values):
+                count.append(len(indices))
+                super().__init__(indices, values)
+
+        monkeypatch.setattr(tsirelson, "_NormProgram", Counted)
+        return count
+
+    def test_maximizer_then_norm_solves_once(self, solves):
+        x = FinVec.from_pairs((i, POOL[i % len(POOL)]) for i in range(1, 21))
+        tree = tsirelson_maximizer(x)
+        value = tsirelson_norm(x)
+        assert len(solves) == 1
+        assert tsirelson_maximizer(x) == tree
+        assert len(solves) == 1
+        assert pairing(tree.flatten(), x) == value
+
+    def test_negation_shares_the_entry_with_its_own_signs(self, solves):
+        x = FinVec.from_pairs([(3, F(1, 2)), (4, F(-2)), (5, F(1)), (6, F(-1, 3)), (9, F(2))])
+        tree, negated = tsirelson_maximizer(x), tsirelson_maximizer(-x)
+        assert len(solves) == 1 and len(tsirelson._norm_cache) == 1
+        assert negated.flatten() == -tree.flatten()
+        assert pairing(tree.flatten(), x) == pairing(negated.flatten(), -x) == tsirelson_norm(x)
+
+    def test_entry_holds_value_and_small_shape(self, solves):
+        rng = random.Random(21)
+        for _ in range(30):
+            x = random_vec(rng, 1, 16)
+            tsirelson_maximizer(x)
+        assert len(solves) == len(tsirelson._norm_cache)
+        for key, entry in tsirelson._norm_cache.items():
+            value, shape = entry
+            assert isinstance(value, F) and len(entry) == 2
+            assert shape_nodes(shape) <= 2 * len(key[1]) - 1
+
+
+class TestLongSupports:
+    def test_schreier_indicator(self):
+        # 1501 points from index 5000: every family may take singleton runs,
+        # and the program used to recurse once per point
+        x = FinVec.from_pairs((i, 1) for i in range(5000, 6501))
+        value = tsirelson_norm(x)
+        assert value == F(1501, 2)
+        assert pairing(tsirelson_maximizer(x).flatten(), x) == value
 
 
 def node(parts, children):
