@@ -40,6 +40,46 @@ the linear program.  Each dyadic block [2^j, 2^(j+1)) is in the regime,
 so by the triangle inequality the blocks' closed forms add up to an upper
 bound on ||y||* for every y (``DualTsirelsonEngine.upper_bound``).
 
+One point past the regime.  Let the support be s_1 < ... < s_m with
+m = s_1 + 1 >= 3, as in every closed window [n, 2n] with n >= 2.  A family
+whose first part holds s_1 has at most s_1 = m - 1 parts; a family that
+starts later sees only s_2, ..., s_m, m - 1 points of index >= m, so it
+may take each of them as a part.  Every run of at most m - 1 support
+points has no more points than its first index, so it is in the Schreier
+regime, and a run E of two or more points has
+||E x||_T = max(max_E |x_i|, (1/2) sum_E |x_i|) <= sum_E |x_i| - min_E |x_i|
+(a merged pair counts as its maximum).  A family of at most m - 1 parts
+over m points misses a point or merges two, and a family from s_2 on
+misses s_1, so its sum is at most ||x||_1 - min_i |x_i|.  Dropping the
+point of least |x_i| attains it: the other m - 1 points as singletons,
+from s_1 (m - 1 parts) or from s_2.  A single-part family gives
+(1/2)||x||_T, as always.  Hence
+
+    ||x||_T = max(||x||_inf, (||x||_1 - min_i |x_i|) / 2)
+
+and the unit ball is {|x_i| <= 1, sum_{j != l} |x_j| <= 2 for every l}.
+Let w = |y| sorted decreasing, W_k = w_1 + ... + w_k and W = W_m.  The
+ball is symmetric, so by the rearrangement inequality some maximizer x
+is sorted like w, and on sorted x >= 0 the constraints are x_1 <= 1 and
+x_1 + ... + x_(m-1) <= 2.  With u_k = x_k - x_(k+1) >= 0 (x_(m+1) = 0)
+the objective is sum_k u_k W_k, under sum_k u_k <= 1 and
+sum_k min(k, m - 1) u_k <= 2.  A linear program with two constraints has
+an optimal vertex with at most two nonzero u_k.  With one, u_k is
+min(1, 2 / min(k, m - 1)), worth w_1, w_1 + w_2 (k = 2), 2 W_k / k
+(3 <= k < m) or 2W / (m - 1) (k = m).  Two need both constraints tight,
+which only u_1 and one u_k with k >= 3 allow: u_k = 1 / (c - 1) with
+c = min(k, m - 1), worth w_1 + (W_k - w_1) / (k - 1) for k < m and
+w_1 + (W - w_1) / (m - 2) for k = m.  Averages of a decreasing sequence
+do not grow, so W_k / k <= W_2 / 2 and (W_k - w_1) / (k - 1) <= w_2, and
+every vertex with k < m is worth at most w_1 + w_2.  So
+
+    ||y||* = max(w_1 + w_2, (W + (m - 3) w_1) / (m - 2), 2W / (m - 1)),
+
+the values at e_1 + e_2, at (1, 1/(m - 2), ..., 1/(m - 2)) and at the
+constant 2/(m - 1), in the order of w.  ``dual_norm_magnitudes`` computes
+it on ints after the cache lookup and stores it like a cutting-plane
+value, so a warm call costs one lookup.
+
 The first coordinate peels off.  An admissible family E_1 < ... < E_n
 has n <= min E_1, so a part holding index 1 is the only part of its
 family, and that family contributes (1/2)||E_1 x||_T <= (1/2)||x||_T,
@@ -50,21 +90,23 @@ product [-1, 1] x (unit ball on {2, 3, ...}), and its support function
 adds: ||y||* = |y_1| + ||y'||*.  ``dual_norm_magnitudes`` applies this
 to every support holding index 1 and at least one more index.  Supports
 {1, 2} and {1, 2, 3} become closed forms, since their tails are in the
-Schreier regime.  Every other tail is looked up in lowest terms (its
-magnitudes and scale divided by their gcd), so the tails of different
-heads share one cache entry.
+Schreier regime, and so does {1, 2, 3, 4}, whose tail is one point past
+it.  Every other tail is looked up in lowest terms (its magnitudes and
+scale divided by their gcd), so the tails of different heads share one
+cache entry.
 
 Prefix tails share one program.  Every James leaf has the support
 {1, ..., k}, so its tail is {2, ..., k}, and all tails of one length are
 optimized over the same ball with the same cuts.  ``_tail_pool`` keeps,
-per process, one cutting-plane program for each such tail: the optimal
-tableau and the set of cuts it has seen.  A new tail objective replaces
+per process, one cutting-plane program for each such tail without a
+closed form (k >= 5): the optimal tableau and the set of cuts it has
+seen.  A new tail objective replaces
 the tableau's objective (``_simplex.Tableau.set_objective``) and the cut
 loop continues from that basis; the cuts already in the tableau are
 valid for every objective.  This is the cut pool of branch and cut
 (Padberg and Rinaldi, *SIAM Review* 33, 1991).  A pooled tableau keeps
 every cut it was given, so it grows with the number of distinct cuts on
-its support (the default suite leaves 7 tableaux of at most 32 rows).
+its support (the default suite leaves 6 tableaux of at most 32 rows).
 Values never depend on the pool: each is the exact support-function
 value, and only the work to reach it changes with what the pool holds,
 so serial runs and worker processes give the same values.  The pool is
@@ -306,6 +348,19 @@ def _two_largest(values):
     return first + second
 
 
+def _one_past_schreier(magnitudes: Sequence[int], scale: int) -> Fraction:
+    """||y||* on m = min supp + 1 >= 3 points, by the closed form of the module docstring."""
+    m = len(magnitudes)
+    total = sum(magnitudes)
+    # the three candidates over the common denominator (m - 1)(m - 2)
+    best = max(
+        _two_largest(magnitudes) * (m - 1) * (m - 2),
+        (total + (m - 3) * max(magnitudes)) * (m - 1),
+        2 * total * (m - 2),
+    )
+    return Fraction(best, (m - 1) * (m - 2) * scale)
+
+
 _dual_cache: dict[tuple, Fraction] = {}
 # k -> the cutting-plane loop of the support {2, ..., k}, with its last tableau
 _tail_pool: dict[int, Callable[[list[int]], Fraction]] = {}
@@ -327,10 +382,11 @@ def dual_norm_magnitudes(support: tuple[int, ...], magnitudes: Sequence[int], sc
     magnitude is a positive int.  In the Schreier regime (support size <=
     min support) the value is the closed form of the module docstring.  A
     support holding index 1 is peeled: ||y||* = |y_1| + ||y restricted to
-    {2, 3, ...}||* (module docstring).  Otherwise the cutting-plane loop
-    only stops once the working-set optimizer lies in the primal ball, at
-    which point the restricted LP value is the support function value
-    itself.  Those values are cached by the magnitudes of y, which is all
+    {2, 3, ...}||* (module docstring).  A support (or peeled tail) one
+    point past the regime takes the second closed form of the module
+    docstring.  Otherwise the cutting-plane loop only stops once the
+    working-set optimizer lies in the primal ball, at which point the
+    restricted LP value is the support function value itself.  Those values are cached by the magnitudes of y, which is all
     the norm depends on, in lowest terms (magnitudes and scale over their
     gcd): y and 2y never share a key, while y, its sign flips, and every
     scaling of its ints with their scale always do.  A peeled tail
@@ -352,7 +408,9 @@ def dual_norm_magnitudes(support: tuple[int, ...], magnitudes: Sequence[int], sc
     value = _dual_cache.get(key)
     if value is None:
         top = support[-1]
-        if first == 1 and top == len(support) + 1:  # a peeled tail {2, ..., top}
+        if len(support) == support[0] + 1:
+            value = _one_past_schreier(magnitudes, scale)
+        elif first == 1 and top == len(support) + 1:  # a peeled tail {2, ..., top}
             solve = _tail_pool.get(top)
             if solve is None:
                 solve = _tail_pool[top] = _cutting_plane(list(support), norming_functional)

@@ -280,7 +280,16 @@ def nth_root_bounds(
 ) -> tuple[Fraction, Fraction]:
     """Rational enclosure of value**(1/k) with width <= tolerance.
 
-    Returns an exact degenerate pair when the root is rational.
+    Returns an exact degenerate pair when the root is rational.  Otherwise
+    the result is that of bisecting a starting bracket [lo, hi], with
+    lo**k <= value <= hi**k, until its width is at most the tolerance,
+    keeping the lower half while mid**k <= value, in closed form.  With
+    W = hi - lo, bisection stops after the least t with W <= tolerance *
+    2^t halvings, at lo + W j / 2^t and lo + W (j + 1) / 2^t, where j is
+    the largest j with (lo + W j / 2^t)**k <= value; j < 2^t, since the
+    root is irrational and so hi**k > value.  Over a common denominator D
+    those grid points are (A + B j) / D for ints A and B, so j is
+    (R - A) // B for R the floor k-th root of floor(value * D^k).
     """
     if value < 0:
         raise ValueError("root of a negative value")
@@ -297,13 +306,15 @@ def nth_root_bounds(
         lo = Fraction(0)
     if hi**k < value:
         hi = max(Fraction(1), value)
-    while hi - lo > tolerance:
-        mid = (lo + hi) / 2
-        if mid**k <= value:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+    width = hi - lo
+    halvings = (-(-width // tolerance) - 1).bit_length()  # the least t with 2^t >= width / tolerance
+    denominator = math.lcm(lo.denominator, width.denominator)
+    start = lo.numerator * (denominator // lo.denominator) << halvings
+    step = width.numerator * (denominator // width.denominator)
+    denominator <<= halvings
+    root, _ = _int_nth_root(value.numerator * denominator**k // value.denominator, k)
+    j = (root - start) // step
+    return Fraction(start + step * j, denominator), Fraction(start + step * (j + 1), denominator)
 
 
 def _rational_power_bounds(

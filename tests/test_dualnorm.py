@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -232,21 +233,28 @@ class TestSchreierRegime:
         assert dual_norm(e(7)) == 1
         assert dualnorm._dual_cache == {}
 
-    def test_closed_windows_stay_on_the_cutting_plane(self, monkeypatch):
-        # [n, 2n] has n + 1 > n points: just outside the regime
-        solved = []
+    def test_closed_windows_take_the_cached_closed_form(self, fresh_state, monkeypatch):
+        # [n, 2n] has n + 1 points, one past the regime: a closed form with
+        # no LP, stored in the value cache like a cutting-plane value
+        def unreachable(*args):
+            raise AssertionError(f"reached with {args}")
 
-        def counted(y, oracle):
-            solved.append(y)
-            return support_function_norm(y, oracle)
-
-        monkeypatch.setattr(dualnorm, "_dual_cache", {})
-        monkeypatch.setattr(dualnorm, "support_function_norm", counted)
-        for n in range(2, 11):
-            closed = FinVec.from_pairs((i, 1) for i in range(n, 2 * n + 1))
+        monkeypatch.setattr(dualnorm, "_cutting_plane", unreachable)
+        monkeypatch.setattr(dualnorm, "support_function_norm", unreachable)
+        windows = {n: FinVec.from_pairs((i, 1) for i in range(n, 2 * n + 1)) for n in range(2, 11)}
+        for n, closed in windows.items():
             assert dual_norm(closed) == F(2 * n + 2, n)
-            assert solved[-1] == closed
-        assert len(solved) == 9
+        assert len(dualnorm._dual_cache) == 9
+        # a James leaf on {1, 2, 3, 4} peels to the closed form of {2, 3, 4},
+        # where (1, 1, 1) has T norm max(1, (3 - 1) / 2) = 1
+        engine = DualTsirelsonEngine()
+        assert engine.eval_magnitudes([5, 3, 1, 2], 1) == 5 + 6
+        assert len(dualnorm._dual_cache) == 10 and dualnorm._tail_pool == {}
+        # warm calls read the cache
+        monkeypatch.setattr(dualnorm, "_one_past_schreier", unreachable)
+        for n, closed in windows.items():
+            assert dual_norm(-closed) == F(2 * n + 2, n)
+        assert engine.eval_magnitudes([1, 6, 2, 4], 2) == F(1, 2) + 6
 
     def test_dyadic_upper_bound(self):
         engine = DualTsirelsonEngine()
@@ -284,6 +292,91 @@ class TestSchreierRegime:
             for engine in (LpEngine(1), LpEngine(math.inf), TsirelsonEngine()):
                 bound = engine.upper_bound(magnitudes)
                 assert bound == lp_norm(y, 1) * scale >= engine.eval_exact(y) * scale
+
+
+def one_past_vec(rng, max_points=14):
+    """A seeded vector on m = min supp + 1 points, 3 <= m <= ``max_points``.
+
+    The support is contiguous or gapped below 3m, with or without index 1
+    in front (peeled off, the rest is one past the regime).
+    """
+    m = rng.randint(3, max_points)
+    if rng.random() < 0.5:
+        support = list(range(m - 1, 2 * m - 1))
+    else:
+        support = [m - 1, *sorted(rng.sample(range(m, 3 * m), m - 1))]
+    if rng.random() < 0.35:
+        support = [1, *support]
+    common = F(rng.choice((1, 2, 3, 5)), rng.choice((1, 4, 7)))
+    return FinVec.from_pairs((i, common * rng.choice(POOL)) for i in support)
+
+
+def one_past_points(y):
+    """The three candidate maximizers of the closed form, on the support of y.
+
+    In the order of |y| on the points past index 1 (ties to the lower
+    index): e_1 + e_2, (1, 1/(m - 2), ...) and the constant 2/(m - 1); index
+    1, if present, takes 1 in each.
+    """
+    head = [i for i, _ in y.entries if i == 1]
+    rest = sorted((i for i, _ in y.entries if i != 1), key=lambda i: (-abs(y.coeff(i)), i))
+    m = len(rest)
+    pair = {rest[0]: F(1), rest[1]: F(1)}
+    spike = {i: F(1) if k == 0 else F(1, m - 2) for k, i in enumerate(rest)}
+    flat = {i: F(2, m - 1) for i in rest}
+    return [FinVec.from_pairs([(i, F(1)) for i in head] + sorted(x.items())) for x in (pair, spike, flat)]
+
+
+class TestOnePastSchreier:
+    def test_closed_form_matches_cutting_plane(self, fresh_state, monkeypatch):
+        rng = random.Random(79)
+        vectors = [one_past_vec(rng) for _ in range(1200)]
+        support_function = dualnorm.support_function_norm
+
+        def unreachable(*args):
+            raise AssertionError(f"reached with {args}")
+
+        monkeypatch.setattr(dualnorm, "_cutting_plane", unreachable)
+        values = [dual_norm(y) for y in vectors]
+        monkeypatch.undo()
+        kinds = collections.Counter()
+        for y, value in zip(vectors, values):
+            points = [i for i in y.support() if i != 1]
+            kinds["head" if y.coeff(1) else "no head"] += 1
+            kinds["contiguous" if points[-1] - points[0] == len(points) - 1 else "gapped"] += 1
+            assert value == support_function(y, norming_functional)
+        assert min(kinds.values()) >= 300
+
+    def test_matches_the_exhaustive_oracle(self, fresh_state):
+        rng = random.Random(83)
+        checked = 0
+        while checked < 120:
+            y = one_past_vec(rng, max_points=8)
+            if len(y.hull()) <= MAX_EXACT_HULL:
+                checked += 1
+                assert dual_norm(y) == dual_norm_exact_small(y)
+
+    def test_primal_certificate(self, fresh_state):
+        # the best of the three candidate points attains the value, and each
+        # lies on the unit sphere of T
+        rng = random.Random(89)
+        for _ in range(300):
+            y = one_past_vec(rng)
+            magnitudes = FinVec.from_pairs((i, abs(c)) for i, c in y.entries)
+            points = one_past_points(y)
+            assert all(tsirelson_norm(x) == 1 for x in points)
+            assert max(pairing(magnitudes, x) for x in points) == dual_norm(y)
+
+    def test_t_norm_identity(self):
+        # ||x||_T = max(||x||_inf, (||x||_1 - min |x_i|) / 2) on m = min supp + 1 points
+        rng = random.Random(97)
+        for _ in range(1500):
+            x = one_past_vec(rng)
+            if x.coeff(1):
+                x = FinVec(x.entries[1:])
+            magnitudes = [abs(c) for _, c in x.entries]
+            expected = max(max(magnitudes), (sum(magnitudes) - min(magnitudes)) / 2)
+            assert tsirelson_norm(x) == expected
 
 
 def prefix_vec(rng, top):
@@ -354,11 +447,12 @@ class TestPeel:
         for head in (F(1), F(1, 2), F(-1, 3), F(7, 4)):
             assert dual_norm(head * e(1) + tail) == abs(head) + value
         assert solved == [FinVec.from_pairs((i, abs(c)) for i, c in tail.entries)]
-        prefix_tail = FinVec.from_pairs([(2, 3), (3, 1), (4, 2)])
+        # {2, ..., 5} is two points past the Schreier regime, so it takes the LP
+        prefix_tail = FinVec.from_pairs([(2, 3), (3, 1), (4, 2), (5, 1)])
         value = dual_norm(prefix_tail)
         engine = DualTsirelsonEngine()
-        assert engine.eval_magnitudes([1, 12, 4, 8], 4) == F(1, 4) + value
-        assert engine.eval_magnitudes([5, 3, 1, 2], 1) == 5 + value
+        assert engine.eval_magnitudes([1, 12, 4, 8, 4], 4) == F(1, 4) + value
+        assert engine.eval_magnitudes([5, 3, 1, 2, 1], 1) == 5 + value
         assert solved[1:] == [prefix_tail] and dualnorm._tail_pool == {}
 
     def test_pooled_prefixes_in_any_order(self, fresh_state, monkeypatch):
@@ -393,7 +487,8 @@ class TestPeel:
 
 class TestDualNormMagnitudes:
     def test_any_scale_shares_the_vector_entry(self, fresh_state, monkeypatch):
-        # (12, 6, 6, 6) at scale 6 is y = (2, 1, 1, 1) on {3, ..., 6}
+        # (12, 6, 6, 6, 6) at scale 6 is y = (2, 1, 1, 1, 1) on {3, ..., 7}, two
+        # points past the Schreier regime, so it takes the LP
         solved = []
 
         def counted(y, oracle):
@@ -401,15 +496,15 @@ class TestDualNormMagnitudes:
             return support_function_norm(y, oracle)
 
         monkeypatch.setattr(dualnorm, "support_function_norm", counted)
-        y = FinVec.from_pairs([(3, 2), (4, -1), (5, 1), (6, 1)])
+        y = FinVec.from_pairs([(3, 2), (4, -1), (5, 1), (6, 1), (7, 1)])
         value = dual_norm(y)
         assert len(dualnorm._dual_cache) == 1
-        assert dual_norm_magnitudes((3, 4, 5, 6), [12, 6, 6, 6], 6) == value
-        assert dual_norm_magnitudes((3, 4, 5, 6), (4, 2, 2, 2), 2) == value
+        assert dual_norm_magnitudes((3, 4, 5, 6, 7), [12, 6, 6, 6, 6], 6) == value
+        assert dual_norm_magnitudes((3, 4, 5, 6, 7), (4, 2, 2, 2, 2), 2) == value
         assert len(dualnorm._dual_cache) == 1 and len(solved) == 1
         # and the other way round: the int caller fills the entry first
         dualnorm._dual_cache.clear()
-        assert dual_norm_magnitudes((3, 4, 5, 6), [12, 6, 6, 6], 6) == value
+        assert dual_norm_magnitudes((3, 4, 5, 6, 7), [12, 6, 6, 6, 6], 6) == value
         assert dual_norm(y) == value
         assert len(dualnorm._dual_cache) == 1 and len(solved) == 2
 
@@ -427,7 +522,9 @@ class TestSimplexWork:
     @pytest.mark.parametrize("n, value, pivots", [(12, F(13, 6), 133), (16, F(17, 8), 241)])
     def test_closed_window_pivots(self, n, value, pivots, fresh_state, monkeypatch):
         # the pivot count of a whole cutting plane; a tie broken by column
-        # position instead of variable id changes the work, not only the time
+        # position instead of variable id changes the work, not only the time.
+        # dual_norm answers closed windows in closed form, so the cutting
+        # plane is driven directly
         pivoted = []
         pivot = _simplex.Tableau._pivot
 
@@ -436,7 +533,8 @@ class TestSimplexWork:
             pivot(tableau, leaving, entering)
 
         monkeypatch.setattr(_simplex.Tableau, "_pivot", counted)
-        assert dual_norm(FinVec.from_pairs((i, 1) for i in range(n, 2 * n + 1))) == value
+        window = FinVec.from_pairs((i, 1) for i in range(n, 2 * n + 1))
+        assert support_function_norm(window, norming_functional) == value
         assert len(pivoted) == pivots
 
 

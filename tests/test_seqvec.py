@@ -152,6 +152,28 @@ class TestLpNorm:
         assert lp_norm(x + y, math.inf) <= lp_norm(x, math.inf) + lp_norm(y, math.inf)
 
 
+def bisected_root_bounds(value, k, tolerance=F(1, 10**12)):
+    """The bisection loop that ``nth_root_bounds`` replaces with its closed form."""
+    num_root, num_exact = _int_nth_root(value.numerator, k)
+    den_root, den_exact = _int_nth_root(value.denominator, k)
+    if num_exact and den_exact:
+        exact = F(num_root, den_root)
+        return exact, exact
+    lo = F(num_root, den_root + 1)
+    hi = F(num_root + 1, max(den_root, 1))
+    if lo**k > value:
+        lo = F(0)
+    if hi**k < value:
+        hi = max(F(1), value)
+    while hi - lo > tolerance:
+        mid = (lo + hi) / 2
+        if mid**k <= value:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 class TestRootBounds:
     def test_exact_roots_detected(self):
         assert nth_root_bounds(F(4), 2) == (2, 2)
@@ -161,6 +183,32 @@ class TestRootBounds:
         lo, hi = nth_root_bounds(F(2), 2)
         assert lo < hi and lo**2 < 2 < hi**2
         assert hi - lo <= F(1, 10**12)
+
+    def test_closed_form_matches_bisection(self):
+        rng = random.Random(19)
+        tolerances = [F(1, 10**12), F(1, 10**3), F(1, 2**20), F(3, 7), F(1), F(10**6)]
+        checked = 0
+        for _ in range(400):
+            k = rng.choice([2, 2, 3, 4, 5, 7, 12])
+            value = F(rng.randint(1, 10**rng.randint(1, 30)), rng.randint(1, 10**rng.randint(1, 30)))
+            tolerance = rng.choice(tolerances)
+            expected = bisected_root_bounds(value, k, tolerance)
+            got = nth_root_bounds(value, k, tolerance)
+            assert got == expected and all(type(v) is F for v in got)
+            checked += expected[0] != expected[1]
+        assert checked >= 300
+        # widths that end exactly on the tolerance, values beyond float range,
+        # and the lp_norm sums of a long vector
+        for value, k, tolerance in [
+            # the starting bracket of 2 and of 5/3 is [1/2, 2], of width 3/2
+            (F(2), 2, F(3, 2)),
+            (F(2), 2, F(3, 8)),
+            (F(5, 3), 3, F(3, 16)),
+            (F(10**400 + 1), 2, F(1, 10**12)),
+            (F(1, 10**400 + 1), 3, F(1, 10**12)),
+            (F(7), 2000, F(1, 10**12)),
+        ]:
+            assert nth_root_bounds(value, k, tolerance) == bisected_root_bounds(value, k, tolerance)
 
     def test_integer_root_beyond_float_range(self):
         # a float guess n ** (1 / k) overflows past about 1.8e308

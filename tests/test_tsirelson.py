@@ -484,6 +484,31 @@ class TestLongSupports:
         assert pairing(tsirelson_maximizer(x).flatten(), x) == value
 
 
+class TestSplitPoint:
+    def test_first_run_end_is_not_monotone_in_the_start(self):
+        # Knuth-Yao would need the best first-run end of split(s, b, k) to
+        # grow with s.  On indices 2..10, at b = position 8 and k = 3, start
+        # 3 has its unique best end at 5 and start 4 at 4.
+        indices = list(range(2, 11))
+        magnitudes = [5, 2, 6, 4, 5, 6, 12, 1, 4]
+
+        def run(lo, hi):
+            return definition_norm(FinVec.from_pairs((indices[p], F(magnitudes[p])) for p in range(lo, hi + 1)))
+
+        for start, end in ((3, 5), (4, 4)):
+            totals = {
+                q: run(start, q) + max(run(q + 1, r) + run(r + 1, 8) for r in range(q + 1, 8))
+                for q in range(start, 7)
+            }
+            best = max(totals.values())
+            assert [q for q, total in totals.items() if total == best] == [end]
+        # the program reaches both states and keeps those ends
+        program = tsirelson._NormProgram(indices, magnitudes)
+        program.solve(0, 8)
+        column = program.columns[8][3]
+        assert [column.ends[s - column.lo] for s in (3, 4)] == [5, 4]
+
+
 def node(parts, children):
     return TreeNode(IntervalPartition(tuple(IndexInterval(lo, hi) for lo, hi in parts)), children)
 
