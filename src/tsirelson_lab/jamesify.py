@@ -23,6 +23,23 @@ most one index exceeds m (a final closer, movable to m+1).  Individual
 differences change sign at worst, which 1-unconditionality ignores.  In
 particular the number of pairs never needs to exceed |C(a)| / 2.
 
+Scale lemma.  The search of ``james_norm`` reads a only through the ints
+v_1, ..., v_n of its values at C(a) (in units of 1/scale); a's indices
+only label the witness.  Multiply every v_k by one nonzero c.  Then every
+difference is multiplied by c, and every |d|, l1 sum, suffix weight and
+leaf upper bound (positively homogeneous) by |c|; so is every exact leaf
+value, since the base is a norm, and so the incumbent.  Each comparison
+of the search (the |d| order of the extensions, both prunes, the
+upper-bound skip and the strict > on the incumbent) therefore comes out
+as before: the search visits the same nodes, evaluates the same leaves,
+and returns |c| times the value with the same canonical positions.  An
+enclosure (``NormBounds`` of an l_q norm) has an absolute width that does
+not scale, so the lemma needs every evaluated leaf to be exact.  Hence
+``james_norm`` memoizes a search on its *pattern*, v over gcd(v) with the
+sign that makes its first nonzero int positive, and on the base engine
+object; a hit rescales the stored value and maps the stored positions
+through the call's own C(a).
+
 The bidual of the James space is modeled by eventually constant coefficient
 sequences; its norm is the supremum of the (nondecreasing) partial-sum
 norms, which stabilizes as soon as the constant tail owns two coordinates,
@@ -32,6 +49,7 @@ share the same canonical index sets and hence the same selection values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -59,7 +77,7 @@ class PairSelection:
             raise ValueError("a selection consists of k >= 1 index pairs")
         last = 0
         for p in self.indices:
-            if not isinstance(p, int) or p <= last:
+            if type(p) is not int or p <= last:
                 raise ValueError("selection indices must be strictly increasing")
             last = p
 
@@ -117,6 +135,12 @@ def canonical_selection_indices(a: FinVec) -> list[tuple[int, Fraction]]:
     return chosen
 
 
+# (base engine, pattern) -> (T_J* of the pattern's ints, canonical positions
+# of a maximizing selection); full, it drops its oldest entry
+JAMES_MEMO_SIZE = 4096
+_james_memo: dict[tuple, tuple[Fraction, tuple[int, ...]]] = {}
+
+
 def james_norm(
     a: FinVec,
     base: NormEngine,
@@ -156,6 +180,12 @@ def james_norm(
     ints too (``base.eval_magnitudes(|d|, scale)``); the base's value is
     exact.
 
+    Searches are memoized across calls on their pattern and the base
+    engine object, by the scale lemma of the module docstring: a hit
+    returns the stored value times gcd(v) / scale and the stored canonical
+    positions mapped through this call's C(a).  Only searches whose leaves
+    were all exact are stored, and at most ``JAMES_MEMO_SIZE`` of them.
+
     Returns an exact Fraction for exact bases (NormBounds otherwise); with
     ``with_witness`` also returns a maximizing :class:`PairSelection`
     (None for the zero vector).
@@ -168,7 +198,36 @@ def james_norm(
 
     indices, coefficients = zip(*canonical_selection_indices(a))
     values, scale = scaled_integers(coefficients)
-    count = len(indices)
+    unit = math.gcd(*values)
+    sign = 1 if next(v for v in values if v) > 0 else -1
+    key = (base, tuple(sign * v // unit for v in values))
+    unit_value = Fraction(unit, scale)  # a's values are sign * unit_value * pattern
+    entry = _james_memo.get(key)
+    if entry is not None:
+        pattern_value, positions = entry
+        result: NormValue = pattern_value * unit_value
+    else:
+        result, positions, exact = _search(values, scale, base)
+        if exact:
+            if len(_james_memo) >= JAMES_MEMO_SIZE:
+                del _james_memo[next(iter(_james_memo))]
+            _james_memo[key] = (result / unit_value, positions)
+    if not with_witness:
+        return result
+    return result, PairSelection(tuple(indices[p] for p in positions)) if positions else None
+
+
+def _search(
+    values: list[int], scale: int, base: NormEngine
+) -> tuple[NormValue, Optional[tuple[int, ...]], bool]:
+    """The branch and bound of ``james_norm`` on C(a)'s values as ints over ``scale``.
+
+    Returns the value, the canonical positions of a maximizing selection
+    (None if no leaf was evaluated), and whether every evaluated leaf was
+    exact.
+    """
+    zero = Fraction(0)
+    count = len(values)
     suffix_abs = [0] * (count + 1)
     for k in range(count - 1, -1, -1):
         suffix_abs[k] = suffix_abs[k + 1] + abs(values[k])
@@ -193,12 +252,14 @@ def james_norm(
     seen: set[tuple[int, tuple[int, ...]]] = set()
     best_lower = zero
     best_upper = zero
-    best_selection: Optional[PairSelection] = None
+    best_positions: Optional[tuple[int, ...]] = None
+    exact = True
     # the incumbent as a ratio in the search's units: x <= best_lower
     # iff x * denominator <= numerator
     numerator, denominator = 0, 1
 
-    # a node is (first free canonical position, |d| so far, selection, l1)
+    # a node is (first free canonical position, |d| so far, canonical
+    # positions of its selection, l1)
     stack: list[tuple[int, tuple[int, ...], tuple[int, ...], int]] = [(0, (), (), 0)]
     while stack:
         start, diffs, used, l1 = stack.pop()
@@ -217,7 +278,7 @@ def james_norm(
             for size, qi, ri in table:
                 total = l1 + size
                 if (total + suffix_abs[ri + 1]) * denominator > numerator:
-                    stack.append((ri + 1, diffs + (size,), used + (indices[qi], indices[ri]), total))
+                    stack.append((ri + 1, diffs + (size,), used + (qi, ri), total))
         elif diffs:
             value = memo.get(diffs)
             if value is None:
@@ -225,10 +286,11 @@ def james_norm(
                     continue
                 value = base.eval_magnitudes(diffs, scale)
                 memo[diffs] = value
+                exact = exact and not isinstance(value, NormBounds)
             lo, hi = lower_of(value), upper_of(value)
             if lo > best_lower:
                 best_lower = lo
-                best_selection = PairSelection(used)
+                best_positions = used
                 numerator, denominator = lo.numerator * scale, lo.denominator
             if hi > best_upper:
                 best_upper = hi
@@ -238,7 +300,11 @@ def james_norm(
         result = best_lower
     else:
         result = NormBounds(best_lower, best_upper)
-    return (result, best_selection) if with_witness else result
+    return result, best_positions, exact
+
+
+# the default base: one object, so default-base calls share memo entries
+_DEFAULT_BASE = DualTsirelsonEngine()
 
 
 class JamesEngine(NormEngine):
@@ -250,7 +316,7 @@ class JamesEngine(NormEngine):
     is_1_unconditional = False
 
     def __init__(self, base: Optional[NormEngine] = None):
-        self.base = base if base is not None else DualTsirelsonEngine()
+        self.base = base if base is not None else _DEFAULT_BASE
         if not self.base.is_1_unconditional:
             raise ValueError(
                 f"james transform requires a 1-unconditional base, got {self.base.name}"
@@ -278,6 +344,10 @@ def bidual_norm(
     constant once the tail owns two coordinates, so the supremum is the
     value at n = stabilization_index + 2; the next ``VERIFICATION_SWEEP``
     partial sums are evaluated and checked for constancy as a guard.
+    Those partial sums have the target's pattern (head, then a tail run of
+    two or more), so with an exact base they are memo hits of the target's
+    search: the guard then checks that the patterns agree, and it fires
+    when a wrong stabilization index makes them differ.
     """
     engine = JamesEngine(base)
     s = x.stabilization_index

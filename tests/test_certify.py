@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -7,7 +8,7 @@ import pytest
 
 from tsirelson_lab.seqvec import FinVec
 from tsirelson_lab.blockseq import SAMPLE_POOL, BlockSequence
-from tsirelson_lab import certify
+from tsirelson_lab import certify, dualnorm, jamesify, tsirelson
 from tsirelson_lab.dualnorm import dual_norm
 from tsirelson_lab.certify import (
     QUICK_SUITE,
@@ -168,6 +169,15 @@ class TestBlockDomination:
         cert = check_block_domination(u, e(1) - e(2) + e(3))
         assert replay_certificate(cert) == cert.lhs
 
+    def test_replay_rejects_a_boolean_index(self):
+        # JSON true equals 1 in Python; a selection index must be an integer
+        u = BlockSequence.canonical_basis(3)
+        cert = check_block_domination(u, e(1) - e(2) + e(3))
+        assert cert.witness["selection"][0] == 1
+        witness = dict(cert.witness, selection=[True] + cert.witness["selection"][1:])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            replay_certificate(dataclasses.replace(cert, witness=witness))
+
 
 class TestCor10:
     def test_indicator(self):
@@ -293,10 +303,14 @@ class TestRunSuite:
         digest = hashlib.sha256(report.dumps().encode("utf-8")).hexdigest()
         assert digest == QUICK_SUITE_SEED_7_SHA256
 
-    def test_every_quick_suite_certificate_replays(self):
+    def test_every_quick_suite_certificate_replays(self, monkeypatch):
         report = run_suite({"seed": 7, "checks": QUICK_SUITE})
         checks = {cert.check_id.split("[")[0] for cert in report.certificates}
         assert checks == {entry["name"] for entry in QUICK_SUITE}
+        # replay recomputes every value instead of reading what the run stored
+        for module, cache in [(dualnorm, "_dual_cache"), (dualnorm, "_tail_pool"),
+                              (tsirelson, "_norm_cache"), (jamesify, "_james_memo")]:
+            monkeypatch.setattr(module, cache, {})
         for cert in report.certificates:
             assert replay_certificate(cert) == cert.lhs, cert.check_id
 

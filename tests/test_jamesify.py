@@ -5,7 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from tsirelson_lab.seqvec import EventuallyConstantSeq, FinVec
+from tsirelson_lab import jamesify
+from tsirelson_lab.seqvec import EventuallyConstantSeq, FinVec, NormBounds
 from tsirelson_lab.dualnorm import DualTsirelsonEngine, LpEngine, NormEngine
 from tsirelson_lab.jamesify import (
     JamesEngine,
@@ -50,6 +51,14 @@ class CountingEngine(NormEngine):
         return self.base.upper_bound(magnitudes)
 
 
+@pytest.fixture
+def empty_memo(monkeypatch):
+    """A fresh, empty James memo for one test."""
+    memo = {}
+    monkeypatch.setattr(jamesify, "_james_memo", memo)
+    return memo
+
+
 def james_brute(a, engine, extra=2):
     """Independent exhaustive maximization over selections in [1, m+extra]."""
     if a.is_zero:
@@ -71,6 +80,8 @@ class TestPairSelection:
             PairSelection((1,))
         with pytest.raises(ValueError):
             PairSelection((2, 2))
+        with pytest.raises(ValueError):
+            PairSelection((True, 2))  # True == 1, but it is no integer index
         assert PairSelection((1, 3, 4, 9)).k == 2
 
     def test_pairs(self):
@@ -259,9 +270,10 @@ class TestIntegerSearch:
                 assert value == james_brute(a, engine)
                 assert engine.eval(difference_vector(a, selection)) == value
 
-    def test_scaling_keeps_value_selection_and_work(self):
+    def test_scaling_keeps_value_selection_and_work(self, empty_memo):
         # the prunes compare in the search's integer units, so a scaled
-        # vector must be pruned exactly as the unscaled one
+        # vector must be pruned exactly as the unscaled one; the memo is
+        # emptied first, so each scaled call is a search of its own
         rng = random.Random(31)
         for _ in range(8):
             a = self.mixed_vec(rng, 6)
@@ -271,10 +283,76 @@ class TestIntegerSearch:
                 evaluations = counted.calls
                 for c in (F(1, 6), F(7, 3), F(1, 1001)):
                     counted.calls = 0
+                    empty_memo.clear()
                     scaled, scaled_selection = james_norm(a.scale(c), counted, with_witness=True)
                     assert scaled == c * value
                     assert scaled_selection == selection
                     assert counted.calls == evaluations
+
+
+class TestJamesMemo:
+    ENGINES = [DualTsirelsonEngine(), LpEngine(1), LpEngine(math.inf)]
+
+    @staticmethod
+    def copies(a):
+        """Vectors with a's pattern: shifted, negated and scaled copies."""
+        shifted = FinVec.from_pairs((i + 5, c) for i, c in a.entries)
+        return [shifted, a.scale(-1)] + [a.scale(c) for c in (F(1, 6), F(7, 3), F(1, 1001))]
+
+    @staticmethod
+    def late_vec(rng):
+        """A seeded vector from index 3 on, so that a shift keeps its pattern."""
+        idx = [i for i in range(3, 10) if rng.random() < 0.7] or [9]
+        return FinVec.from_pairs((i, rng.choice(POOL)) for i in idx)
+
+    def test_hits_match_cold_searches(self, empty_memo):
+        rng = random.Random(43)
+        for _ in range(10):
+            a = self.late_vec(rng)
+            for engine in self.ENGINES:
+                for copy in self.copies(a):
+                    empty_memo.clear()
+                    james_norm(a, engine)
+                    hit = james_norm(copy, engine, with_witness=True)
+                    assert len(empty_memo) == 1  # the copy had a's pattern
+                    empty_memo.clear()
+                    assert hit == james_norm(copy, engine, with_witness=True)
+                    value, selection = hit
+                    assert engine.eval(difference_vector(copy, selection)) == value
+
+    def test_a_hit_makes_no_base_evaluation(self, empty_memo):
+        rng = random.Random(47)
+        for _ in range(5):
+            a = self.late_vec(rng)
+            counted = CountingEngine(T_STAR)
+            james_norm(a, counted)
+            assert counted.calls > 0
+            for copy in self.copies(a):
+                counted.calls = counted.bounds = 0
+                james_norm(copy, counted, with_witness=True)
+                assert (counted.calls, counted.bounds) == (0, 0)
+
+    def test_memo_stays_within_its_cap(self, empty_memo, monkeypatch):
+        monkeypatch.setattr(jamesify, "JAMES_MEMO_SIZE", 4)
+        rng = random.Random(53)
+        for _ in range(30):
+            a = random_vec(rng, 1, 6)
+            value = james_norm(a, T_STAR)
+            assert len(empty_memo) <= 4
+            assert james_norm(a, T_STAR) == value == james_brute(a, T_STAR)
+
+    def test_oldest_entry_goes_first(self, empty_memo, monkeypatch):
+        monkeypatch.setattr(jamesify, "JAMES_MEMO_SIZE", 2)
+        for j in (1, 2, 3):  # three patterns: (1, 0), (0, 1, 0), (0, 0, 1, 0)
+            james_norm(e(j), T_STAR)
+        assert [pattern for _, pattern in empty_memo] == [(0, 1, 0), (0, 0, 1, 0)]
+
+    def test_enclosures_are_not_stored(self, empty_memo):
+        # l2 leaves such as (1, 1) have irrational norms, and an enclosure's
+        # absolute width does not scale with the vector
+        value = james_norm(e(1) + e(3), LpEngine(2))
+        assert isinstance(value, NormBounds)
+        assert not empty_memo
 
 
 class TestJamesNormAxioms:
@@ -332,6 +410,33 @@ class TestBidualModel:
         engine = JamesEngine(T_STAR)
         assert engine.eval(x.partial_sum(2)) == 2
         assert engine.eval(x.partial_sum(3)) == 3
+
+    def test_sweep_reads_the_memo(self, empty_memo):
+        # the swept partial sums share the target's pattern, so only the
+        # target's search evaluates the base
+        x = EventuallyConstantSeq.from_values([F(1, 2), 0, -1], 2)
+        counted = CountingEngine(T_STAR)
+        assert bidual_norm(x, counted) == james_norm(x.partial_sum(5), T_STAR)
+        assert [engine for engine, _ in empty_memo].count(counted) == 1
+        cold = CountingEngine(T_STAR)
+        james_norm(x.partial_sum(5), cold)
+        assert counted.calls == cold.calls
+
+    def test_default_base_calls_share_the_memo(self, empty_memo):
+        x = EventuallyConstantSeq.from_values([1, 0, -2], 3)
+        assert bidual_norm(x) == bidual_norm(x.scale(-1))
+        assert len(empty_memo) == 1
+
+    def test_guard_fires_with_the_memo(self, empty_memo, monkeypatch):
+        # one index too low, the target (-1, 1) and the sweep's (-1, 1, 1)
+        # have different patterns and norms 2 and 3
+        x = EventuallyConstantSeq.from_values([-1], 1)
+        assert bidual_norm(x) == 3  # fills the memo with the true patterns
+        monkeypatch.setattr(
+            EventuallyConstantSeq, "stabilization_index", property(lambda self: len(self.head) - 1)
+        )
+        with pytest.raises(AssertionError, match="failed to stabilize"):
+            bidual_norm(x)
 
     def test_partial_sums_nondecreasing(self):
         rng = random.Random(13)
