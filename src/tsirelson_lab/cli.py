@@ -26,7 +26,14 @@ import sys
 from contextlib import contextmanager
 from typing import Callable, Iterator, Optional
 
-from .certify import DEFAULT_SUITE, QUICK_SUITE, check_q_decay, check_window_bound, run_suite
+from .certify import (
+    DEFAULT_SUITE,
+    QUICK_SUITE,
+    _suite_value,
+    check_q_decay,
+    check_window_bound,
+    run_suite,
+)
 from .dualnorm import (
     DualTsirelsonEngine,
     LpEngine,
@@ -230,6 +237,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "sweep":
             lo, _, hi = args.ns.partition(":")
             ns = range(int(lo), int(hi or lo) + 1)
+            if not ns:
+                raise ValueError(f"--ns {args.ns!r} is an empty range (expected lo:hi with lo <= hi)")
+            # the rules of a window_bound suite entry
+            _suite_value("sweep", "window_bound", "ns", list(ns))
+            _suite_value("sweep", "window_bound", "samples", args.samples)
             buffer = io.StringIO()
             writer = csv.writer(buffer)
             writer.writerow(["check", "n", "ratio"])

@@ -12,15 +12,15 @@ f(x) <= 1, test the optimizer with the exact primal norm, and when it
 escapes the ball, cut it off with a maximizing tree functional.  One pass
 of the T dynamic program per round gives the maximizer f as an integer
 row (``norming_functional``), and f(x) = ||x|| is the test.  The linear
-program is solved from the origin once; each cut is appended to the
-optimal tableau and the dual simplex re-optimizes from there
-(``_simplex.Tableau.add_row``).  The loop runs on integers: |y| is scaled
-once (``seqvec.scaled_integers``), each functional f with integers a over
-denominator D enters the program as the row a.x <= D, which is f(x) <= 1,
-the optimizer goes to the program as the tableau's integer numerators
-over its denominator (the norming functional of a vector is that of any
-positive multiple), and the value becomes a ``Fraction`` once, when it
-returns.
+program starts at the origin under the box rows x_i <= 1; each cut is
+appended to the optimal tableau and the dual simplex re-optimizes from
+there (``_simplex.Tableau.add_row``).  The loop runs on integers: |y| is
+scaled once (``seqvec.scaled_integers``), each functional f with integers
+a over denominator D enters the program as the row a.x <= D, which is
+f(x) <= 1, the optimizer goes to the program as the tableau's integer
+numerators over its denominator (the norming functional of a vector is
+that of any positive multiple), and the value becomes a ``Fraction``
+once, when it returns.
 Tree functionals over a fixed support hull form a finite set and every
 added cut is new, so the loop terminates with an exactly converged value.
 
@@ -95,26 +95,28 @@ it.  Every other tail is looked up in lowest terms (its magnitudes and
 scale divided by their gcd), so the tails of different heads share one
 cache entry.
 
-Prefix tails share one program.  Every James leaf has the support
-{1, ..., k}, so its tail is {2, ..., k}, and all tails of one length are
-optimized over the same ball with the same cuts.  ``_tail_pool`` keeps,
-per process, one cutting-plane program for each such tail without a
-closed form (k >= 5): the optimal tableau and the set of cuts it has
-seen.  A new tail objective replaces
-the tableau's objective (``_simplex.Tableau.set_objective``) and the cut
-loop continues from that basis; the cuts already in the tableau are
-valid for every objective.  This is the cut pool of branch and cut
-(Padberg and Rinaldi, *SIAM Review* 33, 1991).  A pooled tableau keeps
-every cut it was given, so it grows with the number of distinct cuts on
-its support (the default suite leaves 6 tableaux of at most 32 rows).
+One program per support.  ``_program_pool`` keeps, per process, one
+cutting-plane program for each support that reaches the LP: its tableau
+and the set of cuts it has seen.  Every James leaf has the support
+{1, ..., k}, so its tail {2, ..., k} is solved again and again with new
+objectives over the same ball.  A program starts from the box rows and
+the cut of the functional norming its first objective (a warm start).
+Each solve replaces the tableau's objective
+(``_simplex.Tableau.set_objective``) and continues the cut loop from
+that basis; the cuts already in the tableau are valid for every
+objective.  This is the cut pool of branch and cut (Padberg
+and Rinaldi, *SIAM Review* 33, 1991).  A pooled tableau keeps every cut
+it was given, so it grows with the number of distinct cuts on its
+support (the default suite at seed 7 leaves 53 programs of at most 32
+rows).  The pool holds at most ``PROGRAM_POOL_SIZE`` programs; full, it
+drops its oldest, so its memory stays bounded in a long-lived process.
 Values never depend on the pool: each is the exact support-function
 value, and only the work to reach it changes with what the pool holds,
 so serial runs and worker processes give the same values.  The pool is
-not thread-safe: concurrent calls on one prefix length would pivot one
-tableau at the same time.  Other supports run the loop from scratch on
-state local to the call (``support_function_norm``), and the value
-caches hold finished values (and per-window functional sets), written
-once.
+not thread-safe: concurrent calls on one support would pivot one tableau
+at the same time.  The value caches hold finished values (and per-window
+functional sets), written once.  ``support_function_norm`` runs the same
+loop on state local to the call; it is the stateless reference.
 
 All of this runs on ints, behind one entry point:
 ``dual_norm_magnitudes(support, magnitudes, scale)`` takes |y| as positive
@@ -160,14 +162,19 @@ def pairing(y: FinVec, x: FinVec) -> Fraction:
 
 
 class NormEngine(ABC):
-    """A norm evaluator with a declared structural flag.
+    """A norm evaluator with declared structural flags.
 
     ``is_1_unconditional`` promises the value depends only on coefficient
     absolute values; it is property-tested, not assumed.
+    ``is_compaction_monotone`` promises that moving the support of a vector
+    to smaller indices, keeping the order of its coefficients, never
+    decreases its norm.  The l_q norms ignore positions, and T* has it; T
+    lacks it: ||e_3 + e_4 + e_5||_T = 3/2 but ||e_1 + e_2 + e_3||_T = 1.
     """
 
     name: str = "norm"
     is_1_unconditional: bool = False
+    is_compaction_monotone: bool = False
 
     @abstractmethod
     def eval(self, x: FinVec) -> NormValue:
@@ -210,6 +217,7 @@ class LpEngine(NormEngine):
     """Reference l_q engine; exact for q in {1, inf}."""
 
     is_1_unconditional = True
+    is_compaction_monotone = True
 
     def __init__(self, q: Union[int, Fraction, float]):
         self.q = q
@@ -230,6 +238,7 @@ class TsirelsonEngine(NormEngine):
 class DualTsirelsonEngine(NormEngine):
     name = "Tstar"
     is_1_unconditional = True
+    is_compaction_monotone = True
 
     def eval(self, x: FinVec) -> Fraction:
         return dual_norm(x)
@@ -268,33 +277,37 @@ def support_function_norm(
     outside the objective's support keeps the optimizer feasible without
     changing its value.  Each functional enters the LP as its integer
     coefficients with its denominator as the right-hand side.  The LP is
-    solved once; each round passes the optimizer to the oracle as integers
-    over the tableau's denominator, adds the new cut to the optimal tableau
-    and re-optimizes with the dual simplex.  The loop stops once the
-    working-set optimizer lies inside the ball, making the restricted LP
-    value the exact support-function value.  Nothing outlives the call.
+    solved from the origin; each round passes the optimizer to the oracle
+    as integers over the tableau's denominator, adds the new cut to the
+    optimal tableau and re-optimizes with the dual simplex.  The loop
+    stops once the working-set optimizer lies inside the ball, making the
+    restricted LP value the exact support-function value.  Nothing
+    outlives the call.
     """
     w, scale = scaled_integers([abs(c) for _, c in y.entries])
-    return _cutting_plane(list(y.support()), oracle)(w) / scale
+    return _cutting_plane(list(y.support()), oracle, w)(w) / scale
 
 
 def _cutting_plane(
     support: list[int],
     oracle: Callable[[list[int], list[int]], tuple[list[int], int]],
+    first: list[int],
 ) -> Callable[[list[int]], Fraction]:
     """The cutting-plane loop on one support, as ``solve(w)``.
 
     ``solve(w)`` returns the maximum of w . x over the unit ball, for
-    positive int magnitudes ``w`` aligned with ``support``.  The first call
-    solves from the origin; a later call replaces the objective of the
-    last optimal tableau (``Tableau.set_objective``) and continues the loop
-    from that basis with the cuts found so far.  Every cut is a constraint
-    of the unit ball whatever the objective, so each value is exact.
+    positive int magnitudes ``w`` aligned with ``support``.  The tableau is
+    built once, under a zero objective, so it is optimal at the origin: its
+    rows are the box rows x_k <= 1 and the cut of the functional norming
+    ``first`` (a warm start for the first objective).  Each call makes w
+    the objective (``Tableau.set_objective``) and runs the loop from the
+    current basis with the cuts found so far, so ``solve(first)`` pivots as
+    a primal simplex from the origin.  Every cut is a constraint of the
+    unit ball whatever the objective, so each value is exact.
     """
     width = len(support)
     all_columns = list(range(width))
     seen: set[tuple[int, ...]] = set()
-    tableau: Optional[_simplex.Tableau] = None
 
     def cut(columns: list[int], coefficients: list[int], denominator: int) -> Optional[list[int]]:
         """The constraint row of a functional on the support, or None if already used."""
@@ -307,21 +320,19 @@ def _cutting_plane(
         seen.add(key)
         return row
 
+    # f(x) <= 1 goes in as f's integers . x <= f's denominator
+    rows = [cut([k], [1], 1) for k in all_columns]
+    rhs = [1] * width
+    # warm start: the functional norming the direction of the first objective
+    coefficients, denominator = oracle(support, first)
+    row = cut(all_columns, coefficients, denominator)
+    if row is not None:
+        rows.append(row)
+        rhs.append(denominator)
+    tableau = _simplex.maximize([0] * width, rows, rhs)
+
     def solve(w: list[int]) -> Fraction:
-        nonlocal tableau
-        if tableau is None:
-            rows = [cut([k], [1], 1) for k in all_columns]
-            rhs = [1] * width
-            # warm start: the functional norming the direction of w itself
-            first, denominator = oracle(support, w)
-            row = cut(all_columns, first, denominator)
-            if row is not None:
-                rows.append(row)
-                rhs.append(denominator)
-            # f(x) <= 1 goes in as f's integers . x <= f's denominator
-            tableau = _simplex.maximize(w, rows, rhs)
-        else:
-            tableau.set_objective(w)
+        tableau.set_objective(w)
         while True:
             x = tableau.numerators()
             columns = [k for k in all_columns if x[k]]
@@ -362,8 +373,10 @@ def _one_past_schreier(magnitudes: Sequence[int], scale: int) -> Fraction:
 
 
 _dual_cache: dict[tuple, Fraction] = {}
-# k -> the cutting-plane loop of the support {2, ..., k}, with its last tableau
-_tail_pool: dict[int, Callable[[list[int]], Fraction]] = {}
+# support -> the cutting-plane loop of that support, with its last tableau;
+# full, it drops its oldest entry
+PROGRAM_POOL_SIZE = 128
+_program_pool: dict[tuple[int, ...], Callable[[list[int]], Fraction]] = {}
 
 
 def dual_norm(y: FinVec) -> Fraction:
@@ -381,25 +394,23 @@ def dual_norm_magnitudes(support: tuple[int, ...], magnitudes: Sequence[int], sc
     ``support`` is a nonempty tuple of increasing indices and every
     magnitude is a positive int.  In the Schreier regime (support size <=
     min support) the value is the closed form of the module docstring.  A
-    support holding index 1 is peeled: ||y||* = |y_1| + ||y restricted to
-    {2, 3, ...}||* (module docstring).  A support (or peeled tail) one
-    point past the regime takes the second closed form of the module
-    docstring.  Otherwise the cutting-plane loop only stops once the
-    working-set optimizer lies in the primal ball, at which point the
-    restricted LP value is the support function value itself.  Those values are cached by the magnitudes of y, which is all
-    the norm depends on, in lowest terms (magnitudes and scale over their
-    gcd): y and 2y never share a key, while y, its sign flips, and every
-    scaling of its ints with their scale always do.  A peeled tail
-    {2, ..., k} is re-solved on the pooled cutting plane of its length.
+    support holding index 1 and more is peeled: ||y||* = |y_1| + ||y
+    restricted to {2, 3, ...}||* (module docstring).  A support one point
+    past the regime takes the second closed form of the module docstring.
+    Any other support goes to its pooled cutting-plane program, whose loop
+    only stops once the working-set optimizer lies in the primal ball, at
+    which point the restricted LP value is the support function value
+    itself.  Closed forms past the regime and LP values are cached by the
+    magnitudes of y, which is all the norm depends on, in lowest terms
+    (magnitudes and scale over their gcd): y and 2y never share a key,
+    while y, its sign flips, and every scaling of its ints with their scale
+    always do.
     """
     first = support[0]
     if len(magnitudes) <= first:
         return Fraction(_two_largest(magnitudes), scale)
     if first == 1:
-        head, support, magnitudes = magnitudes[0], support[1:], magnitudes[1:]
-        if len(magnitudes) <= support[0]:
-            return Fraction(head + _two_largest(magnitudes), scale)
-        head_value = Fraction(head, scale)
+        return Fraction(magnitudes[0], scale) + dual_norm_magnitudes(support[1:], magnitudes[1:], scale)
     common = math.gcd(scale, *magnitudes)
     if common > 1:
         scale //= common
@@ -407,19 +418,18 @@ def dual_norm_magnitudes(support: tuple[int, ...], magnitudes: Sequence[int], sc
     key = (scale, support, tuple(magnitudes))
     value = _dual_cache.get(key)
     if value is None:
-        top = support[-1]
-        if len(support) == support[0] + 1:
+        if len(support) == first + 1:
             value = _one_past_schreier(magnitudes, scale)
-        elif first == 1 and top == len(support) + 1:  # a peeled tail {2, ..., top}
-            solve = _tail_pool.get(top)
-            if solve is None:
-                solve = _tail_pool[top] = _cutting_plane(list(support), norming_functional)
-            value = solve(list(magnitudes)) / scale
         else:
-            vector = FinVec(tuple((i, Fraction(m, scale)) for i, m in zip(support, magnitudes)))
-            value = support_function_norm(vector, norming_functional)
+            w = list(magnitudes)
+            solve = _program_pool.get(support)
+            if solve is None:
+                if len(_program_pool) >= PROGRAM_POOL_SIZE:
+                    del _program_pool[next(iter(_program_pool))]
+                solve = _program_pool[support] = _cutting_plane(list(support), norming_functional, w)
+            value = solve(w) / scale
         _dual_cache[key] = value
-    return head_value + value if first == 1 else value
+    return value
 
 
 # an alias, not a wrapper: both names are one function object

@@ -11,13 +11,16 @@ dual Tsirelson engine as base this is the Tsirelson*-James norm.
 Selection domain lemma.  Let m = max support(a).  The supremum is attained
 by selections drawn from the *canonical index set* C(a): the first two
 indices of every maximal constant run of the padded sequence
-(a_1, ..., a_m, 0), where the final zero run contributes only m+1.
+(a_1, ..., a_m, 0), where the final zero run contributes only m+1.  The
+lemma covers the bases that declare ``is_compaction_monotone``: the l_q
+norms and the dual Tsirelson norm.
 Sketch: a selection's value depends only on the values a_{p_i}; pairs whose
 two indices land in one constant run contribute a zero difference, and
 dropping a zero slot compacts later slots leftward, which never decreases
-the base norm (for bases, such as l_q and the dual Tsirelson norm, that
-are monotone under left compaction of the support).  After dropping, at
-most two selection indices meet any run - one closing a pair, one opening
+the norm of such a base.  The primal T norm is not one: for
+a = e_5 + e_7 + e_9 the selection (1, ..., 10) gives e_3 + e_4 + e_5, of
+T norm 3/2, but no canonical selection gives more than 1.  After dropping,
+at most two selection indices meet any run - one closing a pair, one opening
 the next - so both can be moved to the run's first two indices, and at
 most one index exceeds m (a final closer, movable to m+1).  Individual
 differences change sign at worst, which 1-unconditionality ignores.  In
@@ -141,6 +144,14 @@ JAMES_MEMO_SIZE = 4096
 _james_memo: dict[tuple, tuple[Fraction, tuple[int, ...]]] = {}
 
 
+def _check_base(base: NormEngine) -> None:
+    """Raise ``ValueError`` unless the selection domain lemma holds for ``base``."""
+    if not (base.is_1_unconditional and base.is_compaction_monotone):
+        raise ValueError(
+            f"james transform requires a 1-unconditional, compaction-monotone base, got {base.name}"
+        )
+
+
 def james_norm(
     a: FinVec,
     base: NormEngine,
@@ -152,22 +163,23 @@ def james_norm(
     pair by pair (zero differences skipped, which by the selection domain
     lemma loses nothing), leaves are evaluated with the base engine, and a
     branch is cut when the l1 value of its prefix plus an l1 bound on the
-    best possible completion cannot beat the incumbent.  Base evaluations
-    are memoized per call on the difference vector's absolute normal form.
-    A leaf not in that memo is skipped when ``base.upper_bound`` of its
-    magnitudes is at most the incumbent: it could not be strictly better,
-    so neither the value nor the witness changes.  The pair extensions of
-    a node depend only on its first free canonical position, so each
-    position's sorted extension list is built once per call and shared by
-    every path that reaches it.
+    best possible completion cannot beat the incumbent.  A leaf is skipped
+    when ``base.upper_bound`` of its magnitudes is at most the incumbent:
+    it could not be strictly better, so neither the value nor the witness
+    changes.  The pair extensions of a node depend only on its first free
+    canonical position, so each position's sorted extension list is built
+    once per call and shared by every path that reaches it.
 
     Each search state is visited once.  The subtree under a node depends
     only on its state: its first free canonical position and the |d| of
-    its pairs so far.  A state popped again is skipped.  Its earlier twin
-    was popped first, so that twin's whole subtree was searched before,
-    against an incumbent no larger than today's; the twin's leaves have the
-    same values, and a leaf replaces the incumbent only when strictly
-    better, so neither the value nor the witness changes.  An extension is
+    its pairs so far.  From the last canonical position on no pair fits,
+    so those positions are one state, and a leaf with the |d| of an
+    earlier leaf is that leaf's twin.  A state popped again is skipped.
+    Its earlier twin was popped first, so that twin's whole subtree was
+    searched before, against an incumbent no larger than today's; the
+    twin's leaves have the same values, and a leaf replaces the incumbent
+    only when strictly better, so neither the value nor the witness
+    changes.  An extension is
     not pushed when its l1 bound already fails against the incumbent: the
     incumbent only grows, so it would be pruned when popped.
 
@@ -188,10 +200,11 @@ def james_norm(
 
     Returns an exact Fraction for exact bases (NormBounds otherwise); with
     ``with_witness`` also returns a maximizing :class:`PairSelection`
-    (None for the zero vector).
+    (None for the zero vector).  A base that is not 1-unconditional and
+    compaction-monotone raises ``ValueError``: the search would not be the
+    supremum.
     """
-    if not base.is_1_unconditional:
-        raise ValueError(f"james transform requires a 1-unconditional base, got {base.name}")
+    _check_base(base)
     zero = Fraction(0)
     if a.is_zero:
         return (zero, None) if with_witness else zero
@@ -248,7 +261,6 @@ def _search(
             extension_table[start] = table
         return table
 
-    memo: dict[tuple[int, ...], NormValue] = {}
     seen: set[tuple[int, tuple[int, ...]]] = set()
     best_lower = zero
     best_upper = zero
@@ -266,7 +278,8 @@ def _search(
         # bound: every future pair contributes at most its endpoints' weights
         if diffs and (l1 + suffix_abs[start]) * denominator <= numerator:
             continue
-        state = (start, diffs)
+        # no pair fits from the last position on, so every start there is one state
+        state = (min(start, count - 1), diffs)
         if state in seen:
             continue
         seen.add(state)
@@ -280,13 +293,10 @@ def _search(
                 if (total + suffix_abs[ri + 1]) * denominator > numerator:
                     stack.append((ri + 1, diffs + (size,), used + (qi, ri), total))
         elif diffs:
-            value = memo.get(diffs)
-            if value is None:
-                if base.upper_bound(diffs) * denominator <= numerator:
-                    continue
-                value = base.eval_magnitudes(diffs, scale)
-                memo[diffs] = value
-                exact = exact and not isinstance(value, NormBounds)
+            if base.upper_bound(diffs) * denominator <= numerator:
+                continue
+            value = base.eval_magnitudes(diffs, scale)
+            exact = exact and not isinstance(value, NormBounds)
             lo, hi = lower_of(value), upper_of(value)
             if lo > best_lower:
                 best_lower = lo
@@ -308,19 +318,18 @@ _DEFAULT_BASE = DualTsirelsonEngine()
 
 
 class JamesEngine(NormEngine):
-    """James transform of a 1-unconditional base engine as a NormEngine.
+    """James transform of a base engine as a NormEngine.
 
-    The transformed basis is monotone but not unconditional.
+    The base must be 1-unconditional and compaction-monotone, as in
+    ``james_norm``.  The transformed basis is monotone but not
+    unconditional.
     """
 
     is_1_unconditional = False
 
     def __init__(self, base: Optional[NormEngine] = None):
         self.base = base if base is not None else _DEFAULT_BASE
-        if not self.base.is_1_unconditional:
-            raise ValueError(
-                f"james transform requires a 1-unconditional base, got {self.base.name}"
-            )
+        _check_base(self.base)
         self.name = f"J[{self.base.name}]"
 
     def eval(self, x: FinVec) -> NormValue:

@@ -308,7 +308,7 @@ class TestRunSuite:
         checks = {cert.check_id.split("[")[0] for cert in report.certificates}
         assert checks == {entry["name"] for entry in QUICK_SUITE}
         # replay recomputes every value instead of reading what the run stored
-        for module, cache in [(dualnorm, "_dual_cache"), (dualnorm, "_tail_pool"),
+        for module, cache in [(dualnorm, "_dual_cache"), (dualnorm, "_program_pool"),
                               (tsirelson, "_norm_cache"), (jamesify, "_james_memo")]:
             monkeypatch.setattr(module, cache, {})
         for cert in report.certificates:

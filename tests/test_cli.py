@@ -109,6 +109,23 @@ class TestCommands:
         assert code == 0 and err == ""
         assert out.strip() == str(10**200)
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["james-norm", "--base", "T", "--vec", '[[5,1],[7,1],[9,1]]'],
+            ["norm", "--space", "TJ[T]", "--vec", '[[5,1],[7,1],[9,1]]'],
+            ["bidual-norm", "--base", "T", "--seq", "x0"],
+        ],
+        ids=["james-norm", "norm", "bidual-norm"],
+    )
+    def test_base_that_compaction_lowers_exits_2(self, args, capsys):
+        # the James transform over T used to print 1 here, below the value
+        # 3/2 of the selection (1, ..., 10)
+        code, out, err = run_cli(args, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "compaction-monotone" in err
+
     def test_unknown_space_exits_2(self, capsys):
         code, _, err = run_cli(["norm", "--space", "X", "--vec", "w2"], capsys)
         assert code == 2 and "unknown space" in err
@@ -344,6 +361,24 @@ class TestSweepCommand:
         lines = out_path.read_text().strip().splitlines()
         assert lines[0] == "check,n,ratio"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--samples", "-3"], "'samples' must be an integer >= 1"),
+            (["--samples", "0"], "'samples' must be an integer >= 1"),
+            (["--ns", "6:2"], "empty range"),
+            (["--ns", "1:3"], "'ns' must be a list of integers within 2..10"),
+        ],
+        ids=["negative_samples", "zero_samples", "empty_ns", "ns_below_range"],
+    )
+    def test_parameters_certify_rejects_exit_2(self, args, message, capsys):
+        # --samples -3 used to run no sample and --ns 6:2 to print a bare
+        # header, both with exit 0
+        code, out, err = run_cli(["sweep", "--check", "window", *args], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
 
 
 class TestEntryPoint:

@@ -222,11 +222,11 @@ class TestSchreierRegime:
         assert exact_small >= 50
 
     def test_regime_skips_cache_and_cutting_plane(self, monkeypatch):
-        def no_lp(y, oracle):
-            raise AssertionError(f"cutting plane reached for {y}")
+        def no_lp(support, oracle):
+            raise AssertionError(f"cutting plane reached for {support}")
 
         monkeypatch.setattr(dualnorm, "_dual_cache", {})
-        monkeypatch.setattr(dualnorm, "support_function_norm", no_lp)
+        monkeypatch.setattr(dualnorm, "_cutting_plane", no_lp)
         rng = random.Random(47)
         for _ in range(50):
             dual_norm(regime_vec(rng))
@@ -240,7 +240,6 @@ class TestSchreierRegime:
             raise AssertionError(f"reached with {args}")
 
         monkeypatch.setattr(dualnorm, "_cutting_plane", unreachable)
-        monkeypatch.setattr(dualnorm, "support_function_norm", unreachable)
         windows = {n: FinVec.from_pairs((i, 1) for i in range(n, 2 * n + 1)) for n in range(2, 11)}
         for n, closed in windows.items():
             assert dual_norm(closed) == F(2 * n + 2, n)
@@ -249,7 +248,7 @@ class TestSchreierRegime:
         # where (1, 1, 1) has T norm max(1, (3 - 1) / 2) = 1
         engine = DualTsirelsonEngine()
         assert engine.eval_magnitudes([5, 3, 1, 2], 1) == 5 + 6
-        assert len(dualnorm._dual_cache) == 10 and dualnorm._tail_pool == {}
+        assert len(dualnorm._dual_cache) == 10 and dualnorm._program_pool == {}
         # warm calls read the cache
         monkeypatch.setattr(dualnorm, "_one_past_schreier", unreachable)
         for n, closed in windows.items():
@@ -396,9 +395,29 @@ def vectors_through_one(draw):
 
 @pytest.fixture
 def fresh_state(monkeypatch):
-    """Empty value cache and tail pool, so every value below is computed."""
+    """Empty value cache and program pool, so every value below is computed."""
     monkeypatch.setattr(dualnorm, "_dual_cache", {})
-    monkeypatch.setattr(dualnorm, "_tail_pool", {})
+    monkeypatch.setattr(dualnorm, "_program_pool", {})
+
+
+@pytest.fixture
+def program_solves(monkeypatch):
+    """(support, objectives solved) of every cutting-plane program built, in order."""
+    programs = []
+    cutting_plane = dualnorm._cutting_plane
+
+    def spied(support, oracle, first):
+        solve, objectives = cutting_plane(support, oracle, first), []
+        programs.append((tuple(support), objectives))
+
+        def recorded(w):
+            objectives.append(tuple(w))
+            return solve(w)
+
+        return recorded
+
+    monkeypatch.setattr(dualnorm, "_cutting_plane", spied)
+    return programs
 
 
 class TestPeel:
@@ -424,89 +443,110 @@ class TestPeel:
             raise AssertionError(f"reached with {args}")
 
         monkeypatch.setattr(dualnorm, "_cutting_plane", unreachable)
-        monkeypatch.setattr(dualnorm, "support_function_norm", unreachable)
         assert dual_norm(FinVec.zero()) == 0
         assert dual_norm(F(-3, 7) * e(1)) == F(3, 7)
         engine = DualTsirelsonEngine()
         assert engine.eval_magnitudes([3], 6) == F(1, 2)
         assert engine.eval_magnitudes([], 5) == 0
-        assert dualnorm._dual_cache == {} and dualnorm._tail_pool == {}
+        assert dualnorm._dual_cache == {} and dualnorm._program_pool == {}
 
-    def test_tails_share_their_cache_entry(self, fresh_state, monkeypatch):
+    def test_tails_share_their_cache_entry(self, fresh_state, program_solves):
         # a tail is looked up in lowest terms, whatever the head's denominator;
-        # the cutting plane gets |y| in lowest terms
-        solved = []
-
-        def counted(y, oracle):
-            solved.append(y)
-            return support_function_norm(y, oracle)
-
-        monkeypatch.setattr(dualnorm, "support_function_norm", counted)
+        # its program solves |y| in lowest terms, once
         tail = FinVec.from_pairs([(2, 1), (3, F(1, 2)), (5, -2), (6, 1)])
         value = dual_norm(tail)
         for head in (F(1), F(1, 2), F(-1, 3), F(7, 4)):
             assert dual_norm(head * e(1) + tail) == abs(head) + value
-        assert solved == [FinVec.from_pairs((i, abs(c)) for i, c in tail.entries)]
+        assert program_solves == [((2, 3, 5, 6), [(2, 1, 4, 2)])]
         # {2, ..., 5} is two points past the Schreier regime, so it takes the LP
         prefix_tail = FinVec.from_pairs([(2, 3), (3, 1), (4, 2), (5, 1)])
         value = dual_norm(prefix_tail)
         engine = DualTsirelsonEngine()
         assert engine.eval_magnitudes([1, 12, 4, 8, 4], 4) == F(1, 4) + value
         assert engine.eval_magnitudes([5, 3, 1, 2, 1], 1) == 5 + value
-        assert solved[1:] == [prefix_tail] and dualnorm._tail_pool == {}
+        assert program_solves[1:] == [((2, 3, 4, 5), [(3, 1, 2, 1)])]
+        assert list(dualnorm._program_pool) == [(2, 3, 5, 6), (2, 3, 4, 5)]
 
-    def test_pooled_prefixes_in_any_order(self, fresh_state, monkeypatch):
+    def test_pooled_prefixes_in_any_order(self, fresh_state, program_solves, monkeypatch):
         rng = random.Random(67)
         vectors = [prefix_vec(rng, rng.randint(4, 10)) for _ in range(40)]
-        resolves = []
-        set_objective = _simplex.Tableau.set_objective
-        monkeypatch.setattr(
-            _simplex.Tableau, "set_objective", lambda tableau, w: resolves.append(w) or set_objective(tableau, w)
-        )
 
         def values(order, clear_each):
             monkeypatch.setattr(dualnorm, "_dual_cache", {})
-            monkeypatch.setattr(dualnorm, "_tail_pool", {})
+            monkeypatch.setattr(dualnorm, "_program_pool", {})
+            program_solves.clear()
             found = {}
             for k in order:
                 if clear_each:
                     dualnorm._dual_cache.clear()
-                    dualnorm._tail_pool.clear()
+                    dualnorm._program_pool.clear()
                 found[k] = dual_norm(vectors[k])
             return [found[k] for k in range(len(vectors))]
 
         forward = values(range(len(vectors)), False)
-        assert len(resolves) >= 20
+        # one program per tail {2, ..., k}, re-solved for the later vectors
+        assert sum(len(objectives) - 1 for _, objectives in program_solves) >= 20
         assert values(reversed(range(len(vectors))), False) == forward
-        resolves.clear()
         assert values(range(len(vectors)), True) == forward
-        assert resolves == []
+        assert program_solves and all(len(objectives) == 1 for _, objectives in program_solves)
         for y, value in zip(vectors, forward):
             assert value == support_function_norm(y, norming_functional)
 
+    def test_values_never_depend_on_the_pool(self, fresh_state, program_solves, monkeypatch):
+        # gapped supports that are not prefixes, two or three points past the
+        # regime, four vectors on each; evaluated in three orders with the
+        # pool kept, cleared before every call, and capped at two programs
+        rng = random.Random(101)
+        supports = []
+        while len(supports) < 6:
+            lo = rng.randint(2, 5)
+            support = (lo, *sorted(rng.sample(range(lo + 1, lo + 10), lo + rng.randint(1, 2))))
+            if support[-1] - lo >= len(support) and support not in supports:
+                supports.append(support)
+        vectors = [FinVec.from_pairs((i, rng.choice(POOL)) for i in support) for support in supports for _ in range(4)]
+        reference = [support_function_norm(y, norming_functional) for y in vectors]
+        forward = list(range(len(vectors)))
+        # the vectors of one support in a row, or one support after another
+        interleaved = [k for j in range(4) for k in forward[j::4]]
+        built = {}
+        for mode in ("kept", "cleared", "capped"):
+            cap = 2 if mode == "capped" else dualnorm.PROGRAM_POOL_SIZE
+            monkeypatch.setattr(dualnorm, "PROGRAM_POOL_SIZE", cap)
+            for name, order in [("forward", forward), ("reverse", forward[::-1]), ("interleaved", interleaved)]:
+                monkeypatch.setattr(dualnorm, "_dual_cache", {})
+                monkeypatch.setattr(dualnorm, "_program_pool", {})
+                program_solves.clear()
+                for k in order:
+                    if mode == "cleared":
+                        dualnorm._program_pool.clear()
+                    assert dual_norm(vectors[k]) == reference[k]
+                    assert len(dualnorm._program_pool) <= cap
+                built[mode, name] = len(program_solves)
+        assert {built["kept", name] for name in ("forward", "reverse", "interleaved")} == {len(supports)}
+        assert {built["cleared", name] for name in ("forward", "reverse", "interleaved")} == {len(vectors)}
+        # two programs hold a run of one support, but not a round of six
+        assert built["capped", "forward"] == built["capped", "reverse"] == len(supports)
+        assert built["capped", "interleaved"] == len(vectors)
+
 
 class TestDualNormMagnitudes:
-    def test_any_scale_shares_the_vector_entry(self, fresh_state, monkeypatch):
+    def test_any_scale_shares_the_vector_entry(self, fresh_state, program_solves):
         # (12, 6, 6, 6, 6) at scale 6 is y = (2, 1, 1, 1, 1) on {3, ..., 7}, two
         # points past the Schreier regime, so it takes the LP
-        solved = []
-
-        def counted(y, oracle):
-            solved.append(y)
-            return support_function_norm(y, oracle)
-
-        monkeypatch.setattr(dualnorm, "support_function_norm", counted)
         y = FinVec.from_pairs([(3, 2), (4, -1), (5, 1), (6, 1), (7, 1)])
         value = dual_norm(y)
         assert len(dualnorm._dual_cache) == 1
         assert dual_norm_magnitudes((3, 4, 5, 6, 7), [12, 6, 6, 6, 6], 6) == value
         assert dual_norm_magnitudes((3, 4, 5, 6, 7), (4, 2, 2, 2, 2), 2) == value
-        assert len(dualnorm._dual_cache) == 1 and len(solved) == 1
-        # and the other way round: the int caller fills the entry first
+        assert len(dualnorm._dual_cache) == 1
+        assert program_solves == [((3, 4, 5, 6, 7), [(2, 1, 1, 1, 1)])]
+        # and the other way round: the int caller fills the entry first, on
+        # the same pooled program
         dualnorm._dual_cache.clear()
         assert dual_norm_magnitudes((3, 4, 5, 6, 7), [12, 6, 6, 6, 6], 6) == value
         assert dual_norm(y) == value
-        assert len(dualnorm._dual_cache) == 1 and len(solved) == 2
+        assert len(dualnorm._dual_cache) == 1
+        assert program_solves == [((3, 4, 5, 6, 7), [(2, 1, 1, 1, 1)] * 2)]
 
     def test_matches_dual_norm_at_any_scale(self, fresh_state):
         rng = random.Random(73)
@@ -576,6 +616,29 @@ class TestEngines:
     def test_flags_and_names(self):
         for engine in (LpEngine(1), LpEngine(math.inf), TsirelsonEngine(), DualTsirelsonEngine()):
             assert engine.is_1_unconditional
+
+    def test_compaction_flag_honest(self, fresh_state):
+        # moving a support to smaller indices, coefficients in order, never
+        # lowers a norm that declares it; T declares nothing, and lowers
+        rng = random.Random(103)
+        flagged = [LpEngine(1), LpEngine(math.inf), DualTsirelsonEngine()]
+        assert all(engine.is_compaction_monotone for engine in [LpEngine(2), *flagged])
+        assert not TsirelsonEngine().is_compaction_monotone
+        compactions = 0
+        while compactions < 40:
+            k = rng.randint(2, 6)
+            support = sorted(rng.sample(range(1, 14), k))
+            left = sorted(rng.sample(range(1, support[-1] + 1), k))
+            if left == support or any(i > j for i, j in zip(left, support)):
+                continue
+            compactions += 1
+            coefficients = [rng.choice(POOL) for _ in range(k)]
+            y = FinVec.from_pairs(zip(support, coefficients))
+            compacted = FinVec.from_pairs(zip(left, coefficients))
+            for engine in flagged:
+                assert engine.eval_exact(compacted) >= engine.eval_exact(y)
+        assert tsirelson_norm(e(3) + e(4) + e(5)) == F(3, 2)
+        assert tsirelson_norm(e(1) + e(2) + e(3)) == 1
 
     def test_eval_exact(self):
         assert DualTsirelsonEngine().eval_exact(e(2) + e(3)) == 2

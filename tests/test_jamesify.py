@@ -7,7 +7,7 @@ import pytest
 
 from tsirelson_lab import jamesify
 from tsirelson_lab.seqvec import EventuallyConstantSeq, FinVec, NormBounds
-from tsirelson_lab.dualnorm import DualTsirelsonEngine, LpEngine, NormEngine
+from tsirelson_lab.dualnorm import DualTsirelsonEngine, LpEngine, NormEngine, TsirelsonEngine
 from tsirelson_lab.jamesify import (
     JamesEngine,
     PairSelection,
@@ -38,6 +38,7 @@ class CountingEngine(NormEngine):
     """A base engine that counts its evaluations and its upper bounds."""
 
     is_1_unconditional = True
+    is_compaction_monotone = True
 
     def __init__(self, base):
         self.base, self.name, self.calls, self.bounds = base, base.name, 0, 0
@@ -182,6 +183,20 @@ class TestJamesNormExamples:
         with pytest.raises(ValueError):
             james_norm(e(1), JamesEngine(T_STAR))
 
+    def test_base_that_compaction_lowers_rejected(self):
+        # T is 1-unconditional, but moving a support left can lower its norm,
+        # so canonical selections miss the supremum: they give 1, while the
+        # selection (1, ..., 10) gives e3 + e4 + e5, of T norm 3/2
+        t = TsirelsonEngine()
+        a = e(5) + e(7) + e(9)
+        selection = PairSelection(tuple(range(1, 11)))
+        assert difference_vector(a, selection) == e(3) + e(4) + e(5)
+        assert james_brute(a, t, extra=3) == t.eval(e(3) + e(4) + e(5)) == F(3, 2)
+        with pytest.raises(ValueError, match="compaction-monotone"):
+            james_norm(a, t)
+        with pytest.raises(ValueError, match="compaction-monotone"):
+            JamesEngine(t)
+
     def test_witness_attains(self):
         rng = random.Random(3)
         for _ in range(20):
@@ -235,9 +250,9 @@ class TestJamesNormAgainstBruteForce:
 
 class TestSearchWork:
     def test_states_are_visited_once(self):
-        # a 20..40 sample: twin states and push-time prunes keep the search
-        # to 1 376 leaf bounds (25 353 when every twin was searched); the
-        # leaves actually evaluated are the same 150
+        # a 20..40 sample: twin states (leaves with one |d| are one state)
+        # and push-time prunes keep the search to 1 218 leaf bounds (25 353
+        # when every twin was searched); the leaves evaluated are 150
         a = FinVec.from_pairs(
             (i, F(c))
             for i, c in [[20, "1"], [23, "1/3"], [24, "-1/2"], [25, "1/3"], [26, "1"], [28, "-1/2"],
@@ -249,7 +264,7 @@ class TestSearchWork:
         assert value == F(15, 2)
         assert selection == PairSelection((20, 24, 26, 28, 32, 34, 36, 40))
         assert counted.calls == 150
-        assert counted.bounds <= 1376
+        assert counted.bounds <= 1218
 
 
 class TestIntegerSearch:

@@ -494,15 +494,17 @@ def test_tstar_programs_give_the_fraction_functionals(monkeypatch):
     monkeypatch.setattr(_simplex.Tableau, "add_row", checked_add_row)
     monkeypatch.setattr(_simplex.Tableau, "set_objective", checked_set_objective)
     monkeypatch.setattr(dualnorm, "_dual_cache", {})
-    monkeypatch.setattr(dualnorm, "_tail_pool", {})
+    monkeypatch.setattr(dualnorm, "_program_pool", {})
     rng = random.Random(21)
     for _ in range(20):
         lo = rng.randint(1, 4)
         hi = lo + rng.randint(1, 4)  # the Fraction reference is slow on longer hulls
         y = FinVec.from_pairs((i, rng.choice(COEFFS[2:])) for i in range(lo, hi + 1))
+        # a program of its own, built by maximize with the reference beside it
+        dualnorm._program_pool.clear()
         assert dualnorm.dual_norm_exact_small(y) == dualnorm.dual_norm(y)
-    # supports {1, ..., 4} and {1, ..., 5} peel to the pooled tails {2, 3, 4}
-    # and {2, ..., 5}, so most of these are re-solves of a pooled program
+    # support {1, ..., 5} peels to the pooled tail {2, ..., 5} ({1, ..., 4} to
+    # the closed form of {2, 3, 4}), so most of these re-solve one program
     for _ in range(12):
         y = FinVec.from_pairs((i, rng.choice(COEFFS[2:])) for i in range(1, rng.randint(4, 5) + 1))
         assert dualnorm.dual_norm_exact_small(y) == dualnorm.dual_norm(y)
