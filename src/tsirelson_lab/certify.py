@@ -143,6 +143,11 @@ def check_window_bound(
     ratio ||y||* / ||y||_inf is ``dual_norm_magnitudes(...) * scale /
     max(magnitudes)``, and ratios are compared by cross-multiplying.
     Only the worst vector becomes a ``FinVec``.
+
+    No sample can change the certificate.  The indicator of (n, 2n] is
+    scored first and attains the sharp ratio 2, no vector exceeds it, and
+    only a strictly larger ratio replaces the worst vector.  The samples
+    stay because dropping them changes the report's pinned hash.
     """
     least, most = WINDOW_NS
     if not least <= n <= most:

@@ -235,13 +235,14 @@ def main(argv: Optional[list[str]] = None) -> int:
                     write(buffer.getvalue())
             return 0 if report.passed else 1
         if args.command == "sweep":
-            lo, _, hi = args.ns.partition(":")
-            ns = range(int(lo), int(hi or lo) + 1)
-            if not ns:
-                raise ValueError(f"--ns {args.ns!r} is an empty range (expected lo:hi with lo <= hi)")
-            # the rules of a window_bound suite entry
-            _suite_value("sweep", "window_bound", "ns", list(ns))
-            _suite_value("sweep", "window_bound", "samples", args.samples)
+            if args.check == "window":
+                lo, _, hi = args.ns.partition(":")
+                ns = range(int(lo), int(hi or lo) + 1)
+                if not ns:
+                    raise ValueError(f"--ns {args.ns!r} is an empty range (expected lo:hi with lo <= hi)")
+                # the rules of a window_bound suite entry
+                _suite_value("sweep", "window_bound", "ns", list(ns))
+                _suite_value("sweep", "window_bound", "samples", args.samples)
             buffer = io.StringIO()
             writer = csv.writer(buffer)
             writer.writerow(["check", "n", "ratio"])

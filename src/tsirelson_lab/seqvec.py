@@ -281,15 +281,19 @@ def nth_root_bounds(
     """Rational enclosure of value**(1/k) with width <= tolerance.
 
     Returns an exact degenerate pair when the root is rational.  Otherwise
-    the result is that of bisecting a starting bracket [lo, hi], with
-    lo**k <= value <= hi**k, until its width is at most the tolerance,
-    keeping the lower half while mid**k <= value, in closed form.  With
-    W = hi - lo, bisection stops after the least t with W <= tolerance *
-    2^t halvings, at lo + W j / 2^t and lo + W (j + 1) / 2^t, where j is
-    the largest j with (lo + W j / 2^t)**k <= value; j < 2^t, since the
-    root is irrational and so hi**k > value.  Over a common denominator D
-    those grid points are (A + B j) / D for ints A and B, so j is
-    (R - A) // B for R the floor k-th root of floor(value * D^k).
+    the result is that of bisecting the starting bracket
+    lo = r_n / (r_d + 1), hi = (r_n + 1) / r_d, for r_n and r_d >= 1 the
+    floor k-th roots of the numerator n and the denominator d, until its
+    width is at most the tolerance, keeping the lower half while
+    mid**k <= value, in closed form.  The bracket holds the root:
+    r_n^k <= n and (r_d + 1)^k > d give lo**k <= value, and
+    (r_n + 1)^k > n and r_d^k <= d give hi**k > value.  With W = hi - lo,
+    bisection stops after the least t with W <= tolerance * 2^t halvings,
+    at lo + W j / 2^t and lo + W (j + 1) / 2^t, where j is the largest j
+    with (lo + W j / 2^t)**k <= value; j < 2^t, since hi**k > value.
+    Over a common denominator D those grid points are (A + B j) / D for
+    ints A and B, so j is (R - A) // B for R the floor k-th root of
+    floor(value * D^k).
     """
     if value < 0:
         raise ValueError("root of a negative value")
@@ -301,11 +305,7 @@ def nth_root_bounds(
         exact = Fraction(num_root, den_root)
         return exact, exact
     lo = Fraction(num_root, den_root + 1)
-    hi = Fraction(num_root + 1, max(den_root, 1))
-    if lo**k > value:
-        lo = Fraction(0)
-    if hi**k < value:
-        hi = max(Fraction(1), value)
+    hi = Fraction(num_root + 1, den_root)
     width = hi - lo
     halvings = (-(-width // tolerance) - 1).bit_length()  # the least t with 2^t >= width / tolerance
     denominator = math.lcm(lo.denominator, width.denominator)

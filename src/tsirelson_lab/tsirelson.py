@@ -47,14 +47,17 @@ size for the part counts that arise:
   Schreier block (K = b - a + 1, the budget covers every point) in O(1),
   so a support with at most min supp points costs O(n).
 
-The memo is indexed by position.  ``solve`` values, and how each is
-reached, sit in one list per right end b, filled from b downwards by a
-loop (so the recursion depth does not grow with the support size).  Each
+The memo is indexed by position, and it has one kind of table.  The
 split column (b, k) is a list over its starts s holding the total and
-the end of the first run.  The split loop sums a row of ``solve(s, q)``
-values with the column (b, k - 1) over the run ends q in one pass, so it
-reads the cached entries without a call per candidate; a cache miss
-fills only the states the top-down recursion reaches.
+how it is reached: for k >= 2 the end of the first run.  Since
+split(s, b, 1) = ||s..b||, the column (b, 1) holds the ``solve`` values,
+and there ``how`` is the leaf position or the family's first position.
+It is filled from b downwards by a loop (so the recursion depth does not
+grow with the support size).  The split loop sums a row of
+``solve(s, q)`` values with the column (b, k - 1) over the run ends q in
+one pass, so it reads the cached entries without a call per candidate;
+a cache miss fills only the states the top-down recursion reaches, each
+once.
 
 The program runs on integers.  The magnitudes are scaled to integers once
 (``seqvec.scaled_integers``), and each is shifted left by the support
@@ -234,23 +237,26 @@ def admissible_partitions(
 
 
 class _SplitColumn:
-    """The split column (b, k): its totals and first-run ends over starts s.
+    """The split column (b, k): its totals and how each is reached, over starts s.
 
     Starts run over ``lo..b - k + 1``, stored from offset 0.  A column
-    (b, k) is reached only from a family of at least k parts, whose first
-    point has index >= k, so ``lo`` is the first position with index >= k.
-    The last start takes k singleton runs and is filled on creation;
-    ``low..b - k + 1`` is filled, and a start below ``low`` may be filled
-    on its own.
+    (b, k) with k >= 2 is reached only from a family of at least k parts,
+    whose first point has index >= k, so ``lo`` is the first position with
+    index >= k; ``how`` holds the end of the first run.  The column (b, 1)
+    holds ``solve(s, b)`` from ``lo`` = 0 (every index is >= 1), and
+    ``how`` holds how it is reached: a leaf position, or ``~pos`` for a
+    family from ``pos``.  The last start takes k singleton runs and is
+    filled on creation; ``low..b - k + 1`` is filled, and a start below
+    ``low`` may be filled on its own.
     """
 
-    __slots__ = ("lo", "low", "totals", "ends")
+    __slots__ = ("lo", "low", "totals", "how")
 
     def __init__(self, lo: int, last: int, total: int):
         self.lo = lo
         self.low = last
         self.totals: list = [None] * (last - lo) + [total]
-        self.ends: list = [None] * (last - lo) + [last]
+        self.how: list = [None] * (last - lo) + [last]
 
 
 class _NormProgram:
@@ -259,48 +265,49 @@ class _NormProgram:
     The vector is given by its support ``indices`` and the integer
     magnitudes ``values`` there (the coefficients times a common scale).
     Positions index the support points.  ``solve(a, b)`` is the norm of
-    the restriction to positions a..b; ``reach[b][a]`` says how it is
-    reached: the position of a leaf, or ``~pos`` for a family whose first
-    part starts at ``pos`` and whose parts partition pos..b.
-    ``split(s, b, k)`` is the best total norm over partitions of positions
-    s..b into exactly k consecutive runs; its column keeps the position
-    where the first run ends.  On ties leaves beat families and the lowest
-    position wins; in ``split`` the earliest run end wins.  Values are
-    integers: each magnitude is shifted left by the support size, so every
-    halving is an exact ``>> 1`` (see the module docstring).
+    the restriction to positions a..b and ``split(s, b, k)`` the best
+    total norm over partitions of positions s..b into exactly k
+    consecutive runs.  Since split(s, b, 1) = solve(s, b), both live in
+    one kind of table: ``columns[b][k]`` is the split column (b, k), and
+    ``solve`` fills the column (b, 1).  On ties leaves beat families and
+    the lowest position wins; in ``split`` the earliest run end wins.
+    Values are integers: each magnitude is shifted left by the support
+    size, so every halving is an exact ``>> 1`` (see the module docstring).
+
+    Every state is filled once and never asked for again.  ``solve`` fills
+    the column (b, 1) once per position, going down.  ``split(s, b, k)``
+    is reached either from ``solve(s, b)`` with k = index(s), or from the
+    fill loop of a (b, k + 1) state whose start lies below s, so s has
+    index > k.  Indices increase with position, so these two kinds of
+    start never meet, and each is asked for once.  The column (b, 1) is
+    filled down to s + 1 before any split(s, b, k) runs, since the chain
+    of calls began in ``solve`` at a position at most s.
     """
 
-    __slots__ = ("indices", "values", "prefix", "value", "reach", "low", "rows", "columns")
+    __slots__ = ("indices", "values", "prefix", "rows", "columns")
 
     def __init__(self, indices: list[int], values: list[int]):
         n = len(indices)
         self.indices = indices
         self.values = [v << n for v in values]
         self.prefix = list(accumulate(self.values, initial=0))
-        self.value: list = [None] * n  # value[b][a] = solve(a, b)
-        self.reach: list = [None] * n
-        self.low = list(range(1, n + 1))  # value[b] is filled on low[b]..b
         self.rows = [[v] for v in self.values]  # rows[s][j] = solve(s, s + j)
         self.columns: list = [None] * n  # columns[b][k] = split column (b, k)
 
     def solve(self, a: int, b: int) -> int:
-        """Fills ``value[b]`` from its lowest filled position down to a."""
-        values = self.value[b]
-        low = self.low[b]
-        if a >= low:
-            return values[a]
-        if values is None:
-            values = self.value[b] = [None] * (b + 1)
-            reach = self.reach[b] = [None] * (b + 1)
-            values[b] = self.values[b]
-            reach[b] = low = self.low[b] = b
-        else:
-            reach = self.reach[b]
-        magnitudes, indices, prefix, lows = self.values, self.indices, self.prefix, self.low
-        for p in range(low - 1, a - 1, -1):
-            value, how = magnitudes[p], p
-            if values[p + 1] > value:
-                value, how = values[p + 1], reach[p + 1]
+        """Fills the column (b, 1) from its lowest filled start down to a."""
+        # columns[b] is made with its column (b, 1): split(., b, .) runs only under solve(., b)
+        columns = self.columns[b]
+        column = self.column(b, 1) if columns is None else columns[1]
+        totals = column.totals
+        if a >= column.low:
+            return totals[a]
+        how = column.how
+        magnitudes, indices, prefix = self.values, self.indices, self.prefix
+        for p in range(column.low - 1, a - 1, -1):
+            value, reach = magnitudes[p], p
+            if totals[p + 1] > value:
+                value, reach = totals[p + 1], how[p + 1]
             k = indices[p]
             if k > b - p:  # the budget covers every point: singleton runs
                 family = (prefix[b + 1] - prefix[p]) >> 1
@@ -308,12 +315,12 @@ class _NormProgram:
                 family = self.split(p, b, k) >> 1
             else:  # index 1 admits no family of two parts
                 family = -1
-            if family > value or (family == value and how < 0):
-                value, how = family, ~p
-            values[p] = value
-            reach[p] = how
-            lows[b] = p
-        return values[a]
+            if family > value or (family == value and reach < 0):
+                value, reach = family, ~p
+            totals[p] = value
+            how[p] = reach
+            column.low = p
+        return totals[a]
 
     def column(self, b: int, k: int) -> _SplitColumn:
         columns = self.columns[b]
@@ -327,40 +334,34 @@ class _NormProgram:
         return column
 
     def split(self, s: int, b: int, k: int) -> int:
-        """Needs k <= b - s: k singleton runs are answered by prefix sums."""
-        column = self.column(b, k)
-        totals = column.totals
-        i = s - column.lo
-        if totals[i] is not None:
-            return totals[i]
+        """Needs 2 <= k <= b - s: k singleton runs are answered by prefix sums."""
+        columns = self.columns[b]  # made by solve(., b), which this call runs under
+        column = columns[k] or self.column(b, k)
         last = b - k + 1  # the first run ends at s..last
         row = self.rows[s]
         while len(row) <= last - s:
             row.append(self.solve(s, s + len(row)))
-        if k == 2:
-            if self.low[b] > s + 1:
-                self.solve(s + 1, b)
-            rest = self.value[b][s + 1:]
-        else:
-            inner = self.column(b, k - 1)
-            inner_totals, lo = inner.totals, inner.lo
-            for r in range(inner.low - 1, s, -1):
-                if inner_totals[r - lo] is None:
-                    self.split(r, b, k - 1)
-            if inner.low > s + 1:
-                inner.low = s + 1
-            rest = inner_totals[s + 1 - lo:]
+        inner = columns[k - 1] or self.column(b, k - 1)
+        # for k = 2 the column (b, 1) is filled down to s + 1 and the loop is
+        # empty; it must never call split with k = 1
+        for r in range(inner.low - 1, s, -1):
+            self.split(r, b, k - 1)
+        if inner.low > s + 1:
+            inner.low = s + 1
+        rest = inner.totals[s + 1 - inner.lo:]
         # row and rest align on the first run end q = s..last; map stops at rest's end
         sums = list(map(add, row, rest))
-        total = totals[i] = max(sums)
-        column.ends[i] = s + sums.index(total)
+        total = max(sums)
+        i = s - column.lo
+        column.totals[i] = total
+        column.how[i] = s + sums.index(total)
         return total
 
     def shape(self, a: int, b: int) -> Shape:
         """The argmax tree of ``solve(a, b)`` by positions (see ``_evaluate``)."""
         if a == b:
             return a
-        how = self.reach[b][a]
+        how = self.columns[b][1].how[a]
         if how >= 0:
             return how
         pos = ~how
@@ -370,7 +371,7 @@ class _NormProgram:
                 q = pos
             else:
                 column = self.columns[b][k]
-                q = column.ends[pos - column.lo]
+                q = column.how[pos - column.lo]
             runs.append((pos, q, self.shape(pos, q)))
             pos = q + 1
         runs.append((pos, b, self.shape(pos, b)))

@@ -380,6 +380,20 @@ class TestSweepCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
 
+    @pytest.mark.parametrize(
+        "args",
+        [[], ["--samples", "0"], ["--ns", "2:11"]],
+        ids=["defaults", "zero_samples", "ns_out_of_range"],
+    )
+    def test_qdecay_sweep_ignores_the_window_options(self, args, capsys):
+        # --samples 0 and --ns 2:11 used to be checked under the window_bound
+        # rules and exit 2
+        code, out, err = run_cli(["sweep", "--check", "qdecay", *args], capsys)
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert lines[0] == "check,n,ratio"
+        assert [line.split(",")[:2] for line in lines[1:]] == [["q_decay", str(n)] for n in (2, 4, 8, 16)]
+
 
 class TestEntryPoint:
     def test_module_invocation(self):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsirelson_lab import tsirelson
-from tsirelson_lab.seqvec import FinVec, IndexInterval, restrict
+from tsirelson_lab.seqvec import FinVec, IndexInterval, restrict, scaled_integers
 from tsirelson_lab.tsirelson import (
     IntervalPartition,
     TreeLeaf,
@@ -506,7 +506,59 @@ class TestSplitPoint:
         program = tsirelson._NormProgram(indices, magnitudes)
         program.solve(0, 8)
         column = program.columns[8][3]
-        assert [column.ends[s - column.lo] for s in (3, 4)] == [5, 4]
+        assert [column.how[s - column.lo] for s in (3, 4)] == [5, 4]
+
+
+class TestProgramWork:
+    """Each state the top-down recursion reaches is filled once, and no other."""
+
+    @staticmethod
+    def filled_states(x):
+        """Filled (solve, split) entries of x's program after its solve and shape."""
+        calls = []
+
+        class Counted(tsirelson._NormProgram):
+            __slots__ = ()
+
+            def split(self, s, b, k):
+                calls.append((s, b, k))
+                return super().split(s, b, k)
+
+        magnitudes, _ = scaled_integers([abs(c) for _, c in x.entries])
+        program = Counted(list(x.support()), magnitudes)
+        last = len(magnitudes) - 1
+        program.solve(0, last)
+        program.shape(0, last)
+        solve = split = split_columns = 0
+        for columns in program.columns:
+            for k, column in enumerate(columns or ()):
+                if column is None:
+                    continue
+                filled = sum(total is not None for total in column.totals)
+                if k == 1:
+                    solve += filled
+                else:
+                    split += filled
+                    split_columns += 1
+        # every split call fills a new entry; the rest are the columns' first ones
+        assert len(calls) == len(set(calls)) == split - split_columns
+        return solve, split
+
+    def test_long_primal_supports(self):
+        # the seed-7 inputs of the benchmark's primal_long workload
+        rng = random.Random(7)
+        inputs = []
+        for size in (40, 32, 26, 20):
+            start = rng.randint(size, 2 * size)
+            gapped = sorted(rng.sample(range(start, start + 2 * size), size))
+            for indices in (range(1, size + 1), gapped):
+                inputs.append(FinVec.from_pairs((i, rng.choice(POOL)) for i in indices))
+        counts = [self.filled_states(x) for x in inputs]
+        assert [sum(c) for c in zip(*counts)] == [1909, 8912]
+
+    def test_indicator_of_1_to_100(self):
+        x = FinVec.from_pairs((i, 1) for i in range(1, 101))
+        assert self.filled_states(x) == (4950, 79674)
 
 
 def node(parts, children):
