@@ -607,11 +607,16 @@ QUICK_SUITE = [
 
 # (least, most) of the parameters whose range differs from the type's rule
 # (integers and ``ns`` entries >= 1, fractions unbounded); None: no bound.
-# ``levels`` is capped where the run still takes seconds: q_decay with
-# levels 5 and shrinking_series with levels 12 ran for more than a minute.
+# The sizes are capped where the run still takes seconds at every suite
+# seed tried: q_decay with levels 5 and shrinking_series with levels 12 ran
+# for more than a minute, partition_bound with max_hull 40 for half a
+# minute, and block_domination with total_support 28 and cor10 with
+# total_support 36 for more than 25 s at some suite seeds.
 PARAM_RANGES = {
     ("window_bound", "ns"): WINDOW_NS,
-    ("partition_bound", "max_hull"): (2, None),
+    ("partition_bound", "max_hull"): (2, 24),
+    ("block_domination", "total_support"): (1, 24),
+    ("cor10", "total_support"): (1, 32),
     ("q_decay", "levels"): (1, 4),
     ("q_decay", "q"): (LEAST_Q, None),
     ("shrinking_series", "levels"): (1, 10),

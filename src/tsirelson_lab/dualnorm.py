@@ -108,15 +108,17 @@ objective.  This is the cut pool of branch and cut (Padberg
 and Rinaldi, *SIAM Review* 33, 1991).  A pooled tableau keeps every cut
 it was given, so it grows with the number of distinct cuts on its
 support (the default suite at seed 7 leaves 53 programs of at most 32
-rows).  The pool holds at most ``PROGRAM_POOL_SIZE`` programs; full, it
-drops its oldest, so its memory stays bounded in a long-lived process.
-Values never depend on the pool: each is the exact support-function
-value, and only the work to reach it changes with what the pool holds,
-so serial runs and worker processes give the same values.  The pool is
-not thread-safe: concurrent calls on one support would pivot one tableau
-at the same time.  The value caches hold finished values (and per-window
-functional sets), written once.  ``support_function_norm`` runs the same
-loop on state local to the call; it is the stateless reference.
+rows).  The pool and the value caches (finished values, and per-window
+functional sets) are ``seqvec.BoundedMemo`` stores: the pool holds at
+most 128 programs, ``_dual_cache`` 16 384 values and
+``_functional_cache`` 1 024 windows, and a full store drops its oldest
+entry, so memory stays bounded in a long-lived process.  Values never
+depend on what a store holds: each is the exact support-function value,
+and only the work to reach it changes, so serial runs and worker
+processes give the same values.  The pool is not thread-safe: concurrent
+calls on one support would pivot one tableau at the same time.
+``support_function_norm`` runs the same loop on state local to the call;
+it is the stateless reference.
 
 All of this runs on ints, behind one entry point:
 ``dual_norm_magnitudes(support, magnitudes, scale)`` takes |y| as positive
@@ -139,6 +141,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from . import _simplex
 from .seqvec import (
+    BoundedMemo,
     FinVec,
     IndexInterval,
     NormBounds,
@@ -372,11 +375,10 @@ def _one_past_schreier(magnitudes: Sequence[int], scale: int) -> Fraction:
     return Fraction(best, (m - 1) * (m - 2) * scale)
 
 
-_dual_cache: dict[tuple, Fraction] = {}
-# support -> the cutting-plane loop of that support, with its last tableau;
-# full, it drops its oldest entry
-PROGRAM_POOL_SIZE = 128
-_program_pool: dict[tuple[int, ...], Callable[[list[int]], Fraction]] = {}
+# (scale, support, magnitudes) in lowest terms -> ||y||*
+_dual_cache = BoundedMemo(16384)
+# support -> the cutting-plane loop of that support, with its last tableau
+_program_pool = BoundedMemo(128)
 
 
 def dual_norm(y: FinVec) -> Fraction:
@@ -424,8 +426,6 @@ def dual_norm_magnitudes(support: tuple[int, ...], magnitudes: Sequence[int], sc
             w = list(magnitudes)
             solve = _program_pool.get(support)
             if solve is None:
-                if len(_program_pool) >= PROGRAM_POOL_SIZE:
-                    del _program_pool[next(iter(_program_pool))]
                 solve = _program_pool[support] = _cutting_plane(list(support), norming_functional, w)
             value = solve(w) / scale
         _dual_cache[key] = value
@@ -476,7 +476,9 @@ def dual_norm_exact_small(y: FinVec) -> Fraction:
     return _simplex.maximize(w, rows, rhs).value / scale
 
 
-_functional_cache: dict[tuple[int, int], tuple] = {}
+# (lo, hi) of a window -> its pruned tree functionals; a hull-8 oracle call
+# reads at most 36 windows
+_functional_cache = BoundedMemo(1024)
 
 
 def tree_functionals(window: IndexInterval) -> tuple[tuple[tuple[int, Fraction], ...], ...]:

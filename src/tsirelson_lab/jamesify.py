@@ -59,6 +59,7 @@ from typing import Optional
 
 from .dualnorm import DualTsirelsonEngine, NormEngine
 from .seqvec import (
+    BoundedMemo,
     EventuallyConstantSeq,
     FinVec,
     NormBounds,
@@ -139,9 +140,8 @@ def canonical_selection_indices(a: FinVec) -> list[tuple[int, Fraction]]:
 
 
 # (base engine, pattern) -> (T_J* of the pattern's ints, canonical positions
-# of a maximizing selection); full, it drops its oldest entry
-JAMES_MEMO_SIZE = 4096
-_james_memo: dict[tuple, tuple[Fraction, tuple[int, ...]]] = {}
+# of a maximizing selection)
+_james_memo = BoundedMemo(4096)
 
 
 def _check_base(base: NormEngine) -> None:
@@ -196,7 +196,9 @@ def james_norm(
     engine object, by the scale lemma of the module docstring: a hit
     returns the stored value times gcd(v) / scale and the stored canonical
     positions mapped through this call's C(a).  Only searches whose leaves
-    were all exact are stored, and at most ``JAMES_MEMO_SIZE`` of them.
+    were all exact are stored.  The memo is a ``seqvec.BoundedMemo`` of
+    4 096 patterns: full, it drops its oldest, and the value and witness
+    never depend on what it holds.
 
     Returns an exact Fraction for exact bases (NormBounds otherwise); with
     ``with_witness`` also returns a maximizing :class:`PairSelection`
@@ -222,8 +224,6 @@ def james_norm(
     else:
         result, positions, exact = _search(values, scale, base)
         if exact:
-            if len(_james_memo) >= JAMES_MEMO_SIZE:
-                del _james_memo[next(iter(_james_memo))]
             _james_memo[key] = (result / unit_value, positions)
     if not with_witness:
         return result

@@ -37,6 +37,29 @@ def scaled_integers(values: Sequence[Union[int, Fraction]]) -> tuple[list[int], 
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
+class BoundedMemo(dict):
+    """A dict of at most ``size`` keys: a new key drops the oldest-inserted keys.
+
+    Every module-level store of the package is one of these, so memory
+    stays bounded in a long-lived process.  Values never depend on what a
+    store holds, only the work to reach them.  Insert through ``store[k] =
+    v`` (chained assignment is fine); ``setdefault`` and ``update`` bypass
+    the cap.  ``size`` is at least 1, and lowering it shrinks the store at
+    its next new key.  A store lives in one process and is not thread-safe.
+    """
+
+    __slots__ = ("size",)
+
+    def __init__(self, size: int) -> None:
+        super().__init__()
+        self.size = size
+
+    def __setitem__(self, key, value) -> None:
+        while len(self) >= self.size and key not in self:
+            del self[next(iter(self))]
+        dict.__setitem__(self, key, value)
+
+
 @dataclass(frozen=True)
 class IndexInterval:
     """Nonempty integer interval [lo, hi] of positive indices."""

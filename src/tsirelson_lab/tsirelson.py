@@ -70,6 +70,7 @@ ties are those of the exact rationals; the value leaves as
 ``Fraction(v, scale << n)``.
 
 One solve serves both the norm and its maximizer.  The module-level cache
+(a ``seqvec.BoundedMemo`` of 4 096 entries; full, it drops its oldest)
 maps the scaled magnitudes and their scale (1-unconditionality makes the
 signs irrelevant) to ``(value, shape)``.  The shape is the unsigned argmax
 tree by support positions: a leaf is its position, a node one
@@ -85,8 +86,8 @@ depth t gets 2^(D - t) over 2^D) without building a tree; it is the
 separation oracle of the T* cutting plane, whose inputs are LP iterates,
 so it is not cached.
 
-Evaluation is pure; the cache is write-once and invisible to callers, so
-parallel evaluation of distinct vectors is safe.
+Evaluation is pure and values never depend on what the cache holds, so
+worker processes give the same values as one process.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ from itertools import accumulate
 from operator import add
 from typing import Iterator, Union
 
-from .seqvec import FinVec, IndexInterval, scaled_integers
+from .seqvec import BoundedMemo, FinVec, IndexInterval, scaled_integers
 
 HALF = Fraction(1, 2)
 
@@ -385,7 +386,8 @@ def _argmax(indices: list[int], values: list[int]) -> tuple[int, Shape]:
     return program.solve(0, last), program.shape(0, last)
 
 
-_norm_cache: dict[tuple, tuple[Fraction, Shape]] = {}
+# (scale, support, magnitudes) -> (||x||, argmax shape)
+_norm_cache = BoundedMemo(4096)
 
 
 def _evaluate(x: FinVec) -> tuple[Fraction, Shape]:

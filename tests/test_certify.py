@@ -8,7 +8,7 @@ import pytest
 
 from tsirelson_lab.seqvec import FinVec
 from tsirelson_lab.blockseq import SAMPLE_POOL, BlockSequence
-from tsirelson_lab import certify, dualnorm, jamesify, tsirelson
+from tsirelson_lab import certify
 from tsirelson_lab.dualnorm import dual_norm
 from tsirelson_lab.certify import (
     QUICK_SUITE,
@@ -303,14 +303,23 @@ class TestRunSuite:
         digest = hashlib.sha256(report.dumps().encode("utf-8")).hexdigest()
         assert digest == QUICK_SUITE_SEED_7_SHA256
 
-    def test_every_quick_suite_certificate_replays(self, monkeypatch):
+    def test_quick_suite_report_bytes_with_every_store_at_one_entry(self, fresh_stores):
+        # values never depend on what a store holds: with room for one entry
+        # each, every store evicts on every new key, and the bytes stay
+        for store in fresh_stores:
+            store.size = 1
+        report = run_suite({"seed": 7, "checks": QUICK_SUITE})
+        digest = hashlib.sha256(report.dumps().encode("utf-8")).hexdigest()
+        assert digest == QUICK_SUITE_SEED_7_SHA256
+        assert all(len(store) <= 1 for store in fresh_stores)
+
+    def test_every_quick_suite_certificate_replays(self, fresh_stores):
         report = run_suite({"seed": 7, "checks": QUICK_SUITE})
         checks = {cert.check_id.split("[")[0] for cert in report.certificates}
         assert checks == {entry["name"] for entry in QUICK_SUITE}
         # replay recomputes every value instead of reading what the run stored
-        for module, cache in [(dualnorm, "_dual_cache"), (dualnorm, "_program_pool"),
-                              (tsirelson, "_norm_cache"), (jamesify, "_james_memo")]:
-            monkeypatch.setattr(module, cache, {})
+        for store in fresh_stores:
+            store.clear()
         for cert in report.certificates:
             assert replay_certificate(cert) == cert.lhs, cert.check_id
 

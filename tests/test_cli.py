@@ -241,6 +241,32 @@ class TestCertifyCommand:
         for name in names:
             assert name in err
 
+    @pytest.mark.parametrize(
+        "name, key, value",
+        [
+            ("partition_bound", "max_hull", 25),
+            ("block_domination", "total_support", 25),
+            ("cor10", "total_support", 33),
+            ("q_decay", "levels", 5),
+        ],
+    )
+    def test_size_above_its_cap_exits_2_before_any_unit_runs(self, name, key, value, tmp_path,
+                                                             capsys, monkeypatch):
+        # a little further past each cap, some suite seeds run for more than
+        # 25 s; one past it is refused before any unit runs
+        def unreachable(*args, **kwargs):
+            raise AssertionError(f"unit ran with {args} {kwargs}")
+
+        for unit in list(certify.CHECK_UNITS):
+            monkeypatch.setitem(certify.CHECK_UNITS, unit, unreachable)
+        config = tmp_path / "suite.json"
+        config.write_text(json.dumps({"checks": [{"name": name, key: value}]}))
+        code, out, err = run_cli(["certify", "--suite", str(config)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: check entry 0") and err.count("\n") == 1
+        # the value is one past the cap, and the message names both
+        assert f"{key!r} must be an integer within" in err and f"..{value - 1}, got {value}" in err
+
     def test_failing_certificate_exits_1(self, tmp_path, capsys):
         config = tmp_path / "suite.json"
         config.write_text(

@@ -100,8 +100,7 @@ class TestExactSmallOracle:
 
 
 class TestDualNormProperties:
-    def test_cache_keys_ignore_signs_and_keep_the_scale(self, monkeypatch):
-        monkeypatch.setattr(dualnorm, "_dual_cache", {})
+    def test_cache_keys_ignore_signs_and_keep_the_scale(self, fresh_stores):
         y = FinVec.from_pairs([(1, F(1, 2)), (2, F(-2, 3)), (3, F(3)), (5, F(1, 6))])
         value = dual_norm(y)
         for signs in itertools.product((1, -1), repeat=4):
@@ -221,11 +220,10 @@ class TestSchreierRegime:
                 assert value == dual_norm_exact_small(y)
         assert exact_small >= 50
 
-    def test_regime_skips_cache_and_cutting_plane(self, monkeypatch):
+    def test_regime_skips_cache_and_cutting_plane(self, fresh_stores, monkeypatch):
         def no_lp(support, oracle):
             raise AssertionError(f"cutting plane reached for {support}")
 
-        monkeypatch.setattr(dualnorm, "_dual_cache", {})
         monkeypatch.setattr(dualnorm, "_cutting_plane", no_lp)
         rng = random.Random(47)
         for _ in range(50):
@@ -233,7 +231,7 @@ class TestSchreierRegime:
         assert dual_norm(e(7)) == 1
         assert dualnorm._dual_cache == {}
 
-    def test_closed_windows_take_the_cached_closed_form(self, fresh_state, monkeypatch):
+    def test_closed_windows_take_the_cached_closed_form(self, fresh_stores, monkeypatch):
         # [n, 2n] has n + 1 points, one past the regime: a closed form with
         # no LP, stored in the value cache like a cutting-plane value
         def unreachable(*args):
@@ -327,7 +325,7 @@ def one_past_points(y):
 
 
 class TestOnePastSchreier:
-    def test_closed_form_matches_cutting_plane(self, fresh_state, monkeypatch):
+    def test_closed_form_matches_cutting_plane(self, fresh_stores, monkeypatch):
         rng = random.Random(79)
         vectors = [one_past_vec(rng) for _ in range(1200)]
         support_function = dualnorm.support_function_norm
@@ -346,7 +344,7 @@ class TestOnePastSchreier:
             assert value == support_function(y, norming_functional)
         assert min(kinds.values()) >= 300
 
-    def test_matches_the_exhaustive_oracle(self, fresh_state):
+    def test_matches_the_exhaustive_oracle(self, fresh_stores):
         rng = random.Random(83)
         checked = 0
         while checked < 120:
@@ -355,7 +353,7 @@ class TestOnePastSchreier:
                 checked += 1
                 assert dual_norm(y) == dual_norm_exact_small(y)
 
-    def test_primal_certificate(self, fresh_state):
+    def test_primal_certificate(self, fresh_stores):
         # the best of the three candidate points attains the value, and each
         # lies on the unit sphere of T
         rng = random.Random(89)
@@ -394,13 +392,6 @@ def vectors_through_one(draw):
 
 
 @pytest.fixture
-def fresh_state(monkeypatch):
-    """Empty value cache and program pool, so every value below is computed."""
-    monkeypatch.setattr(dualnorm, "_dual_cache", {})
-    monkeypatch.setattr(dualnorm, "_program_pool", {})
-
-
-@pytest.fixture
 def program_solves(monkeypatch):
     """(support, objectives solved) of every cutting-plane program built, in order."""
     programs = []
@@ -421,7 +412,7 @@ def program_solves(monkeypatch):
 
 
 class TestPeel:
-    def test_matches_the_exhaustive_oracle(self, fresh_state):
+    def test_matches_the_exhaustive_oracle(self, fresh_stores):
         rng = random.Random(61)
         pooled = 0
         for _ in range(60):
@@ -438,7 +429,7 @@ class TestPeel:
         # the unpeeled cutting plane on all of y checks the identity itself
         assert dual_norm(y) == head + dual_norm(tail) == support_function_norm(y, norming_functional)
 
-    def test_zero_and_singleton_take_their_own_paths(self, fresh_state, monkeypatch):
+    def test_zero_and_singleton_take_their_own_paths(self, fresh_stores, monkeypatch):
         def unreachable(*args):
             raise AssertionError(f"reached with {args}")
 
@@ -450,7 +441,7 @@ class TestPeel:
         assert engine.eval_magnitudes([], 5) == 0
         assert dualnorm._dual_cache == {} and dualnorm._program_pool == {}
 
-    def test_tails_share_their_cache_entry(self, fresh_state, program_solves):
+    def test_tails_share_their_cache_entry(self, fresh_stores, program_solves):
         # a tail is looked up in lowest terms, whatever the head's denominator;
         # its program solves |y| in lowest terms, once
         tail = FinVec.from_pairs([(2, 1), (3, F(1, 2)), (5, -2), (6, 1)])
@@ -467,13 +458,13 @@ class TestPeel:
         assert program_solves[1:] == [((2, 3, 4, 5), [(3, 1, 2, 1)])]
         assert list(dualnorm._program_pool) == [(2, 3, 5, 6), (2, 3, 4, 5)]
 
-    def test_pooled_prefixes_in_any_order(self, fresh_state, program_solves, monkeypatch):
+    def test_pooled_prefixes_in_any_order(self, fresh_stores, program_solves):
         rng = random.Random(67)
         vectors = [prefix_vec(rng, rng.randint(4, 10)) for _ in range(40)]
 
         def values(order, clear_each):
-            monkeypatch.setattr(dualnorm, "_dual_cache", {})
-            monkeypatch.setattr(dualnorm, "_program_pool", {})
+            dualnorm._dual_cache.clear()
+            dualnorm._program_pool.clear()
             program_solves.clear()
             found = {}
             for k in order:
@@ -492,7 +483,7 @@ class TestPeel:
         for y, value in zip(vectors, forward):
             assert value == support_function_norm(y, norming_functional)
 
-    def test_values_never_depend_on_the_pool(self, fresh_state, program_solves, monkeypatch):
+    def test_values_never_depend_on_the_pool(self, fresh_stores, program_solves):
         # gapped supports that are not prefixes, two or three points past the
         # regime, four vectors on each; evaluated in three orders with the
         # pool kept, cleared before every call, and capped at two programs
@@ -509,12 +500,12 @@ class TestPeel:
         # the vectors of one support in a row, or one support after another
         interleaved = [k for j in range(4) for k in forward[j::4]]
         built = {}
+        size = dualnorm._program_pool.size
         for mode in ("kept", "cleared", "capped"):
-            cap = 2 if mode == "capped" else dualnorm.PROGRAM_POOL_SIZE
-            monkeypatch.setattr(dualnorm, "PROGRAM_POOL_SIZE", cap)
+            cap = dualnorm._program_pool.size = 2 if mode == "capped" else size
             for name, order in [("forward", forward), ("reverse", forward[::-1]), ("interleaved", interleaved)]:
-                monkeypatch.setattr(dualnorm, "_dual_cache", {})
-                monkeypatch.setattr(dualnorm, "_program_pool", {})
+                dualnorm._dual_cache.clear()
+                dualnorm._program_pool.clear()
                 program_solves.clear()
                 for k in order:
                     if mode == "cleared":
@@ -530,7 +521,7 @@ class TestPeel:
 
 
 class TestDualNormMagnitudes:
-    def test_any_scale_shares_the_vector_entry(self, fresh_state, program_solves):
+    def test_any_scale_shares_the_vector_entry(self, fresh_stores, program_solves):
         # (12, 6, 6, 6, 6) at scale 6 is y = (2, 1, 1, 1, 1) on {3, ..., 7}, two
         # points past the Schreier regime, so it takes the LP
         y = FinVec.from_pairs([(3, 2), (4, -1), (5, 1), (6, 1), (7, 1)])
@@ -548,7 +539,7 @@ class TestDualNormMagnitudes:
         assert len(dualnorm._dual_cache) == 1
         assert program_solves == [((3, 4, 5, 6, 7), [(2, 1, 1, 1, 1)] * 2)]
 
-    def test_matches_dual_norm_at_any_scale(self, fresh_state):
+    def test_matches_dual_norm_at_any_scale(self, fresh_stores):
         rng = random.Random(73)
         for _ in range(60):
             y = random_vec(rng, rng.randint(1, 4), rng.randint(4, 9))
@@ -560,7 +551,7 @@ class TestDualNormMagnitudes:
 
 class TestSimplexWork:
     @pytest.mark.parametrize("n, value, pivots", [(12, F(13, 6), 133), (16, F(17, 8), 241)])
-    def test_closed_window_pivots(self, n, value, pivots, fresh_state, monkeypatch):
+    def test_closed_window_pivots(self, n, value, pivots, fresh_stores, monkeypatch):
         # the pivot count of a whole cutting plane; a tie broken by column
         # position instead of variable id changes the work, not only the time.
         # dual_norm answers closed windows in closed form, so the cutting
@@ -580,7 +571,7 @@ class TestSimplexWork:
 
 class TestEvalMagnitudes:
     @pytest.mark.parametrize("engine", [LpEngine(1), LpEngine(math.inf), DualTsirelsonEngine()])
-    def test_matches_eval_of_the_vector(self, engine, fresh_state):
+    def test_matches_eval_of_the_vector(self, engine, fresh_stores):
         rng = random.Random(71)
         shared = 0
         # zero tails, a zero head and interior zeros first
@@ -617,7 +608,7 @@ class TestEngines:
         for engine in (LpEngine(1), LpEngine(math.inf), TsirelsonEngine(), DualTsirelsonEngine()):
             assert engine.is_1_unconditional
 
-    def test_compaction_flag_honest(self, fresh_state):
+    def test_compaction_flag_honest(self, fresh_stores):
         # moving a support to smaller indices, coefficients in order, never
         # lowers a norm that declares it; T declares nothing, and lowers
         rng = random.Random(103)

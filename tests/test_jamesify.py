@@ -6,8 +6,17 @@ from fractions import Fraction as F
 import pytest
 
 from tsirelson_lab import jamesify
-from tsirelson_lab.seqvec import EventuallyConstantSeq, FinVec, NormBounds
-from tsirelson_lab.dualnorm import DualTsirelsonEngine, LpEngine, NormEngine, TsirelsonEngine
+from tsirelson_lab.seqvec import EventuallyConstantSeq, FinVec, IndexInterval, NormBounds
+from tsirelson_lab.dualnorm import (
+    DualTsirelsonEngine,
+    LpEngine,
+    NormEngine,
+    TsirelsonEngine,
+    dual_norm,
+    dual_norm_exact_small,
+    tree_functionals,
+)
+from tsirelson_lab.tsirelson import tsirelson_norm
 from tsirelson_lab.jamesify import (
     JamesEngine,
     PairSelection,
@@ -53,11 +62,9 @@ class CountingEngine(NormEngine):
 
 
 @pytest.fixture
-def empty_memo(monkeypatch):
+def empty_memo(fresh_stores):
     """A fresh, empty James memo for one test."""
-    memo = {}
-    monkeypatch.setattr(jamesify, "_james_memo", memo)
-    return memo
+    return jamesify._james_memo
 
 
 def james_brute(a, engine, extra=2):
@@ -347,20 +354,54 @@ class TestJamesMemo:
                 james_norm(copy, counted, with_witness=True)
                 assert (counted.calls, counted.bounds) == (0, 0)
 
-    def test_memo_stays_within_its_cap(self, empty_memo, monkeypatch):
-        monkeypatch.setattr(jamesify, "JAMES_MEMO_SIZE", 4)
-        rng = random.Random(53)
-        for _ in range(30):
-            a = random_vec(rng, 1, 6)
-            value = james_norm(a, T_STAR)
-            assert len(empty_memo) <= 4
-            assert james_norm(a, T_STAR) == value == james_brute(a, T_STAR)
+    @staticmethod
+    def values_through_every_store(a):
+        """T_J* of a with its witness, twice (a memo hit), T*, T and the exhaustive T*."""
+        first = james_norm(a, T_STAR, with_witness=True)
+        return (first, james_norm(a, T_STAR, with_witness=True),
+                dual_norm(a), tsirelson_norm(a), dual_norm_exact_small(a))
 
-    def test_oldest_entry_goes_first(self, empty_memo, monkeypatch):
-        monkeypatch.setattr(jamesify, "JAMES_MEMO_SIZE", 2)
-        for j in (1, 2, 3):  # three patterns: (1, 0), (0, 1, 0), (0, 0, 1, 0)
-            james_norm(e(j), T_STAR)
-        assert [pattern for _, pattern in empty_memo] == [(0, 1, 0), (0, 0, 1, 0)]
+    def test_memo_stays_within_its_cap(self, fresh_stores):
+        # every module-level store, not only the James memo, at 4 entries:
+        # each value must be the one reached with room to spare
+        rng = random.Random(53)
+        vectors = [random_vec(rng, 1, 6) for _ in range(30)]
+        expected = [self.values_through_every_store(a) for a in vectors]
+        for store in fresh_stores:
+            store.clear()
+            store.size = 4
+        largest = [0] * len(fresh_stores)
+        for a, values in zip(vectors, expected):
+            assert self.values_through_every_store(a) == values
+            assert values[0][0] == james_brute(a, T_STAR)
+            assert all(len(store) <= 4 for store in fresh_stores)
+            largest = [max(n, len(store)) for n, store in zip(largest, fresh_stores)]
+        assert largest == [4] * len(fresh_stores)
+
+    def test_oldest_entry_goes_first(self, fresh_stores):
+        def indicator(lo, hi):
+            return FinVec.from_pairs((i, 1) for i in range(lo, hi + 1))
+
+        # per store, in the order of ``fresh_stores``: a call on j = 1, 2, 3
+        # that adds one new key to it
+        calls = [
+            lambda j: dual_norm(indicator(j + 1, 2 * j + 2)),  # closed windows [n, 2n]
+            lambda j: dual_norm(indicator(j + 1, 2 * j + 3)),  # [n, 2n + 1]: a program each
+            lambda j: tree_functionals(IndexInterval(j, j)),
+            lambda j: tsirelson_norm(e(j)),
+            lambda j: james_norm(e(j), T_STAR),  # patterns (1, 0), (0, 1, 0), (0, 0, 1, 0)
+        ]
+        for store, call in zip(fresh_stores, calls):
+            kept = []
+            for size in (3, 2):
+                for other in fresh_stores:
+                    other.clear()
+                store.size = size
+                for j in (1, 2, 3):
+                    call(j)
+                kept.append(list(store))
+            assert len(kept[0]) == 3 and kept[1] == kept[0][1:]
+        assert [pattern for _, pattern in jamesify._james_memo] == [(0, 1, 0), (0, 0, 1, 0)]
 
     def test_enclosures_are_not_stored(self, empty_memo):
         # l2 leaves such as (1, 1) have irrational norms, and an enclosure's

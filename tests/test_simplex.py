@@ -456,7 +456,7 @@ def test_primal_pivots_outside_the_loop_match_fraction_reference():
     assert pivots >= 150
 
 
-def test_tstar_programs_give_the_fraction_functionals(monkeypatch):
+def test_tstar_programs_give_the_fraction_functionals(fresh_stores, monkeypatch):
     # both T* programs pass each functional f, cuts included, as the
     # integer row of f's integers <= f's denominator: every tableau must be
     # the Fraction reference's on the same rows, also after the objective
@@ -493,8 +493,6 @@ def test_tstar_programs_give_the_fraction_functionals(monkeypatch):
     monkeypatch.setattr(_simplex, "maximize", checked_maximize)
     monkeypatch.setattr(_simplex.Tableau, "add_row", checked_add_row)
     monkeypatch.setattr(_simplex.Tableau, "set_objective", checked_set_objective)
-    monkeypatch.setattr(dualnorm, "_dual_cache", {})
-    monkeypatch.setattr(dualnorm, "_program_pool", {})
     rng = random.Random(21)
     for _ in range(20):
         lo = rng.randint(1, 4)

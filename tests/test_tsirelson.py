@@ -168,8 +168,7 @@ class TestNormExamples:
 
 
 class TestNormProperties:
-    def test_cache_keys_ignore_signs_and_keep_the_scale(self, monkeypatch):
-        monkeypatch.setattr(tsirelson, "_norm_cache", {})
+    def test_cache_keys_ignore_signs_and_keep_the_scale(self, fresh_stores):
         x = FinVec.from_pairs([(2, F(1, 2)), (3, F(-2, 3)), (4, F(3)), (7, F(1, 6))])
         value = tsirelson_norm(x)
         for signs in itertools.product((1, -1), repeat=4):
@@ -432,8 +431,7 @@ class TestSharedEntry:
     """The norm and the maximizer of one vector come from one cached solve."""
 
     @pytest.fixture
-    def solves(self, monkeypatch):
-        monkeypatch.setattr(tsirelson, "_norm_cache", {})
+    def solves(self, fresh_stores, monkeypatch):
         count = []
 
         class Counted(tsirelson._NormProgram):
