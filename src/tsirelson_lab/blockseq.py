@@ -13,11 +13,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dualnorm import NormEngine
-from .seqvec import FinVec
+from .seqvec import FinVec, scaled_integers
 
 SAMPLE_POOL: tuple[Fraction, ...] = tuple(
     Fraction(v) for v in ("1", "-1", "1/2", "-1/2", "2", "-2", "1/3", "-1/3")
 )
+# SAMPLE_POOL as ints over one scale, in the same order
+POOL_INTS, POOL_SCALE = scaled_integers(SAMPLE_POOL)
 
 
 @dataclass(frozen=True)
@@ -78,6 +80,33 @@ def normalize(u: BlockSequence, engine: NormEngine) -> BlockSequence:
     return BlockSequence(tuple(scaled), u.boundaries)
 
 
+def random_block_ints(
+    seed: int, count: int, max_block_width: int, start: int = 1
+) -> tuple[list[tuple[list[int], list[int]]], list[int]]:
+    """The draw of ``random_block_sequence`` on ints, from the same stream.
+
+    Returns each block as (its support, its values times ``POOL_SCALE``)
+    and the boundaries.
+    """
+    if count < 1 or max_block_width < 1:
+        raise ValueError("count and max_block_width must be positive")
+    rng = random.Random(seed)
+    blocks = []
+    boundaries = [0]
+    position = start - 1
+    for j in range(count):
+        width = rng.randint(1, max_block_width)
+        window = list(range(position + 1, position + width + 1))
+        chosen = [i for i in window if rng.random() < 0.7]
+        if not chosen:
+            chosen = [rng.choice(window)]
+        # the pool and its ints have one order, so both choices draw alike
+        blocks.append((chosen, [rng.choice(POOL_INTS) for _ in chosen]))
+        position += width
+        boundaries.append(position)
+    return blocks, boundaries
+
+
 def random_block_sequence(
     seed: int,
     count: int,
@@ -94,23 +123,9 @@ def random_block_sequence(
     max_block_width within the engine's tractable support (roughly 20 for
     the engines built on the dual Tsirelson norm).
     """
-    if count < 1 or max_block_width < 1:
-        raise ValueError("count and max_block_width must be positive")
-    rng = random.Random(seed)
-    blocks = []
-    boundaries = [0]
-    position = start - 1
-    for j in range(count):
-        width = rng.randint(1, max_block_width)
-        window = list(range(position + 1, position + width + 1))
-        chosen = [i for i in window if rng.random() < 0.7]
-        if not chosen:
-            chosen = [rng.choice(window)]
-        block = FinVec.from_pairs((i, rng.choice(SAMPLE_POOL)) for i in chosen)
-        blocks.append(block)
-        position += width
-        boundaries.append(position)
-    return BlockSequence(tuple(blocks), tuple(boundaries))
+    blocks, boundaries = random_block_ints(seed, count, max_block_width, start)
+    vectors = tuple(FinVec.from_ints(support, values, POOL_SCALE) for support, values in blocks)
+    return BlockSequence(vectors, tuple(boundaries))
 
 
 def combine(u: BlockSequence, a: FinVec) -> FinVec:

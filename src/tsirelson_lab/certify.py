@@ -11,24 +11,27 @@ byte-identical across runs for fixed seeds.
 from __future__ import annotations
 
 import json
+import math
 import random
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from inspect import signature
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
-from .blockseq import SAMPLE_POOL, BlockSequence, combine, normalize, random_block_sequence
+from .blockseq import (
+    POOL_INTS, POOL_SCALE, BlockSequence, combine, normalize, random_block_ints, random_block_sequence,
+)
 from .dualnorm import DualTsirelsonEngine, dual_norm, dual_norm_magnitudes
-from .jamesify import JamesEngine, PairSelection, difference_vector, james_norm
+from .jamesify import JamesEngine, PairSelection, difference_vector, james_norm, james_norm_ints
 from .seqvec import (
     FinVec,
-    IndexInterval,
     NormBounds,
     lp_norm,
     lower_of,
-    restrict,
     scaled_integers,
     upper_of,
 )
@@ -96,25 +99,16 @@ class QEstimateReport:
         }
 
 
-# SAMPLE_POOL as ints over one scale, in the same order
-_POOL_INTS, _POOL_SCALE = scaled_integers(SAMPLE_POOL)
-
-
 def _sample_ints(rng: random.Random, indices: Sequence[int]) -> tuple[list[int], list[int]]:
-    """A random vector on ``indices`` as (its support, its values times ``_POOL_SCALE``)."""
+    """A random vector on ``indices`` as (its support, its values times ``POOL_SCALE``)."""
     chosen = [i for i in indices if rng.random() < 0.75]
     if not chosen:
         chosen = [rng.choice(list(indices))]
-    return chosen, [rng.choice(_POOL_INTS) for _ in chosen]
-
-
-def _vector(support: Sequence[int], values: Sequence[int], scale: int) -> FinVec:
-    """The vector with entries values[k] / scale at support[k] (increasing, nonzero)."""
-    return FinVec(tuple((i, Fraction(v, scale)) for i, v in zip(support, values)))
+    return chosen, [rng.choice(POOL_INTS) for _ in chosen]
 
 
 def _sample_vector(rng: random.Random, indices: Sequence[int]) -> FinVec:
-    return _vector(*_sample_ints(rng, indices), _POOL_SCALE)
+    return FinVec.from_ints(*_sample_ints(rng, indices), POOL_SCALE)
 
 
 def _window_patterns(n: int) -> list[tuple[list[int], list[int]]]:
@@ -155,7 +149,7 @@ def check_window_bound(
     rng = random.Random(seed)
     window = list(range(n + 1, 2 * n + 1))
     candidates = [(support, values, 1) for support, values in _window_patterns(n)]
-    candidates += [(*_sample_ints(rng, window), _POOL_SCALE) for _ in range(samples)]
+    candidates += [(*_sample_ints(rng, window), POOL_SCALE) for _ in range(samples)]
     # the worst ratio so far is worst_numerator / worst_denominator
     worst_numerator, worst_denominator = 0, 1
     worst: Optional[tuple[list[int], list[int], int, Fraction]] = None
@@ -169,7 +163,7 @@ def check_window_bound(
             worst = (support, values, scale, value)
     assert worst is not None
     support, values, scale, value = worst
-    y = _vector(support, values, scale)
+    y = FinVec.from_ints(support, values, scale)
     worst_ratio = Fraction(worst_numerator, worst_denominator)
     return Certificate(
         check_id=f"window_bound[n={n}]",
@@ -186,23 +180,32 @@ def check_window_bound(
     )
 
 
+def _partition_sides(
+    support: Sequence[int], magnitudes: list[int], scale: int, boundaries: list[int]
+) -> tuple[Fraction, list[Fraction], Fraction]:
+    """||y||*, each ||y on (b_j, b_(j+1)]||* and the T* norm of those, on ints.
+
+    |y| is magnitudes[k] / scale at support[k].
+    """
+    cuts = [bisect_right(support, b) for b in boundaries]
+    lhs, *block_norms = [
+        dual_norm_magnitudes(tuple(support[lo:hi]), magnitudes[lo:hi], scale) if hi > lo else Fraction(0)
+        for lo, hi in [(0, len(support)), *zip(cuts, cuts[1:])]  # y itself first
+    ]
+    return lhs, block_norms, T_STAR.eval_magnitudes(*scaled_integers(block_norms))
+
+
 def check_partition_bound(y: FinVec, boundaries: Sequence[int]) -> Certificate:
     """Blockwise norm coefficients dominate the dual norm (exact)."""
     boundaries = list(boundaries)
-    if not boundaries or boundaries[0] != 0 or sorted(boundaries) != boundaries:
+    if not boundaries or boundaries[0] != 0 or any(b >= c for b, c in zip(boundaries, boundaries[1:])):
         raise ValueError("boundaries must be increasing and start at 0")
     support = y.support()
     if support and support[-1] > boundaries[-1]:
         raise ValueError("boundaries must cover the support")
-    lhs = dual_norm(y)
-    block_norms = []
-    for j in range(len(boundaries) - 1):
-        window = IndexInterval(boundaries[j] + 1, boundaries[j + 1])
-        block_norms.append(dual_norm(restrict(y, window)))
-    dominating = FinVec.from_pairs(
-        (j + 1, norm) for j, norm in enumerate(block_norms)
-    )
-    rhs = dual_norm(dominating)
+    values, scale = scaled_integers([c for _, c in y.entries])
+    lhs, block_norms, rhs = _partition_sides(support, [abs(v) for v in values], scale, boundaries)
+    dominating = FinVec.from_pairs((j + 1, norm) for j, norm in enumerate(block_norms))
     return Certificate(
         check_id="partition_bound",
         params={"boundaries": boundaries},
@@ -491,24 +494,13 @@ def _unit_window_bound(
     return [check_window_bound(n, samples=samples, seed=seed + n, constant=constant) for n in ns]
 
 
-def _worst_sample(
-    samples: int,
-    draw: Callable[[], Certificate],
-    badness: Callable[[Certificate], Fraction],
-    params: dict,
-) -> Certificate:
-    """The first strictly worst of ``samples`` drawn certificates.
+def _first_worst(samples: int, draw: Callable[[], tuple[Fraction, tuple]]) -> tuple:
+    """The sample of the first of ``samples`` draws (score, sample) with the top score.
 
-    The result carries the unit's ``params`` and passes only if every
-    sample passed.
+    A unit's verdict bounds its score, so that sample passes exactly when
+    every sample passes.
     """
-    certs = [draw() for _ in range(samples)]
-    worst = max(certs, key=badness)
-    return replace(worst, params=params, passed=all(c.passed for c in certs))
-
-
-def _excess(cert: Certificate) -> Fraction:
-    return cert.lhs - cert.rhs
+    return max((draw() for _ in range(samples)), key=itemgetter(0))[1]
 
 
 def _unit_partition_bound(
@@ -516,23 +508,49 @@ def _unit_partition_bound(
 ) -> list[Certificate]:
     rng = random.Random(seed)
 
-    def draw() -> Certificate:
+    def draw() -> tuple[Fraction, tuple]:
         top = rng.randint(2, max_hull)
-        y = _sample_vector(rng, range(1, top + 1))
-        return check_partition_bound(y, _random_boundaries(rng, top))
+        support, values = _sample_ints(rng, range(1, top + 1))
+        boundaries = _random_boundaries(rng, top)
+        lhs, _, rhs = _partition_sides(support, [abs(v) for v in values], POOL_SCALE, boundaries)
+        return lhs - rhs, (support, values, boundaries)
 
-    unit_params = {"samples": samples, "seed": seed, "max_hull": max_hull}
-    return [_worst_sample(samples, draw, _excess, unit_params)]
+    support, values, boundaries = _first_worst(samples, draw)
+    cert = check_partition_bound(FinVec.from_ints(support, values, POOL_SCALE), boundaries)
+    return [replace(cert, params={"samples": samples, "seed": seed, "max_hull": max_hull})]
 
 
-def _random_normalized_blocks(
-    rng: random.Random, count: int, total_support: int
-) -> BlockSequence:
-    width = max(1, total_support // count)
-    raw = random_block_sequence(
-        seed=rng.randrange(2**30), count=count, max_block_width=width
-    )
-    return normalize(raw, JamesEngine(T_STAR))
+def _combination_draw(
+    rng: random.Random, count: int, total_support: int, indices: Sequence[int]
+) -> tuple[Fraction, tuple]:
+    """One sample of the block units on ints: (T_J* of sum_j a_j u_j, the sample).
+
+    Draws ``count`` raw blocks, then a on ``indices``; u_j is block j
+    normalized in T_J*, and a block whose coefficient is 0 is never
+    normalized.  The sample is the raw blocks' ``random_block_sequence``
+    arguments, a's support and a's ints over ``POOL_SCALE``.
+    """
+    blocks_args = (rng.randrange(2**30), count, max(1, total_support // count))
+    blocks, _ = random_block_ints(*blocks_args)
+    support, values = _sample_ints(rng, indices)
+    norms = [james_norm_ints(*blocks[j - 1], POOL_SCALE, T_STAR) for j in support]
+    # for block j's ints v and its norm p / q, a_j u_j is a_j q v / (POOL_SCALE^2 p)
+    common = math.lcm(*(norm.numerator for norm in norms))
+    combined_indices, combined = [], []
+    for j, c, norm in zip(support, values, norms):
+        block_support, block_values = blocks[j - 1]
+        factor = c * norm.denominator * (common // norm.numerator)
+        combined_indices += block_support
+        combined += [factor * v for v in block_values]
+    value = james_norm_ints(combined_indices, combined, POOL_SCALE**2 * common, T_STAR)
+    return value, (blocks_args, support, values)
+
+
+def _rebuilt(sample: tuple) -> tuple[BlockSequence, FinVec]:
+    """The normalized blocks and the coefficients of a ``_combination_draw`` sample."""
+    blocks_args, support, values = sample
+    u = normalize(random_block_sequence(*blocks_args), JamesEngine(T_STAR))
+    return u, FinVec.from_ints(support, values, POOL_SCALE)
 
 
 def _unit_block_domination(
@@ -540,14 +558,19 @@ def _unit_block_domination(
 ) -> list[Certificate]:
     rng = random.Random(seed)
 
-    def draw() -> Certificate:
+    def draw() -> tuple[Fraction, tuple]:
         count = rng.randint(1, max_blocks)
-        u = _random_normalized_blocks(rng, count, total_support)
-        a = _sample_vector(rng, range(1, count + 1))
-        return check_block_domination(u, a, skip_normalization_check=True)
+        lhs, sample = _combination_draw(rng, count, total_support, range(1, count + 1))
+        _, support, values = sample
+        sums = [0] * (count + 1)  # |a_j| at j - 1, and a_(count + 1) = 0
+        for j, c in zip(support, values):
+            sums[j - 1] = abs(c)
+        rhs = T_STAR.eval_magnitudes([x + y for x, y in zip(sums, sums[1:])], POOL_SCALE)
+        return lhs - rhs, sample
 
-    unit_params = {"samples": samples, "seed": seed}
-    return [_worst_sample(samples, draw, _excess, unit_params)]
+    u, a = _rebuilt(_first_worst(samples, draw))
+    cert = check_block_domination(u, a, skip_normalization_check=True)
+    return [replace(cert, params={"samples": samples, "seed": seed})]
 
 
 def _unit_cor10(
@@ -556,14 +579,15 @@ def _unit_cor10(
 ) -> list[Certificate]:
     rng = random.Random(seed)
 
-    def draw() -> Certificate:
-        u = _random_normalized_blocks(rng, 2 * n, total_support)
-        a = _sample_vector(rng, range(n, 2 * n + 1))
-        return check_cor10(u, n, a, constant=constant, skip_normalization_check=True)
+    def draw() -> tuple[Fraction, tuple]:
+        lhs, sample = _combination_draw(rng, 2 * n, total_support, range(n, 2 * n + 1))
+        _, _, values = sample
+        return lhs * POOL_SCALE / max(map(abs, values)), sample
 
-    unit_params = {"samples": samples, "seed": seed, "n": n}
-    worst = _worst_sample(samples, draw, lambda c: Fraction(c.witness["ratio"]), unit_params)
-    return [replace(worst, params={**unit_params, "max_ratio": worst.witness["ratio"]})]
+    u, a = _rebuilt(_first_worst(samples, draw))
+    cert = check_cor10(u, n, a, constant=constant, skip_normalization_check=True)
+    unit_params = {"samples": samples, "seed": seed, "n": n, "max_ratio": cert.witness["ratio"]}
+    return [replace(cert, params=unit_params)]
 
 
 def _unit_q_decay(
@@ -693,7 +717,8 @@ def run_suite(config: Optional[dict] = None, workers: int = 1) -> CertificateRep
         }
         entries.append((name, seed * 1009 + 17 * k, params))
     if workers > 1 and len(entries) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a fork-context pool starts all max_workers processes at the first submit
+        with ProcessPoolExecutor(max_workers=min(workers, len(entries))) as pool:
             results = list(pool.map(_run_unit, entries))
     else:
         results = [_run_unit(entry) for entry in entries]

@@ -41,7 +41,9 @@ not scale, so the lemma needs every evaluated leaf to be exact.  Hence
 ``james_norm`` memoizes a search on its *pattern*, v over gcd(v) with the
 sign that makes its first nonzero int positive, and on the base engine
 object; a hit rescales the stored value and maps the stored positions
-through the call's own C(a).
+through the call's own C(a).  The integer entry ``james_norm_ints``
+takes a vector as its indices, int values and any scale (the lemma
+again), and ``james_norm`` is ``scaled_integers`` plus a call to it.
 
 The bidual of the James space is modeled by eventually constant coefficient
 sequences; its norm is the supremum of the (nondecreasing) partial-sum
@@ -55,7 +57,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .dualnorm import DualTsirelsonEngine, NormEngine
 from .seqvec import (
@@ -105,9 +107,11 @@ def difference_vector(a: FinVec, selection: PairSelection) -> FinVec:
     )
 
 
-def canonical_selection_indices(a: FinVec) -> list[tuple[int, Fraction]]:
+def canonical_selection_indices(a) -> list[tuple[int, Fraction]]:
     """The canonical index set C(a) of the selection domain lemma, with a's values.
 
+    ``a`` is a FinVec or its entries: (index, nonzero value) pairs in
+    increasing index order, the values Fractions or ints in one unit.
     Returns (index, a_index) in increasing index order.  The runs of the
     padded sequence come from one pass over a's entries: an interior gap
     is a zero run, and the padded zero at m+1 is a run of its own, since
@@ -120,22 +124,21 @@ def canonical_selection_indices(a: FinVec) -> list[tuple[int, Fraction]]:
         if last > first:
             chosen.append((first + 1, value))
 
-    zero = Fraction(0)
     start = end = 0  # the open run of equal entries is start..end (none yet)
-    value = zero
-    for i, c in a.entries:
+    value = 0
+    for i, c in a.entries if isinstance(a, FinVec) else a:
         if i == end + 1 and c == value:
             end = i
             continue
         if end:
             add_run(start, end, value)
         if i > end + 1:
-            add_run(end + 1, i - 1, zero)
+            add_run(end + 1, i - 1, 0)
         start = end = i
         value = c
     if end:
         add_run(start, end, value)
-        add_run(end + 1, end + 1, zero)
+        add_run(end + 1, end + 1, 0)
     return chosen
 
 
@@ -206,32 +209,43 @@ def james_norm(
     compaction-monotone raises ``ValueError``: the search would not be the
     supremum.
     """
-    _check_base(base)
-    zero = Fraction(0)
-    if a.is_zero:
-        return (zero, None) if with_witness else zero
+    values, scale = scaled_integers([c for _, c in a.entries])
+    return james_norm_ints(a.support(), values, scale, base, with_witness)
 
-    indices, coefficients = zip(*canonical_selection_indices(a))
-    values, scale = scaled_integers(coefficients)
-    unit = math.gcd(*values)
-    sign = 1 if next(v for v in values if v) > 0 else -1
-    key = (base, tuple(sign * v // unit for v in values))
+
+def james_norm_ints(
+    indices: Sequence[int], values: Sequence[int], scale: int, base: NormEngine,
+    with_witness: bool = False,
+):
+    """``james_norm`` of the vector with entries values[k] / scale at indices[k].
+
+    ``indices`` increase, every int value is nonzero, and ``scale`` is any
+    positive int: by the scale lemma the search and the memo entry do not
+    depend on it, so callers that hold a vector as ints skip the FinVec.
+    """
+    _check_base(base)
+    if not values:
+        return (Fraction(0), None) if with_witness else Fraction(0)
+    chosen, canonical = zip(*canonical_selection_indices(zip(indices, values)))
+    unit = math.gcd(*canonical)
+    sign = 1 if next(v for v in canonical if v) > 0 else -1
+    key = (base, tuple(sign * v // unit for v in canonical))
     unit_value = Fraction(unit, scale)  # a's values are sign * unit_value * pattern
     entry = _james_memo.get(key)
     if entry is not None:
         pattern_value, positions = entry
         result: NormValue = pattern_value * unit_value
     else:
-        result, positions, exact = _search(values, scale, base)
+        result, positions, exact = _search(canonical, scale, base)
         if exact:
             _james_memo[key] = (result / unit_value, positions)
     if not with_witness:
         return result
-    return result, PairSelection(tuple(indices[p] for p in positions)) if positions else None
+    return result, PairSelection(tuple(chosen[p] for p in positions)) if positions else None
 
 
 def _search(
-    values: list[int], scale: int, base: NormEngine
+    values: Sequence[int], scale: int, base: NormEngine
 ) -> tuple[NormValue, Optional[tuple[int, ...]], bool]:
     """The branch and bound of ``james_norm`` on C(a)'s values as ints over ``scale``.
 

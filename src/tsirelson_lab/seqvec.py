@@ -125,6 +125,11 @@ class FinVec:
         return FinVec(tuple((i, c) for i, c in sorted(acc.items()) if c != 0))
 
     @staticmethod
+    def from_ints(support: Sequence[int], values: Sequence[int], scale: int) -> FinVec:
+        """The vector with values[k] / scale at support[k] (increasing, nonzero)."""
+        return FinVec(tuple((i, Fraction(v, scale)) for i, v in zip(support, values)))
+
+    @staticmethod
     def basis(index: int, coeff: Rational = 1) -> FinVec:
         return FinVec.from_pairs([(index, coeff)])
 

@@ -27,9 +27,8 @@ from tsirelson_lab.jamesify import (
     james_norm,
     u_map,
 )
-from tsirelson_lab.blockseq import BlockSequence
+from tsirelson_lab.blockseq import BlockSequence, normalize, random_block_sequence
 from tsirelson_lab.certify import (
-    _random_normalized_blocks,
     _sample_vector,
     check_block_domination,
     check_cor10,
@@ -48,6 +47,13 @@ def report(criterion, passed, detail=""):
     status = "PASS" if passed else "FAIL"
     print(f"{status} criterion {criterion}: {detail}")
     assert passed, f"criterion {criterion} failed: {detail}"
+
+
+def random_normalized_blocks(rng, count, total_support):
+    """``count`` seeded blocks of width at most total_support // count, normalized in T_J*."""
+    width = max(1, total_support // count)
+    raw = random_block_sequence(seed=rng.randrange(2**30), count=count, max_block_width=width)
+    return normalize(raw, JamesEngine(T_STAR))
 
 
 def random_vec(rng, lo, hi):
@@ -124,7 +130,7 @@ def test_criterion_4_block_domination():
     failures = 0
     for _ in range(100):
         count = rng.randint(1, 4)
-        u = _random_normalized_blocks(rng, count, 12)
+        u = random_normalized_blocks(rng, count, 12)
         a = _sample_vector(rng, range(1, count + 1))
         cert = check_block_domination(u, a, skip_normalization_check=True)
         if not cert.passed:
@@ -138,7 +144,7 @@ def test_criterion_5_cor10_window():
     max_ratio = F(0)
     n = 2
     for _ in range(100):
-        u = _random_normalized_blocks(rng, 2 * n, 12)
+        u = random_normalized_blocks(rng, 2 * n, 12)
         a = _sample_vector(rng, range(n, 2 * n + 1))
         cert = check_cor10(u, n, a, skip_normalization_check=True)
         if not cert.passed:

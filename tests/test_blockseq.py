@@ -6,6 +6,7 @@ import pytest
 
 from tsirelson_lab.seqvec import FinVec
 from tsirelson_lab.blockseq import (
+    SAMPLE_POOL,
     BlockSequence,
     combine,
     normalize,
@@ -83,6 +84,23 @@ class TestRandomBlockSequence:
     def test_window_start(self):
         u = random_block_sequence(seed=5, count=3, max_block_width=2, start=4)
         assert u.blocks[0].hull().lo >= 4
+
+    def test_integer_draw_matches_the_pool_draw(self):
+        # the draw on ints, as a loop over SAMPLE_POOL's Fractions
+        def reference(seed, count, width, start):
+            rng = random.Random(seed)
+            blocks, boundaries, position = [], [0], start - 1
+            for _ in range(count):
+                window = list(range(position + 1, position + rng.randint(1, width) + 1))
+                chosen = [i for i in window if rng.random() < 0.7] or [rng.choice(window)]
+                blocks.append(FinVec.from_pairs((i, rng.choice(SAMPLE_POOL)) for i in chosen))
+                position = window[-1]
+                boundaries.append(position)
+            return BlockSequence(tuple(blocks), tuple(boundaries))
+
+        for seed in range(30):
+            for count, width, start in ((1, 1, 1), (4, 3, 1), (6, 5, 4), (3, 12, 9)):
+                assert random_block_sequence(seed, count, width, start) == reference(seed, count, width, start)
 
     def test_invariants_hold_for_many_seeds(self):
         for seed in range(20):

@@ -6,10 +6,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from tsirelson_lab.seqvec import FinVec
-from tsirelson_lab.blockseq import SAMPLE_POOL, BlockSequence
+from tsirelson_lab.seqvec import FinVec, IndexInterval, restrict
+from tsirelson_lab.blockseq import SAMPLE_POOL, BlockSequence, normalize, random_block_sequence
 from tsirelson_lab import certify
 from tsirelson_lab.dualnorm import dual_norm
+from tsirelson_lab.jamesify import JamesEngine
 from tsirelson_lab.certify import (
     QUICK_SUITE,
     UNIT_DEFAULTS,
@@ -28,6 +29,14 @@ from tsirelson_lab.certify import (
 e = FinVec.basis
 
 QUICK_SUITE_SEED_7_SHA256 = "481d90fb8fe44eb1aa4ad93ea98c37dfb67686d8a44e7b01c8e723da16ea2af7"
+
+# one-entry suites at seed 7 whose certificate fails; the suite does not say
+# whether these statements hold past the defaults n = 2 and max_blocks = 4
+FAILING_SUITES_SEED_7_SHA256 = [
+    ({"name": "cor10", "n": 4}, "0f6ef6af575a6e2d3e1903a51eaf19d4cb0a12fc6942e2f23e4853d2031fabbf"),
+    ({"name": "block_domination", "max_blocks": 16},
+     "b17b6f64fb65c2e35602b9a1297f6f482f7a3648b90710b551bd5d3a149a08ff"),
+]
 
 
 def w(n):
@@ -70,6 +79,139 @@ def window_bound_reference(n, samples, seed, constant=F(2), patterns=True):
         witness={"vector": y.to_json_obj(), "dual_norm": str(value), "sup_norm": str(sup)},
         passed=worst_ratio <= constant,
     )
+
+
+def worst_sample_reference(samples, draw, badness, params):
+    """The first strictly worst of ``samples`` certificates; it passes if all of them do."""
+    certs = [draw() for _ in range(samples)]
+    worst = max(certs, key=badness)
+    return dataclasses.replace(worst, params=params, passed=all(c.passed for c in certs))
+
+
+def excess(cert):
+    return cert.lhs - cert.rhs
+
+
+def normalized_blocks_reference(rng, count, total_support):
+    width = max(1, total_support // count)
+    raw = random_block_sequence(seed=rng.randrange(2**30), count=count, max_block_width=width)
+    return normalize(raw, JamesEngine(certify.T_STAR))
+
+
+def partition_certificate_reference(y, boundaries):
+    """check_partition_bound on FinVecs: dual_norm of y, of each restriction and of their norms."""
+    block_norms = [
+        dual_norm(restrict(y, IndexInterval(lo + 1, hi))) for lo, hi in zip(boundaries, boundaries[1:])
+    ]
+    dominating = FinVec.from_pairs((j + 1, norm) for j, norm in enumerate(block_norms))
+    lhs, rhs = dual_norm(y), dual_norm(dominating)
+    return Certificate(
+        check_id="partition_bound",
+        params={"boundaries": boundaries},
+        lhs=lhs,
+        rhs=rhs,
+        constant=F(1),
+        witness={
+            "vector": y.to_json_obj(),
+            "block_norms": [str(b) for b in block_norms],
+            "dominating_vector": dominating.to_json_obj(),
+        },
+        passed=lhs <= rhs,
+    )
+
+
+def partition_bound_reference(seed, samples=200, max_hull=10):
+    """The partition_bound unit as a loop of FinVec certificates."""
+    rng = random.Random(seed)
+
+    def draw():
+        top = rng.randint(2, max_hull)
+        y = sample_vector_reference(rng, range(1, top + 1))
+        cuts = sorted(rng.sample(range(1, top), k=min(rng.randint(1, 3), top - 1)))
+        return partition_certificate_reference(y, [0] + cuts + [top])
+
+    params = {"samples": samples, "seed": seed, "max_hull": max_hull}
+    return worst_sample_reference(samples, draw, excess, params)
+
+
+def block_domination_reference(seed, samples=100, max_blocks=4, total_support=12):
+    """The block_domination unit as a loop of FinVec certificates."""
+    rng = random.Random(seed)
+
+    def draw():
+        count = rng.randint(1, max_blocks)
+        u = normalized_blocks_reference(rng, count, total_support)
+        a = sample_vector_reference(rng, range(1, count + 1))
+        return check_block_domination(u, a, skip_normalization_check=True)
+
+    return worst_sample_reference(samples, draw, excess, {"samples": samples, "seed": seed})
+
+
+def cor10_reference(seed, samples=100, n=2, constant=F(4), total_support=12):
+    """The cor10 unit as a loop of FinVec certificates, scored by their ratio."""
+    rng = random.Random(seed)
+
+    def draw():
+        u = normalized_blocks_reference(rng, 2 * n, total_support)
+        a = sample_vector_reference(rng, range(n, 2 * n + 1))
+        return check_cor10(u, n, a, constant=constant, skip_normalization_check=True)
+
+    params = {"samples": samples, "seed": seed, "n": n}
+    worst = worst_sample_reference(samples, draw, lambda c: F(c.witness["ratio"]), params)
+    return dataclasses.replace(worst, params={**params, "max_ratio": worst.witness["ratio"]})
+
+
+class TestSampledUnits:
+    """The integer scoring of the sampled units gives the FinVec loop's certificate."""
+
+    SEEDS = (0, 7, 7078)
+
+    @pytest.mark.parametrize("max_hull", [2, 5, 10, 16])
+    def test_partition_bound(self, max_hull):
+        for seed in self.SEEDS:
+            [cert] = certify._unit_partition_bound(seed, samples=30, max_hull=max_hull)
+            assert cert == partition_bound_reference(seed, 30, max_hull)
+
+    def test_partition_certificate(self):
+        rng = random.Random(61)
+        for _ in range(60):
+            top = rng.randint(2, 14)
+            y = sample_vector_reference(rng, range(1, top + 1))
+            cuts = sorted(rng.sample(range(1, top), k=min(rng.randint(1, 4), top - 1)))
+            boundaries = [0] + cuts + [top]
+            assert check_partition_bound(y, boundaries) == partition_certificate_reference(y, boundaries)
+
+    @pytest.mark.parametrize("max_blocks, total_support", [(1, 6), (4, 12), (7, 8), (16, 12)])
+    def test_block_domination(self, max_blocks, total_support):
+        for seed in self.SEEDS:
+            [cert] = certify._unit_block_domination(
+                seed, samples=20, max_blocks=max_blocks, total_support=total_support
+            )
+            assert cert == block_domination_reference(seed, 20, max_blocks, total_support)
+
+    @pytest.mark.parametrize("n, constant, total_support", [
+        (2, F(4), 12), (2, F(5, 2), 8), (3, F(4), 12), (4, F(4), 12), (3, F(-1), 6),
+    ])
+    def test_cor10(self, n, constant, total_support):
+        for seed in self.SEEDS:
+            [cert] = certify._unit_cor10(
+                seed, samples=20, n=n, constant=constant, total_support=total_support
+            )
+            assert cert == cor10_reference(seed, 20, n, constant, total_support)
+
+    def test_failing_samples_fail_the_unit(self):
+        # with a constant below every ratio the unit fails, and with the
+        # default it passes, as the FinVec loop decides
+        [low] = certify._unit_cor10(3, samples=10, constant=F(1, 2))
+        [default] = certify._unit_cor10(3, samples=10)
+        assert not low.passed and default.passed
+        assert low.witness == default.witness
+
+    @pytest.mark.parametrize("entry, pinned", FAILING_SUITES_SEED_7_SHA256)
+    def test_failing_suites_report_bytes(self, entry, pinned):
+        report = run_suite({"seed": 7, "checks": [entry]})
+        assert report.failures == 1
+        assert hashlib.sha256(report.dumps().encode("utf-8")).hexdigest() == pinned
 
 
 class TestWindowBound:
@@ -142,6 +284,8 @@ class TestPartitionBound:
             check_partition_bound(e(3), [0, 2])
         with pytest.raises(ValueError):
             check_partition_bound(e(1), [1, 2])
+        with pytest.raises(ValueError):
+            check_partition_bound(e(2), [0, 2, 2])  # an empty block
 
     def test_replay(self):
         cert = check_partition_bound(e(2) + e(3), [0, 2, 3])
@@ -361,6 +505,31 @@ class TestRunSuite:
         assert calls == []
         assert len(run_suite({"checks": [first]}).certificates) == 1
         assert calls == [(0,)]
+
+    def test_pool_starts_no_more_workers_than_units(self, monkeypatch):
+        # a fork-context pool starts every worker at the first submit, so
+        # the pool is sized to the units, not to the worker count
+        sizes = []
+
+        class RecordingExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(certify, "ProcessPoolExecutor", RecordingExecutor)
+        two_units = [{"name": "shrinking_series", "levels": 1}, {"name": "q_decay", "levels": 1}]
+        for workers in (64, 2):
+            run_suite({"checks": two_units}, workers=workers)
+        run_suite({"checks": QUICK_SUITE}, workers=64)
+        run_suite({"checks": two_units[:1]}, workers=64)  # one unit runs in this process
+        assert sizes == [2, 2, len(QUICK_SUITE)]
 
     def test_parallel_matches_sequential(self):
         config = {

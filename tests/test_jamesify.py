@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from tsirelson_lab import jamesify
-from tsirelson_lab.seqvec import EventuallyConstantSeq, FinVec, IndexInterval, NormBounds
+from tsirelson_lab.seqvec import EventuallyConstantSeq, FinVec, IndexInterval, NormBounds, scaled_integers
 from tsirelson_lab.dualnorm import (
     DualTsirelsonEngine,
     LpEngine,
@@ -25,6 +25,7 @@ from tsirelson_lab.jamesify import (
     canonical_selection_indices,
     difference_vector,
     james_norm,
+    james_norm_ints,
     u_map,
 )
 
@@ -402,6 +403,28 @@ class TestJamesMemo:
                 kept.append(list(store))
             assert len(kept[0]) == 3 and kept[1] == kept[0][1:]
         assert [pattern for _, pattern in jamesify._james_memo] == [(0, 1, 0), (0, 0, 1, 0)]
+
+    def test_integer_entry_matches_the_finvec_call(self, empty_memo, monkeypatch):
+        # the ints and the scale both times 3: the value and the selection
+        # are james_norm's, the call after the FinVec one is a memo hit, and
+        # a cold search through the entry is the FinVec call's search
+        searches = []
+        search = jamesify._search
+        monkeypatch.setattr(jamesify, "_search", lambda *args: searches.append(args) or search(*args))
+        rng = random.Random(59)
+        for _ in range(12):
+            a = random_vec(rng, 1, 8)
+            values, scale = scaled_integers([c for _, c in a.entries])
+            tripled = (a.support(), [3 * v for v in values], 3 * scale, T_STAR)
+            expected = james_norm(a, T_STAR, with_witness=True)
+            made = len(searches)
+            assert james_norm_ints(*tripled, with_witness=True) == expected
+            assert james_norm_ints(*tripled) == expected[0]
+            assert len(searches) == made
+            empty_memo.clear()
+            assert james_norm_ints(*tripled, with_witness=True) == expected
+            assert len(searches) == made + 1
+        assert james_norm_ints((), [], 1, T_STAR, with_witness=True) == (0, None)
 
     def test_enclosures_are_not_stored(self, empty_memo):
         # l2 leaves such as (1, 1) have irrational norms, and an enclosure's
