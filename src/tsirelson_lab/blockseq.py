@@ -120,8 +120,9 @@ def random_block_sequence(
     start = n+1 with unit widths); each block draws a nonempty support
     subset of its window with coefficients from ``SAMPLE_POOL``.  Pass the
     result to :func:`normalize` for unit blocks, keeping count *
-    max_block_width within the engine's tractable support (roughly 20 for
-    the engines built on the dual Tsirelson norm).
+    max_block_width within the engine's tractable support; for the
+    engines built on the dual Tsirelson norm, ``certify.PARAM_RANGES``
+    caps the suites' ``total_support`` at 24 and 32.
     """
     blocks, boundaries = random_block_ints(seed, count, max_block_width, start)
     vectors = tuple(FinVec.from_ints(support, values, POOL_SCALE) for support, values in blocks)

@@ -22,9 +22,7 @@ from inspect import signature
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
-from .blockseq import (
-    POOL_INTS, POOL_SCALE, BlockSequence, combine, normalize, random_block_ints, random_block_sequence,
-)
+from .blockseq import POOL_INTS, POOL_SCALE, BlockSequence, combine, random_block_ints
 from .dualnorm import DualTsirelsonEngine, dual_norm, dual_norm_magnitudes
 from .jamesify import JamesEngine, PairSelection, difference_vector, james_norm, james_norm_ints
 from .seqvec import (
@@ -66,6 +64,10 @@ class Certificate:
             "witness": self.witness,
             "pass": self.passed,
         }
+
+
+# a sample's score and a function that builds its certificate
+Scored = tuple[Fraction, Callable[[], Certificate]]
 
 
 @dataclass(frozen=True)
@@ -180,19 +182,43 @@ def check_window_bound(
     )
 
 
-def _partition_sides(
-    support: Sequence[int], magnitudes: list[int], scale: int, boundaries: list[int]
-) -> tuple[Fraction, list[Fraction], Fraction]:
-    """||y||*, each ||y on (b_j, b_(j+1)]||* and the T* norm of those, on ints.
+def _ints(v: FinVec) -> tuple[tuple[int, ...], list[int], int]:
+    """``v`` as (its support, its values as ints, their scale)."""
+    return (v.support(), *scaled_integers([c for _, c in v.entries]))
 
-    |y| is magnitudes[k] / scale at support[k].
+
+def _partition_bound(
+    support: Sequence[int], values: list[int], scale: int, boundaries: list[int]
+) -> Scored:
+    """One partition sample on ints: (||y||* - T* of its block norms, its certificate).
+
+    y is values[k] / scale at support[k]; block j is y on (b_j, b_(j+1)].
     """
     cuts = [bisect_right(support, b) for b in boundaries]
+    magnitudes = [abs(v) for v in values]
     lhs, *block_norms = [
         dual_norm_magnitudes(tuple(support[lo:hi]), magnitudes[lo:hi], scale) if hi > lo else Fraction(0)
         for lo, hi in [(0, len(support)), *zip(cuts, cuts[1:])]  # y itself first
     ]
-    return lhs, block_norms, T_STAR.eval_magnitudes(*scaled_integers(block_norms))
+    rhs = T_STAR.eval_magnitudes(*scaled_integers(block_norms))
+
+    def certificate() -> Certificate:
+        dominating = FinVec.from_pairs((j + 1, norm) for j, norm in enumerate(block_norms))
+        return Certificate(
+            check_id="partition_bound",
+            params={"boundaries": boundaries},
+            lhs=lhs,
+            rhs=rhs,
+            constant=Fraction(1),
+            witness={
+                "vector": FinVec.from_ints(support, values, scale).to_json_obj(),
+                "block_norms": [str(b) for b in block_norms],
+                "dominating_vector": dominating.to_json_obj(),
+            },
+            passed=lhs <= rhs,
+        )
+
+    return lhs - rhs, certificate
 
 
 def check_partition_bound(y: FinVec, boundaries: Sequence[int]) -> Certificate:
@@ -203,22 +229,7 @@ def check_partition_bound(y: FinVec, boundaries: Sequence[int]) -> Certificate:
     support = y.support()
     if support and support[-1] > boundaries[-1]:
         raise ValueError("boundaries must cover the support")
-    values, scale = scaled_integers([c for _, c in y.entries])
-    lhs, block_norms, rhs = _partition_sides(support, [abs(v) for v in values], scale, boundaries)
-    dominating = FinVec.from_pairs((j + 1, norm) for j, norm in enumerate(block_norms))
-    return Certificate(
-        check_id="partition_bound",
-        params={"boundaries": boundaries},
-        lhs=lhs,
-        rhs=rhs,
-        constant=Fraction(1),
-        witness={
-            "vector": y.to_json_obj(),
-            "block_norms": [str(b) for b in block_norms],
-            "dominating_vector": dominating.to_json_obj(),
-        },
-        passed=lhs <= rhs,
-    )
+    return _partition_bound(*_ints(y), boundaries)[1]()
 
 
 def _require_normalized(u: BlockSequence) -> None:
@@ -228,67 +239,112 @@ def _require_normalized(u: BlockSequence) -> None:
             raise ValueError(f"block {j + 1} is not normalized in {engine.name}")
 
 
-def _james_witness(u: BlockSequence, a: FinVec) -> tuple[Fraction, dict]:
-    """T_J* norm of sum a_j u_j, with the witness fields that replay it."""
-    combined = combine(u, a)
-    value, selection = james_norm(combined, T_STAR, with_witness=True)
-    return value, {
-        "coefficients": a.to_json_obj(),
-        "combined": combined.to_json_obj(),
-        "selection": selection.to_json_obj() if selection else None,
-    }
+def _used_blocks(u: BlockSequence, a: FinVec) -> tuple:
+    """``_ints`` of a, then of each u_j with j in a's support, once u is checked."""
+    _require_normalized(u)
+    support = a.support()
+    if support and (support[0] < 1 or support[-1] > len(u.blocks)):
+        raise ValueError(f"coefficient support {support} exceeds block count {len(u.blocks)}")
+    return (*_ints(a), [_ints(u.blocks[j - 1]) for j in support])
 
 
-def check_block_domination(
-    u: BlockSequence, a: FinVec, skip_normalization_check: bool = False
-) -> Certificate:
+def _block_combination(
+    support: Sequence[int], values: list[int], scale: int, blocks: list[tuple]
+) -> tuple[Fraction, Callable[[], dict]]:
+    """T_J* of sum_j a_j u_j on ints, and the witness fields that replay it.
+
+    a_j is values[k] / scale and u_j is blocks[k] = (indices, ints, block
+    scale) at j = support[k].  Every block is brought to the lcm of the
+    block scales, so the sum is ints over one scale.
+    """
+    common = math.lcm(*(block_scale for _, _, block_scale in blocks))
+    indices, combined = [], []
+    for c, (block_indices, ints, block_scale) in zip(values, blocks):
+        factor = c * (common // block_scale)
+        indices += block_indices
+        combined += [factor * v for v in ints]
+    value, selection = james_norm_ints(indices, combined, scale * common, T_STAR, with_witness=True)
+
+    def witness() -> dict:
+        return {
+            "coefficients": FinVec.from_ints(support, values, scale).to_json_obj(),
+            "combined": FinVec.from_ints(indices, combined, scale * common).to_json_obj(),
+            "selection": selection.to_json_obj() if selection else None,
+        }
+
+    return value, witness
+
+
+def _block_domination(
+    support: Sequence[int], values: list[int], scale: int, blocks: list[tuple], count: int
+) -> Scored:
+    """One block-domination sample on ints: (lhs - rhs, its certificate).
+
+    The arguments are those of ``_block_combination``, and u has ``count``
+    blocks.  The rhs is the T* norm of the neighbor sums |a_j| + |a_(j+1)|.
+    """
+    lhs, witness = _block_combination(support, values, scale, blocks)
+    sums = [0] * (count + 1)  # |a_j| at j - 1, and a_(count + 1) = 0
+    for j, c in zip(support, values):
+        sums[j - 1] = abs(c)
+    magnitudes = [x + y for x, y in zip(sums, sums[1:])]
+    rhs = T_STAR.eval_magnitudes(magnitudes, scale)
+
+    def certificate() -> Certificate:
+        dominating = FinVec.from_pairs((j, Fraction(m, scale)) for j, m in enumerate(magnitudes, 1))
+        return Certificate(
+            check_id="block_domination",
+            params={"blocks": count},
+            lhs=lhs,
+            rhs=rhs,
+            constant=Fraction(1),
+            witness={**witness(), "dominating_vector": dominating.to_json_obj()},
+            passed=lhs <= rhs,
+        )
+
+    return lhs - rhs, certificate
+
+
+def check_block_domination(u: BlockSequence, a: FinVec) -> Certificate:
     """Combined-vector norm against neighbor-sum coefficients (exact)."""
-    if not skip_normalization_check:
-        _require_normalized(u)
-    lhs_value, witness = _james_witness(u, a)
-    count = len(u.blocks)
-    dominating = FinVec.from_pairs(
-        (j, abs(a.coeff(j)) + abs(a.coeff(j + 1))) for j in range(1, count + 1)
-    )
-    rhs = dual_norm(dominating)
-    return Certificate(
-        check_id="block_domination",
-        params={"blocks": len(u.blocks)},
-        lhs=lhs_value,
-        rhs=rhs,
-        constant=Fraction(1),
-        witness={**witness, "dominating_vector": dominating.to_json_obj()},
-        passed=lhs_value <= rhs,
-    )
+    return _block_domination(*_used_blocks(u, a), len(u.blocks))[1]()
 
 
-def check_cor10(
-    u: BlockSequence,
-    n: int,
-    a: FinVec,
-    constant: Fraction = Fraction(4),
-    skip_normalization_check: bool = False,
-) -> Certificate:
+def _cor10(
+    support: Sequence[int], values: list[int], scale: int, blocks: list[tuple],
+    n: int, count: int, constant: Fraction,
+) -> Scored:
+    """One Cor. 10 sample on ints: (||sum a_j u_j|| / max |a_j|, its certificate).
+
+    The arguments are those of ``_block_combination``; u has ``count``
+    blocks and a lives on the window [n, 2n].
+    """
+    lhs, witness = _block_combination(support, values, scale, blocks)
+    sup = Fraction(max(map(abs, values)), scale)
+    rhs, ratio = constant * sup, lhs / sup
+
+    def certificate() -> Certificate:
+        return Certificate(
+            check_id=f"cor10[n={n}]",
+            params={"n": n, "blocks": count},
+            lhs=lhs,
+            rhs=rhs,
+            constant=constant,
+            witness={**witness(), "sup_norm": str(sup), "ratio": str(ratio)},
+            passed=lhs <= rhs,
+        )
+
+    return ratio, certificate
+
+
+def check_cor10(u: BlockSequence, n: int, a: FinVec, constant: Fraction = Fraction(4)) -> Certificate:
     """Window combinations of normalized blocks stay below constant * sup."""
     support = a.support()
     if not support:
         raise ValueError("coefficient vector must be nonzero")
     if support[0] < n or support[-1] > 2 * n:
         raise ValueError(f"support {support} escapes the window [{n}, {2 * n}]")
-    if not skip_normalization_check:
-        _require_normalized(u)
-    lhs_value, witness = _james_witness(u, a)
-    sup = max(abs(c) for _, c in a.entries)
-    rhs = constant * sup
-    return Certificate(
-        check_id=f"cor10[n={n}]",
-        params={"n": n, "blocks": len(u.blocks)},
-        lhs=lhs_value,
-        rhs=rhs,
-        constant=constant,
-        witness={**witness, "sup_norm": str(sup), "ratio": str(lhs_value / sup)},
-        passed=lhs_value <= rhs,
-    )
+    return _cor10(*_used_blocks(u, a), n, len(u.blocks), constant)[1]()
 
 
 def q_estimate_scan(
@@ -297,7 +353,6 @@ def q_estimate_scan(
     ranges: Sequence[tuple[int, int]],
     seed: int = 0,
     samples: int = 3,
-    skip_normalization_check: bool = False,
 ) -> QEstimateReport:
     """Empirical lower q-estimate constants for a normalized block sequence.
 
@@ -310,8 +365,7 @@ def q_estimate_scan(
     if q < LEAST_Q:
         raise ValueError(f"q must be >= {LEAST_Q}")
     engine = JamesEngine(T_STAR)
-    if not skip_normalization_check:
-        _require_normalized(u)
+    _require_normalized(u)
     rng = random.Random(seed)
     per_range: list[NormBounds] = []
     witnesses = []
@@ -359,9 +413,7 @@ def check_q_decay(
     """
     ranges = [(2**j, 2 ** (j + 1)) for j in range(1, levels + 1)]
     u = BlockSequence.canonical_basis(2 ** (levels + 1))
-    report = q_estimate_scan(
-        u, q, ranges, seed=seed, samples=samples, skip_normalization_check=True
-    )
+    report = q_estimate_scan(u, q, ranges, seed=seed, samples=samples)
     decreasing = all(
         report.per_range[j + 1].upper < report.per_range[j].lower
         for j in range(len(ranges) - 1)
@@ -390,9 +442,7 @@ def check_q_decay(
     )
 
 
-def check_shrinking_series(
-    u: BlockSequence, levels: int, skip_normalization_check: bool = False
-) -> Certificate:
+def check_shrinking_series(u: BlockSequence, levels: int) -> Certificate:
     """Dyadic coefficient plateaus have summable norms (exact)."""
     if levels < 0:
         raise ValueError("levels must be >= 0")
@@ -410,8 +460,7 @@ def check_shrinking_series(
         raise ValueError(
             f"need {2 ** (levels + 1)} blocks for {levels} levels, got {len(u.blocks)}"
         )
-    if not skip_normalization_check:
-        _require_normalized(u)
+    _require_normalized(u)
     level_norms = []
     level_witness = []
     passed = True
@@ -494,13 +543,13 @@ def _unit_window_bound(
     return [check_window_bound(n, samples=samples, seed=seed + n, constant=constant) for n in ns]
 
 
-def _first_worst(samples: int, draw: Callable[[], tuple[Fraction, tuple]]) -> tuple:
-    """The sample of the first of ``samples`` draws (score, sample) with the top score.
+def _first_worst(samples: int, draw: Callable[[], Scored]) -> Certificate:
+    """The certificate of the first of ``samples`` draws (score, certificate) with the top score.
 
-    A unit's verdict bounds its score, so that sample passes exactly when
-    every sample passes.
+    Only that certificate is built.  A unit's verdict bounds its score, so
+    that certificate passes exactly when every sample passes.
     """
-    return max((draw() for _ in range(samples)), key=itemgetter(0))[1]
+    return max((draw() for _ in range(samples)), key=itemgetter(0))[1]()
 
 
 def _unit_partition_bound(
@@ -508,49 +557,33 @@ def _unit_partition_bound(
 ) -> list[Certificate]:
     rng = random.Random(seed)
 
-    def draw() -> tuple[Fraction, tuple]:
+    def draw() -> Scored:
         top = rng.randint(2, max_hull)
         support, values = _sample_ints(rng, range(1, top + 1))
-        boundaries = _random_boundaries(rng, top)
-        lhs, _, rhs = _partition_sides(support, [abs(v) for v in values], POOL_SCALE, boundaries)
-        return lhs - rhs, (support, values, boundaries)
+        return _partition_bound(support, values, POOL_SCALE, _random_boundaries(rng, top))
 
-    support, values, boundaries = _first_worst(samples, draw)
-    cert = check_partition_bound(FinVec.from_ints(support, values, POOL_SCALE), boundaries)
+    cert = _first_worst(samples, draw)
     return [replace(cert, params={"samples": samples, "seed": seed, "max_hull": max_hull})]
 
 
-def _combination_draw(
+def _block_draw(
     rng: random.Random, count: int, total_support: int, indices: Sequence[int]
-) -> tuple[Fraction, tuple]:
-    """One sample of the block units on ints: (T_J* of sum_j a_j u_j, the sample).
+) -> tuple[list[int], list[int], int, list[tuple]]:
+    """One sample of the block units on ints, as ``_block_combination`` takes it.
 
-    Draws ``count`` raw blocks, then a on ``indices``; u_j is block j
-    normalized in T_J*, and a block whose coefficient is 0 is never
-    normalized.  The sample is the raw blocks' ``random_block_sequence``
-    arguments, a's support and a's ints over ``POOL_SCALE``.
+    Draws ``count`` raw blocks, then a on ``indices`` as ints over
+    ``POOL_SCALE``; u_j is raw block j normalized in T_J*, and a block
+    whose coefficient is 0 is never normalized.
     """
-    blocks_args = (rng.randrange(2**30), count, max(1, total_support // count))
-    blocks, _ = random_block_ints(*blocks_args)
+    raw, _ = random_block_ints(rng.randrange(2**30), count, max(1, total_support // count))
     support, values = _sample_ints(rng, indices)
-    norms = [james_norm_ints(*blocks[j - 1], POOL_SCALE, T_STAR) for j in support]
-    # for block j's ints v and its norm p / q, a_j u_j is a_j q v / (POOL_SCALE^2 p)
-    common = math.lcm(*(norm.numerator for norm in norms))
-    combined_indices, combined = [], []
-    for j, c, norm in zip(support, values, norms):
-        block_support, block_values = blocks[j - 1]
-        factor = c * norm.denominator * (common // norm.numerator)
-        combined_indices += block_support
-        combined += [factor * v for v in block_values]
-    value = james_norm_ints(combined_indices, combined, POOL_SCALE**2 * common, T_STAR)
-    return value, (blocks_args, support, values)
-
-
-def _rebuilt(sample: tuple) -> tuple[BlockSequence, FinVec]:
-    """The normalized blocks and the coefficients of a ``_combination_draw`` sample."""
-    blocks_args, support, values = sample
-    u = normalize(random_block_sequence(*blocks_args), JamesEngine(T_STAR))
-    return u, FinVec.from_ints(support, values, POOL_SCALE)
+    blocks = []
+    for j in support:
+        block_indices, ints = raw[j - 1]
+        # block j is ints / POOL_SCALE with norm p / q, so u_j is q ints / (POOL_SCALE p)
+        norm = james_norm_ints(block_indices, ints, POOL_SCALE, T_STAR)
+        blocks.append((block_indices, [norm.denominator * v for v in ints], POOL_SCALE * norm.numerator))
+    return support, values, POOL_SCALE, blocks
 
 
 def _unit_block_domination(
@@ -558,18 +591,11 @@ def _unit_block_domination(
 ) -> list[Certificate]:
     rng = random.Random(seed)
 
-    def draw() -> tuple[Fraction, tuple]:
+    def draw() -> Scored:
         count = rng.randint(1, max_blocks)
-        lhs, sample = _combination_draw(rng, count, total_support, range(1, count + 1))
-        _, support, values = sample
-        sums = [0] * (count + 1)  # |a_j| at j - 1, and a_(count + 1) = 0
-        for j, c in zip(support, values):
-            sums[j - 1] = abs(c)
-        rhs = T_STAR.eval_magnitudes([x + y for x, y in zip(sums, sums[1:])], POOL_SCALE)
-        return lhs - rhs, sample
+        return _block_domination(*_block_draw(rng, count, total_support, range(1, count + 1)), count)
 
-    u, a = _rebuilt(_first_worst(samples, draw))
-    cert = check_block_domination(u, a, skip_normalization_check=True)
+    cert = _first_worst(samples, draw)
     return [replace(cert, params={"samples": samples, "seed": seed})]
 
 
@@ -579,13 +605,10 @@ def _unit_cor10(
 ) -> list[Certificate]:
     rng = random.Random(seed)
 
-    def draw() -> tuple[Fraction, tuple]:
-        lhs, sample = _combination_draw(rng, 2 * n, total_support, range(n, 2 * n + 1))
-        _, _, values = sample
-        return lhs * POOL_SCALE / max(map(abs, values)), sample
+    def draw() -> Scored:
+        return _cor10(*_block_draw(rng, 2 * n, total_support, range(n, 2 * n + 1)), n, 2 * n, constant)
 
-    u, a = _rebuilt(_first_worst(samples, draw))
-    cert = check_cor10(u, n, a, constant=constant, skip_normalization_check=True)
+    cert = _first_worst(samples, draw)
     unit_params = {"samples": samples, "seed": seed, "n": n, "max_ratio": cert.witness["ratio"]}
     return [replace(cert, params=unit_params)]
 
@@ -598,7 +621,7 @@ def _unit_q_decay(
 
 def _unit_shrinking_series(seed: int, *, levels: int = 3) -> list[Certificate]:
     u = BlockSequence.canonical_basis(2 ** (levels + 1))
-    return [check_shrinking_series(u, levels, skip_normalization_check=True)]
+    return [check_shrinking_series(u, levels)]
 
 
 CHECK_UNITS = {

@@ -75,19 +75,16 @@ def parse_vector(text: str) -> FinVec:
     if match:
         n = int(match.group(1))
         return FinVec.from_pairs((i, 1) for i in range(1, n + 1))
-    match = re.fullmatch(r"indicator:(\d+):(\d+)", alias)
+    match = re.fullmatch(r"(indicator|alt):(\d+):(\d+)", alias)
     if match:
-        n, m = int(match.group(1)), int(match.group(2))
-        return FinVec.from_pairs((i, 1) for i in range(n, m + 1))
+        pattern, n, m = match.group(1), int(match.group(2)), int(match.group(3))
+        if n > m:
+            raise ValueError(f"{alias!r} is an empty range (expected {pattern}:n:m with n <= m)")
+        sign = -1 if pattern == "alt" else 1
+        return FinVec.from_pairs((i, sign**k) for k, i in enumerate(range(n, m + 1)))
     match = re.fullmatch(r"spike:(\d+)", alias)
     if match:
         return FinVec.basis(int(match.group(1)))
-    match = re.fullmatch(r"alt:(\d+):(\d+)", alias)
-    if match:
-        n, m = int(match.group(1)), int(match.group(2))
-        return FinVec.from_pairs(
-            (i, (-1) ** k) for k, i in enumerate(range(n, m + 1))
-        )
     if os.path.exists(alias) and not alias.lstrip().startswith(("[", "{")):
         with open(alias, "r", encoding="utf-8") as handle:
             return FinVec.loads(handle.read())

@@ -132,7 +132,7 @@ def test_criterion_4_block_domination():
         count = rng.randint(1, 4)
         u = random_normalized_blocks(rng, count, 12)
         a = _sample_vector(rng, range(1, count + 1))
-        cert = check_block_domination(u, a, skip_normalization_check=True)
+        cert = check_block_domination(u, a)
         if not cert.passed:
             failures += 1
     report(4, failures == 0, f"100 normalized block suites, {failures} failures")
@@ -146,7 +146,7 @@ def test_criterion_5_cor10_window():
     for _ in range(100):
         u = random_normalized_blocks(rng, 2 * n, 12)
         a = _sample_vector(rng, range(n, 2 * n + 1))
-        cert = check_cor10(u, n, a, skip_normalization_check=True)
+        cert = check_cor10(u, n, a)
         if not cert.passed:
             failures += 1
         max_ratio = max(max_ratio, F(cert.witness["ratio"]))
@@ -157,9 +157,7 @@ def test_criterion_5_cor10_window():
 def test_criterion_6_q_decay():
     ranges = [(2**j, 2 ** (j + 1)) for j in range(1, 5)]
     u = BlockSequence.canonical_basis(32)
-    scan = q_estimate_scan(
-        u, F(2), ranges, seed=66, samples=3, skip_normalization_check=True
-    )
+    scan = q_estimate_scan(u, F(2), ranges, seed=66, samples=3)
     strictly_decreasing = all(
         scan.per_range[j + 1].upper < scan.per_range[j].lower
         for j in range(len(ranges) - 1)
@@ -177,7 +175,7 @@ def test_criterion_6_q_decay():
 
 def test_criterion_7_shrinking_series():
     u = BlockSequence.canonical_basis(16)
-    cert = check_shrinking_series(u, 3, skip_normalization_check=True)
+    cert = check_shrinking_series(u, 3)
     levels_ok = all(
         F(level["norm"]) <= F(level["bound"]) for level in cert.witness["levels"]
     )

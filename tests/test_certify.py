@@ -7,10 +7,10 @@ from fractions import Fraction as F
 import pytest
 
 from tsirelson_lab.seqvec import FinVec, IndexInterval, restrict
-from tsirelson_lab.blockseq import SAMPLE_POOL, BlockSequence, normalize, random_block_sequence
+from tsirelson_lab.blockseq import SAMPLE_POOL, BlockSequence, combine, normalize, random_block_sequence
 from tsirelson_lab import certify
 from tsirelson_lab.dualnorm import dual_norm
-from tsirelson_lab.jamesify import JamesEngine
+from tsirelson_lab.jamesify import JamesEngine, james_norm
 from tsirelson_lab.certify import (
     QUICK_SUITE,
     UNIT_DEFAULTS,
@@ -134,6 +134,49 @@ def partition_bound_reference(seed, samples=200, max_hull=10):
     return worst_sample_reference(samples, draw, excess, params)
 
 
+def combination_reference(u, a):
+    """combine, then james_norm with its witness: T_J* of sum a_j u_j and the fields that replay it."""
+    combined = combine(u, a)
+    value, selection = james_norm(combined, certify.T_STAR, with_witness=True)
+    return value, {
+        "coefficients": a.to_json_obj(),
+        "combined": combined.to_json_obj(),
+        "selection": selection.to_json_obj() if selection else None,
+    }
+
+
+def block_domination_certificate_reference(u, a):
+    """check_block_domination on FinVecs: the combination against dual_norm of the neighbor sums."""
+    lhs, witness = combination_reference(u, a)
+    count = len(u.blocks)
+    dominating = FinVec.from_pairs((j, abs(a.coeff(j)) + abs(a.coeff(j + 1))) for j in range(1, count + 1))
+    rhs = dual_norm(dominating)
+    return Certificate(
+        check_id="block_domination",
+        params={"blocks": count},
+        lhs=lhs,
+        rhs=rhs,
+        constant=F(1),
+        witness={**witness, "dominating_vector": dominating.to_json_obj()},
+        passed=lhs <= rhs,
+    )
+
+
+def cor10_certificate_reference(u, n, a, constant=F(4)):
+    """check_cor10 on FinVecs: the combination against constant times the sup norm of a."""
+    lhs, witness = combination_reference(u, a)
+    sup = max(abs(c) for _, c in a.entries)
+    return Certificate(
+        check_id=f"cor10[n={n}]",
+        params={"n": n, "blocks": len(u.blocks)},
+        lhs=lhs,
+        rhs=constant * sup,
+        constant=constant,
+        witness={**witness, "sup_norm": str(sup), "ratio": str(lhs / sup)},
+        passed=lhs <= constant * sup,
+    )
+
+
 def block_domination_reference(seed, samples=100, max_blocks=4, total_support=12):
     """The block_domination unit as a loop of FinVec certificates."""
     rng = random.Random(seed)
@@ -142,7 +185,7 @@ def block_domination_reference(seed, samples=100, max_blocks=4, total_support=12
         count = rng.randint(1, max_blocks)
         u = normalized_blocks_reference(rng, count, total_support)
         a = sample_vector_reference(rng, range(1, count + 1))
-        return check_block_domination(u, a, skip_normalization_check=True)
+        return block_domination_certificate_reference(u, a)
 
     return worst_sample_reference(samples, draw, excess, {"samples": samples, "seed": seed})
 
@@ -154,7 +197,7 @@ def cor10_reference(seed, samples=100, n=2, constant=F(4), total_support=12):
     def draw():
         u = normalized_blocks_reference(rng, 2 * n, total_support)
         a = sample_vector_reference(rng, range(n, 2 * n + 1))
-        return check_cor10(u, n, a, constant=constant, skip_normalization_check=True)
+        return cor10_certificate_reference(u, n, a, constant)
 
     params = {"samples": samples, "seed": seed, "n": n}
     worst = worst_sample_reference(samples, draw, lambda c: F(c.witness["ratio"]), params)
@@ -198,6 +241,27 @@ class TestSampledUnits:
                 seed, samples=20, n=n, constant=constant, total_support=total_support
             )
             assert cert == cor10_reference(seed, 20, n, constant, total_support)
+
+    def test_public_block_checks_match_the_finvec_certificates(self):
+        # seeded normalized blocks, pool and other rational coefficients,
+        # and for block domination the zero coefficient vector
+        rng = random.Random(83)
+        for trial in range(30):
+            count = rng.randint(1, 5)
+            u = normalized_blocks_reference(rng, count, 12)
+            if trial % 3:
+                a = sample_vector_reference(rng, range(1, count + 1))
+            else:
+                a = FinVec.from_pairs((j, F(rng.randint(-9, 9), rng.randint(1, 9))) for j in range(1, count + 1))
+            assert check_block_domination(u, a) == block_domination_certificate_reference(u, a)
+            assert check_block_domination(u, FinVec.zero()) == block_domination_certificate_reference(
+                u, FinVec.zero()
+            )
+            n = rng.randint(1, 3)
+            u = normalized_blocks_reference(rng, 2 * n, 12)
+            a = sample_vector_reference(rng, range(n, 2 * n + 1))
+            constant = F(rng.randint(1, 16), 4)
+            assert check_cor10(u, n, a, constant) == cor10_certificate_reference(u, n, a, constant)
 
     def test_failing_samples_fail_the_unit(self):
         # with a constant below every ratio the unit fails, and with the
@@ -323,6 +387,32 @@ class TestBlockDomination:
             replay_certificate(dataclasses.replace(cert, witness=witness))
 
 
+# block 1 has norm 2 in T_J*
+UNNORMALIZED = BlockSequence((2 * e(1), e(2), e(3), e(4)), (0, 1, 2, 3, 4))
+BASIS_4 = BlockSequence.canonical_basis(4)
+
+
+@pytest.mark.parametrize(
+    "check, args, message",
+    [
+        (check_block_domination, (UNNORMALIZED, e(1)), r"^block 1 is not normalized in "),
+        (check_cor10, (UNNORMALIZED, 2, e(2)), r"^block 1 is not normalized in "),
+        (q_estimate_scan, (UNNORMALIZED, F(2), [(1, 2)]), r"^block 1 is not normalized in "),
+        (check_shrinking_series, (UNNORMALIZED, 1), r"^block 1 is not normalized in "),
+        (check_block_domination, (BASIS_4, e(5)), r"^coefficient support \(5,\) exceeds block count 4$"),
+        (check_cor10, (BASIS_4, 2, FinVec.zero()), r"^coefficient vector must be nonzero$"),
+        (check_cor10, (BASIS_4, 2, e(1) + e(3)), r"^support \(1, 3\) escapes the window \[2, 4\]$"),
+    ],
+    ids=[
+        "block_domination_unnormalized", "cor10_unnormalized", "q_estimate_scan_unnormalized",
+        "shrinking_series_unnormalized", "block_domination_block_count", "cor10_zero", "cor10_window",
+    ],
+)
+def test_public_checks_reject_bad_input(check, args, message):
+    with pytest.raises(ValueError, match=message):
+        check(*args)
+
+
 class TestCor10:
     def test_indicator(self):
         u = BlockSequence.canonical_basis(4)
@@ -349,25 +439,21 @@ class TestCor10:
             (i, (-1) ** k) for k, i in enumerate(range(lo, hi + 1))
         )
         u6 = BlockSequence.canonical_basis(6)
-        assert check_cor10(u6, 3, alt(3, 6), skip_normalization_check=True).lhs == 4
+        assert check_cor10(u6, 3, alt(3, 6)).lhs == 4
         u10 = BlockSequence.canonical_basis(10)
-        cert = check_cor10(u10, 5, alt(5, 10), skip_normalization_check=True)
+        cert = check_cor10(u10, 5, alt(5, 10))
         assert cert.lhs == 6 and not cert.passed
 
 
 class TestQEstimateScan:
     def test_unit_range_q1(self):
         u = BlockSequence.canonical_basis(2)
-        report = q_estimate_scan(
-            u, F(1), [(1, 1)], skip_normalization_check=True, samples=0
-        )
+        report = q_estimate_scan(u, F(1), [(1, 1)], samples=0)
         assert report.per_range[0].lower == 1  # unit vector ratio
 
     def test_plateau_bound_q2(self):
         u = BlockSequence.canonical_basis(32)
-        report = q_estimate_scan(
-            u, F(2), [(15, 30)], skip_normalization_check=True, samples=0
-        )
+        report = q_estimate_scan(u, F(2), [(15, 30)], samples=0)
         bounds = report.per_range[0]
         assert bounds.upper <= 1  # 4 / (16)^(1/2)
         assert bounds.upper * 4 >= 2 - F(1, 10**6)  # close to 2/4
@@ -375,7 +461,7 @@ class TestQEstimateScan:
     def test_q_below_one_rejected(self):
         u = BlockSequence.canonical_basis(2)
         with pytest.raises(ValueError):
-            q_estimate_scan(u, F(1, 2), [(1, 2)], skip_normalization_check=True)
+            q_estimate_scan(u, F(1, 2), [(1, 2)])
 
     def test_decay_certificate(self):
         cert = check_q_decay(levels=3, seed=0, samples=2)
@@ -389,24 +475,24 @@ class TestQEstimateScan:
 class TestShrinkingSeries:
     def test_levels(self):
         u = BlockSequence.canonical_basis(16)
-        cert = check_shrinking_series(u, 3, skip_normalization_check=True)
+        cert = check_shrinking_series(u, 3)
         assert cert.passed
         for level in cert.witness["levels"]:
             assert F(level["norm"]) <= F(level["bound"])
 
     def test_zero_levels_vacuous(self):
         u = BlockSequence.canonical_basis(1)
-        cert = check_shrinking_series(u, 0, skip_normalization_check=True)
+        cert = check_shrinking_series(u, 0)
         assert cert.passed and cert.witness == {}
 
     def test_not_enough_blocks(self):
         u = BlockSequence.canonical_basis(4)
         with pytest.raises(ValueError):
-            check_shrinking_series(u, 3, skip_normalization_check=True)
+            check_shrinking_series(u, 3)
 
     def test_replay(self):
         u = BlockSequence.canonical_basis(8)
-        cert = check_shrinking_series(u, 2, skip_normalization_check=True)
+        cert = check_shrinking_series(u, 2)
         assert replay_certificate(cert) == cert.lhs
 
 

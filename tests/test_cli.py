@@ -24,6 +24,7 @@ class TestParsing:
 
     def test_aliases(self):
         assert parse_vector("w3") == e(1) + e(2) + e(3)
+        assert parse_vector("w0") == FinVec.zero()  # an empty range, not an error
         assert parse_vector("indicator:2:4") == e(2) + e(3) + e(4)
         assert parse_vector("spike:7") == e(7)
         assert parse_vector("alt:1:3") == e(1) - e(2) + e(3)
@@ -96,6 +97,14 @@ class TestCommands:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "entry #0" in err and "not a JSON integer" in err
+
+    @pytest.mark.parametrize("vec", ["indicator:5:3", "alt:9:2"])
+    def test_empty_alias_range_exits_2(self, vec, capsys):
+        # these used to print the norm of the zero vector, 0, and exit 0
+        code, out, err = run_cli(["norm", "--vec", vec], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "empty range" in err
 
     def test_string_head_exits_2(self, capsys):
         code, out, err = run_cli(
