@@ -19,12 +19,18 @@ from contextlib import suppress
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from inspect import signature
-from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from .blockseq import POOL_INTS, POOL_SCALE, BlockSequence, combine, random_block_ints
-from .dualnorm import DualTsirelsonEngine, dual_norm, dual_norm_magnitudes
-from .jamesify import JamesEngine, PairSelection, difference_vector, james_norm, james_norm_ints
+from .dualnorm import DualTsirelsonEngine, dual_norm, dual_norm_exceeds, dual_norm_magnitudes
+from .jamesify import (
+    JamesEngine,
+    PairSelection,
+    difference_vector,
+    james_exceeds_ints,
+    james_norm,
+    james_norm_ints,
+)
 from .seqvec import (
     FinVec,
     NormBounds,
@@ -66,8 +72,9 @@ class Certificate:
         }
 
 
-# a sample's score and a function that builds its certificate
-Scored = tuple[Fraction, Callable[[], Certificate]]
+# a sample's score and a function that builds its certificate; None for a
+# sample decided not to beat the running worst score
+Scored = Optional[tuple[Fraction, Callable[[], Certificate]]]
 
 
 @dataclass(frozen=True)
@@ -188,19 +195,25 @@ def _ints(v: FinVec) -> tuple[tuple[int, ...], list[int], int]:
 
 
 def _partition_bound(
-    support: Sequence[int], values: list[int], scale: int, boundaries: list[int]
+    support: Sequence[int], values: list[int], scale: int, boundaries: list[int],
+    worst: Optional[Fraction] = None,
 ) -> Scored:
     """One partition sample on ints: (||y||* - T* of its block norms, its certificate).
 
     y is values[k] / scale at support[k]; block j is y on (b_j, b_(j+1)].
+    None when the score is decided not to exceed ``worst``.
     """
     cuts = [bisect_right(support, b) for b in boundaries]
     magnitudes = [abs(v) for v in values]
-    lhs, *block_norms = [
+    block_norms = [
         dual_norm_magnitudes(tuple(support[lo:hi]), magnitudes[lo:hi], scale) if hi > lo else Fraction(0)
-        for lo, hi in [(0, len(support)), *zip(cuts, cuts[1:])]  # y itself first
+        for lo, hi in zip(cuts, cuts[1:])
     ]
     rhs = T_STAR.eval_magnitudes(*scaled_integers(block_norms))
+    y = (tuple(support), magnitudes, scale)
+    if worst is not None and not dual_norm_exceeds(*y, worst + rhs):
+        return None
+    lhs = dual_norm_magnitudes(*y)
 
     def certificate() -> Certificate:
         dominating = FinVec.from_pairs((j + 1, norm) for j, norm in enumerate(block_norms))
@@ -249,13 +262,15 @@ def _used_blocks(u: BlockSequence, a: FinVec) -> tuple:
 
 
 def _block_combination(
-    support: Sequence[int], values: list[int], scale: int, blocks: list[tuple]
-) -> tuple[Fraction, Callable[[], dict]]:
+    support: Sequence[int], values: list[int], scale: int, blocks: list[tuple],
+    threshold: Optional[Fraction] = None,
+) -> Optional[tuple[Fraction, Callable[[], dict]]]:
     """T_J* of sum_j a_j u_j on ints, and the witness fields that replay it.
 
     a_j is values[k] / scale and u_j is blocks[k] = (indices, ints, block
     scale) at j = support[k].  Every block is brought to the lcm of the
-    block scales, so the sum is ints over one scale.
+    block scales, so the sum is ints over one scale.  None when T_J* is
+    decided to be at most ``threshold``.
     """
     common = math.lcm(*(block_scale for _, _, block_scale in blocks))
     indices, combined = [], []
@@ -263,7 +278,10 @@ def _block_combination(
         factor = c * (common // block_scale)
         indices += block_indices
         combined += [factor * v for v in ints]
-    value, selection = james_norm_ints(indices, combined, scale * common, T_STAR, with_witness=True)
+    vector = (indices, combined, scale * common, T_STAR)
+    if threshold is not None and not james_exceeds_ints(*vector, threshold):
+        return None
+    value, selection = james_norm_ints(*vector, with_witness=True)
 
     def witness() -> dict:
         return {
@@ -276,19 +294,25 @@ def _block_combination(
 
 
 def _block_domination(
-    support: Sequence[int], values: list[int], scale: int, blocks: list[tuple], count: int
+    support: Sequence[int], values: list[int], scale: int, blocks: list[tuple], count: int,
+    worst: Optional[Fraction] = None,
 ) -> Scored:
     """One block-domination sample on ints: (lhs - rhs, its certificate).
 
     The arguments are those of ``_block_combination``, and u has ``count``
     blocks.  The rhs is the T* norm of the neighbor sums |a_j| + |a_(j+1)|.
+    None when the score is decided not to exceed ``worst``.
     """
-    lhs, witness = _block_combination(support, values, scale, blocks)
     sums = [0] * (count + 1)  # |a_j| at j - 1, and a_(count + 1) = 0
     for j, c in zip(support, values):
         sums[j - 1] = abs(c)
     magnitudes = [x + y for x, y in zip(sums, sums[1:])]
     rhs = T_STAR.eval_magnitudes(magnitudes, scale)
+    threshold = None if worst is None else worst + rhs
+    combination = _block_combination(support, values, scale, blocks, threshold)
+    if combination is None:
+        return None
+    lhs, witness = combination
 
     def certificate() -> Certificate:
         dominating = FinVec.from_pairs((j, Fraction(m, scale)) for j, m in enumerate(magnitudes, 1))
@@ -312,15 +336,20 @@ def check_block_domination(u: BlockSequence, a: FinVec) -> Certificate:
 
 def _cor10(
     support: Sequence[int], values: list[int], scale: int, blocks: list[tuple],
-    n: int, count: int, constant: Fraction,
+    n: int, count: int, constant: Fraction, worst: Optional[Fraction] = None,
 ) -> Scored:
     """One Cor. 10 sample on ints: (||sum a_j u_j|| / max |a_j|, its certificate).
 
     The arguments are those of ``_block_combination``; u has ``count``
-    blocks and a lives on the window [n, 2n].
+    blocks and a lives on the window [n, 2n].  None when the score is
+    decided not to exceed ``worst``.
     """
-    lhs, witness = _block_combination(support, values, scale, blocks)
     sup = Fraction(max(map(abs, values)), scale)
+    threshold = None if worst is None else worst * sup
+    combination = _block_combination(support, values, scale, blocks, threshold)
+    if combination is None:
+        return None
+    lhs, witness = combination
     rhs, ratio = constant * sup, lhs / sup
 
     def certificate() -> Certificate:
@@ -359,7 +388,9 @@ def q_estimate_scan(
     For each range, tests the indicator plus seeded sample vectors and
     records the minimum of ||sum a_j u_j|| / (sum |a_j|^q)^(1/q); the norm
     side is exact and the q-sum side a certified interval, so each recorded
-    value is a true interval around the achieved ratio.
+    value is a true interval around the achieved ratio.  Only a strictly
+    smaller lower ratio replaces the best, so a sample whose T_J* exceeds
+    ``best.lower * upper(||a||_q)`` is skipped on a threshold decision.
     """
     q = Fraction(q)
     if q < LEAST_Q:
@@ -378,8 +409,12 @@ def q_estimate_scan(
         best: Optional[NormBounds] = None
         best_vec: Optional[FinVec] = None
         for a in candidates:
-            norm_value = engine.eval_exact(combine(u, a))
+            combined = combine(u, a)
             denom = lp_norm(a, q)
+            threshold = None if best is None else best.lower * upper_of(denom)
+            if threshold is not None and james_exceeds_ints(*_ints(combined), T_STAR, threshold):
+                continue
+            norm_value = engine.eval_exact(combined)
             ratio = NormBounds(
                 norm_value / upper_of(denom), norm_value / lower_of(denom)
             )
@@ -543,13 +578,21 @@ def _unit_window_bound(
     return [check_window_bound(n, samples=samples, seed=seed + n, constant=constant) for n in ns]
 
 
-def _first_worst(samples: int, draw: Callable[[], Scored]) -> Certificate:
+def _first_worst(samples: int, draw: Callable[[Optional[Fraction]], Scored]) -> Certificate:
     """The certificate of the first of ``samples`` draws (score, certificate) with the top score.
 
-    Only that certificate is built.  A unit's verdict bounds its score, so
-    that certificate passes exactly when every sample passes.
+    Each draw gets the running worst score (None for the first) and
+    returns its sample only if the score beats it strictly, and None when
+    a threshold decision shows that it does not; such a sample cannot
+    become the first strictly worst, so the certificate is the same.  Only
+    that certificate is built.  A unit's verdict bounds its score, so that
+    certificate passes exactly when every sample passes.
     """
-    return max((draw() for _ in range(samples)), key=itemgetter(0))[1]()
+    worst = None
+    for _ in range(samples):
+        worst = draw(None if worst is None else worst[0]) or worst
+    assert worst is not None
+    return worst[1]()
 
 
 def _unit_partition_bound(
@@ -557,10 +600,10 @@ def _unit_partition_bound(
 ) -> list[Certificate]:
     rng = random.Random(seed)
 
-    def draw() -> Scored:
+    def draw(worst: Optional[Fraction]) -> Scored:
         top = rng.randint(2, max_hull)
         support, values = _sample_ints(rng, range(1, top + 1))
-        return _partition_bound(support, values, POOL_SCALE, _random_boundaries(rng, top))
+        return _partition_bound(support, values, POOL_SCALE, _random_boundaries(rng, top), worst)
 
     cert = _first_worst(samples, draw)
     return [replace(cert, params={"samples": samples, "seed": seed, "max_hull": max_hull})]
@@ -591,9 +634,10 @@ def _unit_block_domination(
 ) -> list[Certificate]:
     rng = random.Random(seed)
 
-    def draw() -> Scored:
+    def draw(worst: Optional[Fraction]) -> Scored:
         count = rng.randint(1, max_blocks)
-        return _block_domination(*_block_draw(rng, count, total_support, range(1, count + 1)), count)
+        sample = _block_draw(rng, count, total_support, range(1, count + 1))
+        return _block_domination(*sample, count, worst)
 
     cert = _first_worst(samples, draw)
     return [replace(cert, params={"samples": samples, "seed": seed})]
@@ -605,8 +649,9 @@ def _unit_cor10(
 ) -> list[Certificate]:
     rng = random.Random(seed)
 
-    def draw() -> Scored:
-        return _cor10(*_block_draw(rng, 2 * n, total_support, range(n, 2 * n + 1)), n, 2 * n, constant)
+    def draw(worst: Optional[Fraction]) -> Scored:
+        sample = _block_draw(rng, 2 * n, total_support, range(n, 2 * n + 1))
+        return _cor10(*sample, n, 2 * n, constant, worst)
 
     cert = _first_worst(samples, draw)
     unit_params = {"samples": samples, "seed": seed, "n": n, "max_ratio": cert.witness["ratio"]}
@@ -655,16 +700,18 @@ QUICK_SUITE = [
 # (least, most) of the parameters whose range differs from the type's rule
 # (integers and ``ns`` entries >= 1, fractions unbounded); None: no bound.
 # The sizes are capped where the run still takes seconds at every suite
-# seed tried: q_decay with levels 5 and shrinking_series with levels 12 ran
+# seed tried.  When the caps were set, shrinking_series with levels 12 ran
 # for more than a minute, partition_bound with max_hull 40 for half a
 # minute, and block_domination with total_support 28 and cor10 with
-# total_support 36 for more than 25 s at some suite seeds.
+# total_support 36 for more than 25 s at some suite seeds.  q_decay with
+# levels 5 ran for minutes until its samples were decided by threshold
+# searches; it now takes under 0.3 s.
 PARAM_RANGES = {
     ("window_bound", "ns"): WINDOW_NS,
     ("partition_bound", "max_hull"): (2, 24),
     ("block_domination", "total_support"): (1, 24),
     ("cor10", "total_support"): (1, 32),
-    ("q_decay", "levels"): (1, 4),
+    ("q_decay", "levels"): (1, 5),
     ("q_decay", "q"): (LEAST_Q, None),
     ("shrinking_series", "levels"): (1, 10),
 }

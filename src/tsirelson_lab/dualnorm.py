@@ -127,6 +127,16 @@ James leaves (``DualTsirelsonEngine.eval_magnitudes``) and the window
 check of ``certify`` call it with their own ints.  Cache keys are in
 lowest terms, so every caller of one vector shares one entry.
 
+Threshold decisions.  ``dual_norm_exceeds`` decides "||y||* > θ" on the
+path of ``dual_norm_magnitudes``: the closed forms decide at once, the
+peel subtracts |y_1| from θ, and the pooled cutting-plane loop stops at
+the first restricted LP value at most θ, an upper bound since every row
+is a valid cut.  Above θ the loop runs on to the exact value.  As in
+``jamesify``, a sample decided not to exceed its caller's running worst
+cannot change a value or witness.  A bound at most θ is cached under the
+value's key with θ appended, a fact about y and θ that does not depend on
+what a store holds.
+
 ``dual_norm_exact_small`` cross-validates the loop on small hulls by
 enumerating the complete (dominance-pruned) set of tree functionals up
 front and solving a single exact linear program over it.
@@ -307,6 +317,8 @@ def _cutting_plane(
     current basis with the cuts found so far, so ``solve(first)`` pivots as
     a primal simplex from the origin.  Every cut is a constraint of the
     unit ball whatever the objective, so each value is exact.
+    ``solve(w, limit)`` also stops at the first restricted LP value at
+    most ``limit``, an upper bound.
     """
     width = len(support)
     all_columns = list(range(width))
@@ -334,9 +346,11 @@ def _cutting_plane(
         rhs.append(denominator)
     tableau = _simplex.maximize([0] * width, rows, rhs)
 
-    def solve(w: list[int]) -> Fraction:
+    def solve(w: list[int], limit: Optional[Fraction] = None) -> Fraction:
         tableau.set_objective(w)
         while True:
+            if limit is not None and tableau.value <= limit:
+                return tableau.value
             x = tableau.numerators()
             columns = [k for k in all_columns if x[k]]
             values = [x[k] for k in columns]
@@ -390,7 +404,20 @@ def dual_norm(y: FinVec) -> Fraction:
     return dual_norm_magnitudes(support, [abs(v) for v in values], scale)
 
 
-def dual_norm_magnitudes(support: tuple[int, ...], magnitudes: Sequence[int], scale: int) -> Fraction:
+def dual_norm_exceeds(
+    support: tuple[int, ...], magnitudes: Sequence[int], scale: int, threshold: Fraction
+) -> bool:
+    """Whether ``dual_norm_magnitudes(support, magnitudes, scale)`` exceeds ``threshold``.
+
+    ``dual_norm_magnitudes`` with the threshold as its limit, by the
+    threshold decisions of the module docstring.
+    """
+    return dual_norm_magnitudes(support, magnitudes, scale, threshold) > threshold
+
+
+def dual_norm_magnitudes(
+    support: tuple[int, ...], magnitudes: Sequence[int], scale: int, limit: Optional[Fraction] = None
+) -> Fraction:
     """The dual norm of the y with |y_i| = magnitudes[k] / scale at i = support[k].
 
     ``support`` is a nonempty tuple of increasing indices and every
@@ -407,28 +434,38 @@ def dual_norm_magnitudes(support: tuple[int, ...], magnitudes: Sequence[int], sc
     (magnitudes and scale over their gcd): y and 2y never share a key,
     while y, its sign flips, and every scaling of its ints with their scale
     always do.
+
+    With a ``limit``, the loop also stops at the first restricted LP value
+    at most the limit, and that upper bound comes back instead of ||y||*
+    (cached under the key with the limit appended): a result above the
+    limit is exact, and one at most the limit says only that ||y||* is
+    too.
     """
     first = support[0]
     if len(magnitudes) <= first:
         return Fraction(_two_largest(magnitudes), scale)
     if first == 1:
-        return Fraction(magnitudes[0], scale) + dual_norm_magnitudes(support[1:], magnitudes[1:], scale)
+        head = Fraction(magnitudes[0], scale)
+        tail_limit = None if limit is None else limit - head
+        return head + dual_norm_magnitudes(support[1:], magnitudes[1:], scale, tail_limit)
     common = math.gcd(scale, *magnitudes)
     if common > 1:
         scale //= common
         magnitudes = [m // common for m in magnitudes]
     key = (scale, support, tuple(magnitudes))
     value = _dual_cache.get(key)
+    if value is None and limit is not None:
+        value = _dual_cache.get(key + (limit,))
     if value is None:
         if len(support) == first + 1:
-            value = _one_past_schreier(magnitudes, scale)
+            value = _dual_cache[key] = _one_past_schreier(magnitudes, scale)
         else:
             w = list(magnitudes)
             solve = _program_pool.get(support)
             if solve is None:
                 solve = _program_pool[support] = _cutting_plane(list(support), norming_functional, w)
-            value = solve(w) / scale
-        _dual_cache[key] = value
+            value = solve(w, None if limit is None else limit * scale) / scale
+            _dual_cache[key if limit is None or value > limit else key + (limit,)] = value
     return value
 
 

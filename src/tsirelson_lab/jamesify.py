@@ -45,6 +45,18 @@ through the call's own C(a).  The integer entry ``james_norm_ints``
 takes a vector as its indices, int values and any scale (the lemma
 again), and ``james_norm`` is ``scaled_integers`` plus a call to it.
 
+Threshold lemma.  ``james_exceeds_ints`` decides "value > θ" by the same
+search with its incumbent started at θ instead of 0, returning at the
+first leaf above θ: every prune still compares a bound with an incumbent
+at most the supremum, so such a leaf is reached exactly when the
+supremum exceeds θ.  A caller keeping the first strictly worst sample
+asks with θ its running worst: a sample decided not to exceed θ cannot
+become the first strictly worst, so the value and witness never change,
+and one above θ gets the exact search.  A decision is memoized under the
+pattern and θ over the pattern's unit (by the scale lemma), a fact about
+the pattern that does not depend on what the memo holds; a search that
+was only decided is never stored as a value.
+
 The bidual of the James space is modeled by eventually constant coefficient
 sequences; its norm is the supremum of the (nondecreasing) partial-sum
 norms, which stabilizes as soon as the constant tail owns two coordinates,
@@ -199,9 +211,10 @@ def james_norm(
     engine object, by the scale lemma of the module docstring: a hit
     returns the stored value times gcd(v) / scale and the stored canonical
     positions mapped through this call's C(a).  Only searches whose leaves
-    were all exact are stored.  The memo is a ``seqvec.BoundedMemo`` of
-    4 096 patterns: full, it drops its oldest, and the value and witness
-    never depend on what it holds.
+    were all exact are stored, and threshold decisions
+    (``james_exceeds_ints``) go under keys of their own.  The memo is a
+    ``seqvec.BoundedMemo`` of 4 096 entries: full, it drops its oldest,
+    and the value and witness never depend on what it holds.
 
     Returns an exact Fraction for exact bases (NormBounds otherwise); with
     ``with_witness`` also returns a maximizing :class:`PairSelection`
@@ -226,11 +239,7 @@ def james_norm_ints(
     _check_base(base)
     if not values:
         return (Fraction(0), None) if with_witness else Fraction(0)
-    chosen, canonical = zip(*canonical_selection_indices(zip(indices, values)))
-    unit = math.gcd(*canonical)
-    sign = 1 if next(v for v in canonical if v) > 0 else -1
-    key = (base, tuple(sign * v // unit for v in canonical))
-    unit_value = Fraction(unit, scale)  # a's values are sign * unit_value * pattern
+    chosen, canonical, key, unit_value = _pattern(indices, values, scale, base)
     entry = _james_memo.get(key)
     if entry is not None:
         pattern_value, positions = entry
@@ -244,16 +253,54 @@ def james_norm_ints(
     return result, PairSelection(tuple(chosen[p] for p in positions)) if positions else None
 
 
+def james_exceeds_ints(
+    indices: Sequence[int], values: Sequence[int], scale: int, base: NormEngine, threshold: Fraction
+) -> bool:
+    """Whether ``james_norm_ints(indices, values, scale, base)`` exceeds ``threshold``.
+
+    By the threshold lemma of the module docstring; a memoized value of the
+    pattern decides without a search.  With a base whose leaves are not
+    exact, True still means that the value exceeds the threshold, but
+    False is not stored.
+    """
+    _check_base(base)
+    if not values:
+        return threshold < 0
+    _, canonical, key, unit_value = _pattern(indices, values, scale, base)
+    entry = _james_memo.get(key)
+    if entry is not None:
+        return entry[0] * unit_value > threshold
+    key += (threshold / unit_value,)
+    above = _james_memo.get(key)
+    if above is None:
+        _, positions, exact = _search(canonical, scale, base, threshold)
+        above = positions is not None
+        if exact:
+            _james_memo[key] = above
+    return above
+
+
+def _pattern(indices: Sequence[int], values: Sequence[int], scale: int, base: NormEngine):
+    """C(a), a's ints at C(a), the memo key of their pattern, and its unit.
+
+    a's values at C(a) are sign * unit * pattern, the unit a Fraction over ``scale``.
+    """
+    chosen, canonical = zip(*canonical_selection_indices(zip(indices, values)))
+    unit = math.gcd(*canonical)
+    sign = 1 if next(v for v in canonical if v) > 0 else -1
+    return chosen, canonical, (base, tuple(sign * v // unit for v in canonical)), Fraction(unit, scale)
+
+
 def _search(
-    values: Sequence[int], scale: int, base: NormEngine
+    values: Sequence[int], scale: int, base: NormEngine, threshold: Optional[Fraction] = None
 ) -> tuple[NormValue, Optional[tuple[int, ...]], bool]:
     """The branch and bound of ``james_norm`` on C(a)'s values as ints over ``scale``.
 
     Returns the value, the canonical positions of a maximizing selection
     (None if no leaf was evaluated), and whether every evaluated leaf was
-    exact.
+    exact.  With a ``threshold`` the incumbent starts there, and the search
+    returns at the first leaf above it (positions None if there is none).
     """
-    zero = Fraction(0)
     count = len(values)
     suffix_abs = [0] * (count + 1)
     for k in range(count - 1, -1, -1):
@@ -276,13 +323,12 @@ def _search(
         return table
 
     seen: set[tuple[int, tuple[int, ...]]] = set()
-    best_lower = zero
-    best_upper = zero
+    best_lower = best_upper = Fraction(0) if threshold is None else threshold
     best_positions: Optional[tuple[int, ...]] = None
     exact = True
     # the incumbent as a ratio in the search's units: x <= best_lower
     # iff x * denominator <= numerator
-    numerator, denominator = 0, 1
+    numerator, denominator = best_lower.numerator * scale, best_lower.denominator
 
     # a node is (first free canonical position, |d| so far, canonical
     # positions of its selection, l1)
@@ -312,12 +358,14 @@ def _search(
             value = base.eval_magnitudes(diffs, scale)
             exact = exact and not isinstance(value, NormBounds)
             lo, hi = lower_of(value), upper_of(value)
+            if hi > best_upper:
+                best_upper = hi
             if lo > best_lower:
                 best_lower = lo
                 best_positions = used
                 numerator, denominator = lo.numerator * scale, lo.denominator
-            if hi > best_upper:
-                best_upper = hi
+                if threshold is not None:
+                    break
 
     result: NormValue
     if best_lower == best_upper:

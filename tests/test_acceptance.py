@@ -138,6 +138,18 @@ def test_criterion_4_block_domination():
     report(4, failures == 0, f"100 normalized block suites, {failures} failures")
 
 
+def test_criterion_4_canonical_basis_refuted():
+    # an exact counterexample on the canonical basis, whose blocks all have
+    # T_J* norm 1: the selection (5, 8, 10, 11) gives lhs 3, while the
+    # neighbor sums are the indicator of {4, 5, 7, 8, 9, 10}, of T* norm 8/3
+    a = FinVec.from_pairs([(5, -1), (8, 1), (10, 1)])
+    cert = check_block_domination(BlockSequence.canonical_basis(10), a)
+    assert (cert.lhs, cert.rhs, cert.passed) == (3, F(8, 3), False)
+    assert cert.witness["selection"] == [5, 8, 10, 11]
+    assert FinVec.from_json_obj(cert.witness["dominating_vector"]).support() == (4, 5, 7, 8, 9, 10)
+    print("INFO criterion 4 companion: -e_5 + e_8 + e_10 on the canonical basis gives lhs 3 > rhs 8/3")
+
+
 def test_criterion_5_cor10_window():
     rng = random.Random(5050)
     failures = 0
@@ -152,6 +164,17 @@ def test_criterion_5_cor10_window():
         max_ratio = max(max_ratio, F(cert.witness["ratio"]))
     ok = failures == 0 and max_ratio <= 4
     report(5, ok, f"100 window suites, max ratio {max_ratio} (<= 4), {failures} failures")
+
+
+def test_criterion_5_canonical_basis_refuted():
+    # exact counterexamples on the canonical basis: alternating signs on
+    # [n, 2n] give the ratio n + 1, so the constant 4 holds (tightly) up to
+    # n = 3 and fails from n = 4 on
+    for n in range(1, 6):
+        a = FinVec.from_pairs((j, (-1) ** j) for j in range(n, 2 * n + 1))
+        cert = check_cor10(BlockSequence.canonical_basis(2 * n), n, a)
+        assert (cert.lhs, cert.rhs, cert.passed) == (n + 1, 4, n <= 3)
+    print("INFO criterion 5 companion: alternating a on [4, 8] over the canonical basis gives lhs 5 > rhs 4")
 
 
 def test_criterion_6_q_decay():

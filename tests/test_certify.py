@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import json
@@ -6,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from tsirelson_lab.seqvec import FinVec, IndexInterval, restrict
+from tsirelson_lab.seqvec import FinVec, IndexInterval, NormBounds, lower_of, lp_norm, restrict, upper_of
 from tsirelson_lab.blockseq import SAMPLE_POOL, BlockSequence, combine, normalize, random_block_sequence
 from tsirelson_lab import certify
 from tsirelson_lab.dualnorm import dual_norm
@@ -30,8 +31,8 @@ e = FinVec.basis
 
 QUICK_SUITE_SEED_7_SHA256 = "481d90fb8fe44eb1aa4ad93ea98c37dfb67686d8a44e7b01c8e723da16ea2af7"
 
-# one-entry suites at seed 7 whose certificate fails; the suite does not say
-# whether these statements hold past the defaults n = 2 and max_blocks = 4
+# one-entry suites at seed 7 whose certificate fails; both statements fail
+# on the canonical basis too (the companion tests of test_acceptance.py)
 FAILING_SUITES_SEED_7_SHA256 = [
     ({"name": "cor10", "n": 4}, "0f6ef6af575a6e2d3e1903a51eaf19d4cb0a12fc6942e2f23e4853d2031fabbf"),
     ({"name": "block_domination", "max_blocks": 16},
@@ -204,6 +205,24 @@ def cor10_reference(seed, samples=100, n=2, constant=F(4), total_support=12):
     return dataclasses.replace(worst, params={**params, "max_ratio": worst.witness["ratio"]})
 
 
+def q_estimate_scan_reference(u, q, ranges, seed, samples):
+    """q_estimate_scan's per-range minima and minimizers, with every candidate's T_J* exact."""
+    rng = random.Random(seed)
+    per_range, minimizers = [], []
+    for n, m in ranges:
+        window = range(n, m + 1)
+        candidates = [FinVec.from_pairs((i, 1) for i in window)]
+        candidates += [sample_vector_reference(rng, window) for _ in range(samples)]
+        ratios = []
+        for a in candidates:
+            value, denom = james_norm(combine(u, a), certify.T_STAR), lp_norm(a, q)
+            ratios.append(NormBounds(value / upper_of(denom), value / lower_of(denom)))
+        best = min(range(len(candidates)), key=lambda k: ratios[k].lower)  # the first least
+        per_range.append(ratios[best])
+        minimizers.append(candidates[best].to_json_obj())
+    return tuple(per_range), minimizers
+
+
 class TestSampledUnits:
     """The integer scoring of the sampled units gives the FinVec loop's certificate."""
 
@@ -270,6 +289,49 @@ class TestSampledUnits:
         [default] = certify._unit_cor10(3, samples=10)
         assert not low.passed and default.passed
         assert low.witness == default.witness
+
+    @pytest.mark.parametrize("q", [F(1), F(2), F(3, 2)])
+    def test_q_estimate_scan(self, q):
+        ranges = [(1, 2), (2, 4), (4, 8), (8, 16)]
+        rng = random.Random(89)
+        bases = [BlockSequence.canonical_basis(16), normalized_blocks_reference(rng, 16, 24)]
+        for u in bases:
+            for seed in (0, 7, 7131):
+                report = q_estimate_scan(u, q, ranges, seed=seed, samples=4)
+                per_range, minimizers = q_estimate_scan_reference(u, q, ranges, seed, 4)
+                assert report.per_range == per_range
+                assert report.witness["minimizers"] == minimizers
+
+    def test_decided_and_full_samples_at_seed_7(self, monkeypatch):
+        # per default-suite unit at seed 7, the threshold decisions by
+        # outcome: a sample needs its exact value only on one side, and the
+        # first sample of each draw loop (each range's indicator in q_decay)
+        # is scored in full without a decision
+        outcomes = collections.Counter()
+        for name in ("dual_norm_exceeds", "james_exceeds_ints"):
+            decide = getattr(certify, name)
+
+            def counted(*args, decide=decide):
+                above = decide(*args)
+                outcomes[above] += 1
+                return above
+
+            monkeypatch.setattr(certify, name, counted)
+        counts = {}
+        for k, name in enumerate(certify.CHECK_UNITS):
+            outcomes.clear()
+            certify.CHECK_UNITS[name](7 * 1009 + 17 * k)
+            counts[name] = (outcomes[True], outcomes[False])
+        # (above, at most) the threshold: q_decay needs a sample only when
+        # it is at most the threshold, the other units only when above
+        assert counts == {
+            "window_bound": (0, 0),
+            "partition_bound": (1, 198),
+            "block_domination": (0, 99),
+            "cor10": (1, 98),
+            "q_decay": (11, 1),
+            "shrinking_series": (0, 0),
+        }
 
     @pytest.mark.parametrize("entry, pinned", FAILING_SUITES_SEED_7_SHA256)
     def test_failing_suites_report_bytes(self, entry, pinned):

@@ -225,7 +225,7 @@ class TestCertifyCommand:
             ('{"checks": [{"name": "window_bound", "samples": 1, "ns": [2, 11]}]}', ["check entry 0", "ns"]),
             ('{"checks": [{"name": "window_bound", "samples": 1, "ns": [1]}]}', ["check entry 0", "ns"]),
             ('{"checks": [{"name": "q_decay", "q": "1/2"}]}', ["check entry 0", "q"]),
-            ('{"checks": [{"name": "q_decay", "levels": 5}]}', ["check entry 0", "levels"]),
+            ('{"checks": [{"name": "q_decay", "levels": 6}]}', ["check entry 0", "levels"]),
             ('{"checks": [{"name": "shrinking_series", "levels": 11}]}', ["check entry 0", "levels"]),
             ('{"checks": [{"name": "shrinking_series", "levels": 10},'
              ' {"name": "window_bound", "samples": 1, "ns": [11]}]}', ["check entry 1", "ns"]),
@@ -237,7 +237,7 @@ class TestCertifyCommand:
             "cor10_n_0", "max_hull_1", "q_decay_levels_0", "max_blocks_0",
             "misspelled_parameter", "misspelled_checks", "checks_number", "checks_null",
             "seed_string", "seed_float", "seed_bool",
-            "ns_above_10", "ns_below_2", "q_below_1", "q_decay_levels_5",
+            "ns_above_10", "ns_below_2", "q_below_1", "q_decay_levels_6",
             "shrinking_levels_11", "late_range_error",
         ],
     )
@@ -256,13 +256,12 @@ class TestCertifyCommand:
             ("partition_bound", "max_hull", 25),
             ("block_domination", "total_support", 25),
             ("cor10", "total_support", 33),
-            ("q_decay", "levels", 5),
+            ("q_decay", "levels", 6),
         ],
     )
     def test_size_above_its_cap_exits_2_before_any_unit_runs(self, name, key, value, tmp_path,
                                                              capsys, monkeypatch):
-        # a little further past each cap, some suite seeds run for more than
-        # 25 s; one past it is refused before any unit runs
+        # one past each cap is refused before any unit runs
         def unreachable(*args, **kwargs):
             raise AssertionError(f"unit ran with {args} {kwargs}")
 

@@ -18,6 +18,7 @@ from tsirelson_lab.dualnorm import (
     TsirelsonEngine,
     dual_norm,
     dual_norm_exact_small,
+    dual_norm_exceeds,
     dual_norm_magnitudes,
     dual_norm_value,
     pairing,
@@ -401,9 +402,9 @@ def program_solves(monkeypatch):
         solve, objectives = cutting_plane(support, oracle, first), []
         programs.append((tuple(support), objectives))
 
-        def recorded(w):
+        def recorded(w, limit=None):
             objectives.append(tuple(w))
-            return solve(w)
+            return solve(w, limit)
 
         return recorded
 
@@ -547,6 +548,61 @@ class TestDualNormMagnitudes:
             factor = rng.choice((1, 2, 5, 12))
             magnitudes = [abs(v) * factor for v in values]
             assert dual_norm_magnitudes(y.support(), magnitudes, scale * factor) == dual_norm(y)
+
+
+class TestDualNormExceeds:
+    """``dual_norm_exceeds`` decides dual_norm_magnitudes(...) > θ."""
+
+    @staticmethod
+    def thresholds(value):
+        return (value - F(1, 97), value, value + F(1, 97))
+
+    def test_closed_forms_decide_at_once(self, fresh_stores, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError(f"reached with {args}")
+
+        monkeypatch.setattr(dualnorm, "_cutting_plane", unreachable)
+        # the Schreier regime, and one point past it
+        for support, magnitudes in [((3, 4, 5), [2, 1, 3]), ((3, 4, 5, 6), [2, 1, 3, 1])]:
+            value = dual_norm_magnitudes(support, magnitudes, 6)
+            for threshold in self.thresholds(value):
+                assert dual_norm_exceeds(support, magnitudes, 6, threshold) == (value > threshold)
+        assert list(dualnorm._dual_cache) == [(6, (3, 4, 5, 6), (2, 1, 3, 1))]
+
+    def test_the_peel_subtracts_the_head(self, fresh_stores, program_solves):
+        # the tail {2, 3, 5, 6} reaches the cutting plane, and a threshold
+        # below the head alone still takes the tail to its exact value
+        support, magnitudes = (1, 2, 3, 5, 6), [3, 2, 1, 4, 2]
+        value = dual_norm_magnitudes(support, magnitudes, 2)
+        for threshold in (*self.thresholds(value), F(1)):
+            for store in fresh_stores:
+                store.clear()
+            assert dual_norm_exceeds(support, magnitudes, 2, threshold) == (value > threshold)
+        assert {program for program, _ in program_solves} == {(2, 3, 5, 6)}
+
+    def test_the_cutting_plane_stops_at_a_bound(self, fresh_stores, monkeypatch):
+        # two points past the regime; with the threshold at the l1 norm the
+        # first restricted LP value already decides, before any oracle call
+        # of the loop
+        calls = []
+        monkeypatch.setattr(dualnorm, "norming_functional", lambda *args: calls.append(1) or norming_functional(*args))
+        support, magnitudes = (3, 4, 5, 6, 7), [2, 1, 1, 1, 1]
+        value = dual_norm_magnitudes(support, magnitudes, 1)
+        exact_calls = len(calls)
+        for threshold in (*self.thresholds(value), F(6)):
+            for store in fresh_stores:
+                store.clear()
+            del calls[:]
+            above = dual_norm_exceeds(support, magnitudes, 1, threshold)
+            decided_calls = len(calls)
+            assert above == (value > threshold)
+            assert list(dualnorm._program_pool) == [support]
+            # a value above the threshold is cached as the value, a bound under its own key
+            [key] = dualnorm._dual_cache
+            assert key == ((1, support, tuple(magnitudes)) if above else (1, support, tuple(magnitudes), threshold))
+            assert dual_norm_exceeds(support, magnitudes, 1, threshold) == above
+            assert dual_norm_magnitudes(support, magnitudes, 1) == value
+        assert decided_calls == 1 < exact_calls  # the warm-start cut alone
 
 
 class TestSimplexWork:

@@ -24,6 +24,7 @@ from tsirelson_lab.jamesify import (
     bidual_norm,
     canonical_selection_indices,
     difference_vector,
+    james_exceeds_ints,
     james_norm,
     james_norm_ints,
     u_map,
@@ -432,6 +433,56 @@ class TestJamesMemo:
         value = james_norm(e(1) + e(3), LpEngine(2))
         assert isinstance(value, NormBounds)
         assert not empty_memo
+
+
+class TestThresholdDecision:
+    """``james_exceeds_ints`` decides james_norm_ints(...) > θ, memoized apart from the values."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        made = []
+        search = jamesify._search
+        monkeypatch.setattr(jamesify, "_search", lambda *args: made.append(args) or search(*args))
+        return made
+
+    def test_matches_the_value(self, empty_memo, searches):
+        # θ at the value and just either side of it; the sign-flipped and
+        # the scaled copy share the pattern of a, so their decisions hit
+        # a's decision entry, which holds no value
+        rng = random.Random(67)
+        for _ in range(16):
+            a = random_vec(rng, 1, 8)
+            indices = a.support()
+            values, scale = scaled_integers([c for _, c in a.entries])
+            value = james_norm_ints(indices, values, scale, T_STAR)
+            for threshold in (value - F(1, 97), value, value + F(1, 97)):
+                empty_memo.clear()
+                made = len(searches)
+                above = james_exceeds_ints(indices, values, scale, T_STAR, threshold)
+                assert above == (value > threshold)
+                flipped = [-v for v in values]
+                assert james_exceeds_ints(indices, flipped, scale, T_STAR, threshold) == above
+                scaled = [3 * v for v in values]
+                assert james_exceeds_ints(indices, scaled, 2 * scale, T_STAR, threshold * 3 / 2) == above
+                assert len(searches) == made + 1
+                [key] = empty_memo
+                assert len(key) == 3 and empty_memo[key] is above
+                # a decision is not a value: the exact call searches again
+                assert james_norm_ints(indices, scaled, 2 * scale, T_STAR) == value * 3 / 2
+                assert len(searches) == made + 2
+
+    def test_a_stored_value_decides_without_a_search(self, empty_memo, searches):
+        a = FinVec.from_pairs([(2, 1), (3, F(-1, 2)), (5, 2), (6, F(1, 3))])
+        values, scale = scaled_integers([c for _, c in a.entries])
+        value = james_norm(a, T_STAR)
+        made = len(searches)
+        for threshold in (value - 1, value, value + 1):
+            assert james_exceeds_ints(a.support(), values, scale, T_STAR, threshold) == (value > threshold)
+        assert len(searches) == made and len(empty_memo) == 1
+
+    def test_empty_vector(self, empty_memo):
+        assert james_exceeds_ints((), [], 1, T_STAR, F(-1))
+        assert not james_exceeds_ints((), [], 1, T_STAR, F(0))
 
 
 class TestJamesNormAxioms:
