@@ -18,7 +18,6 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from inspect import signature
 from typing import Callable, Optional, Sequence
 
 from .blockseq import POOL_INTS, POOL_SCALE, BlockSequence, combine, random_block_ints
@@ -34,6 +33,7 @@ from .jamesify import (
 from .seqvec import (
     FinVec,
     NormBounds,
+    integer_entries,
     lp_norm,
     lower_of,
     scaled_integers,
@@ -189,11 +189,6 @@ def check_window_bound(
     )
 
 
-def _ints(v: FinVec) -> tuple[tuple[int, ...], list[int], int]:
-    """``v`` as (its support, its values as ints, their scale)."""
-    return (v.support(), *scaled_integers([c for _, c in v.entries]))
-
-
 def _partition_bound(
     support: Sequence[int], values: list[int], scale: int, boundaries: list[int],
     worst: Optional[Fraction] = None,
@@ -242,7 +237,7 @@ def check_partition_bound(y: FinVec, boundaries: Sequence[int]) -> Certificate:
     support = y.support()
     if support and support[-1] > boundaries[-1]:
         raise ValueError("boundaries must cover the support")
-    return _partition_bound(*_ints(y), boundaries)[1]()
+    return _partition_bound(*integer_entries(y), boundaries)[1]()
 
 
 def _require_normalized(u: BlockSequence) -> None:
@@ -253,12 +248,12 @@ def _require_normalized(u: BlockSequence) -> None:
 
 
 def _used_blocks(u: BlockSequence, a: FinVec) -> tuple:
-    """``_ints`` of a, then of each u_j with j in a's support, once u is checked."""
+    """``integer_entries`` of a, then of each u_j with j in a's support, once u is checked."""
     _require_normalized(u)
     support = a.support()
     if support and (support[0] < 1 or support[-1] > len(u.blocks)):
         raise ValueError(f"coefficient support {support} exceeds block count {len(u.blocks)}")
-    return (*_ints(a), [_ints(u.blocks[j - 1]) for j in support])
+    return (*integer_entries(a), [integer_entries(u.blocks[j - 1]) for j in support])
 
 
 def _block_combination(
@@ -412,7 +407,7 @@ def q_estimate_scan(
             combined = combine(u, a)
             denom = lp_norm(a, q)
             threshold = None if best is None else best.lower * upper_of(denom)
-            if threshold is not None and james_exceeds_ints(*_ints(combined), T_STAR, threshold):
+            if threshold is not None and james_exceeds_ints(*integer_entries(combined), T_STAR, threshold):
                 continue
             norm_value = engine.eval_exact(combined)
             ratio = NormBounds(
@@ -680,10 +675,7 @@ CHECK_UNITS = {
 
 # Each unit's suite parameters and defaults, read from its keyword-only arguments
 # once, before a tracer may rebind the CHECK_UNITS values to (*args, **kwargs).
-UNIT_DEFAULTS = {
-    name: {k: p.default for k, p in signature(unit).parameters.items() if p.kind is p.KEYWORD_ONLY}
-    for name, unit in CHECK_UNITS.items()
-}
+UNIT_DEFAULTS = {name: dict(unit.__kwdefaults__) for name, unit in CHECK_UNITS.items()}
 
 DEFAULT_SUITE = [{"name": name} for name in CHECK_UNITS]
 

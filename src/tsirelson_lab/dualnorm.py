@@ -156,6 +156,7 @@ from .seqvec import (
     IndexInterval,
     NormBounds,
     NormValue,
+    integer_entries,
     lp_norm,
     scaled_integers,
 )
@@ -297,8 +298,9 @@ def support_function_norm(
     restricted LP value the exact support-function value.  Nothing
     outlives the call.
     """
-    w, scale = scaled_integers([abs(c) for _, c in y.entries])
-    return _cutting_plane(list(y.support()), oracle, w)(w) / scale
+    support, values, scale = integer_entries(y)
+    w = [abs(v) for v in values]
+    return _cutting_plane(list(support), oracle, w)(w) / scale
 
 
 def _cutting_plane(
@@ -399,8 +401,7 @@ def dual_norm(y: FinVec) -> Fraction:
     """The dual norm ||y||*, exact: ``dual_norm_magnitudes`` of |y| scaled to ints."""
     if y.is_zero:
         return Fraction(0)
-    support, coefficients = zip(*y.entries)
-    values, scale = scaled_integers(coefficients)
+    support, values, scale = integer_entries(y)
     return dual_norm_magnitudes(support, [abs(v) for v in values], scale)
 
 
@@ -492,8 +493,8 @@ def dual_norm_exact_small(y: FinVec) -> Fraction:
             f"support hull {hull} has length {len(hull)}; "
             f"the exhaustive oracle is limited to {MAX_EXACT_HULL}"
         )
-    support = list(y.support())
-    w, scale = scaled_integers([abs(c) for _, c in y.entries])
+    support, values, scale = integer_entries(y)
+    w = [abs(v) for v in values]
     position = {index: k for k, index in enumerate(support)}
 
     rows = []

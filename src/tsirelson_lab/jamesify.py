@@ -43,7 +43,7 @@ sign that makes its first nonzero int positive, and on the base engine
 object; a hit rescales the stored value and maps the stored positions
 through the call's own C(a).  The integer entry ``james_norm_ints``
 takes a vector as its indices, int values and any scale (the lemma
-again), and ``james_norm`` is ``scaled_integers`` plus a call to it.
+again), and ``james_norm`` is ``seqvec.integer_entries`` plus a call to it.
 
 Threshold lemma.  ``james_exceeds_ints`` decides "value > θ" by the same
 search with its incumbent started at θ instead of 0, returning at the
@@ -78,8 +78,8 @@ from .seqvec import (
     FinVec,
     NormBounds,
     NormValue,
+    integer_entries,
     lower_of,
-    scaled_integers,
     upper_of,
 )
 
@@ -222,8 +222,7 @@ def james_norm(
     compaction-monotone raises ``ValueError``: the search would not be the
     supremum.
     """
-    values, scale = scaled_integers([c for _, c in a.entries])
-    return james_norm_ints(a.support(), values, scale, base, with_witness)
+    return james_norm_ints(*integer_entries(a), base, with_witness)
 
 
 def james_norm_ints(

@@ -28,13 +28,14 @@ def _frac(value: Rational) -> Fraction:
 
 
 def scaled_integers(values: Sequence[Union[int, Fraction]]) -> tuple[list[int], int]:
-    """Rationals as ints in one unit: (ints, scale), ints[k] = values[k] * scale.
+    """Ints or Fractions as ints in one unit: (ints, scale), ints[k] = values[k] * scale.
 
-    ``scale`` is the lcm of the denominators, the least that works.  The
-    exact norms scale once with this and compute on ints.
+    ``scale`` is the lcm of the denominators, the least that works.  Each
+    value is read once, through ``as_integer_ratio()``.
     """
-    scale = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = math.lcm(*[d for _, d in ratios])
+    return [n * (scale // d) for n, d in ratios], scale
 
 
 class BoundedMemo(dict):
@@ -222,6 +223,12 @@ class FinVec:
         if not self.entries:
             return "0"
         return " + ".join(f"{c}*e{i}" for i, c in self.entries)
+
+
+def integer_entries(x: FinVec) -> tuple[tuple[int, ...], list[int], int]:
+    """(support, values, scale) of x: signed ints over the least scale; ((), [], 1) for zero."""
+    support, coefficients = tuple(zip(*x.entries)) or ((), ())
+    return (support, *scaled_integers(coefficients))
 
 
 def restrict(x: FinVec, interval: IndexInterval) -> FinVec:

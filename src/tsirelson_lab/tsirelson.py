@@ -59,8 +59,8 @@ one pass, so it reads the cached entries without a call per candidate;
 a cache miss fills only the states the top-down recursion reaches, each
 once.
 
-The program runs on integers.  The magnitudes are scaled to integers once
-(``seqvec.scaled_integers``), and each is shifted left by the support
+The program runs on integers.  The magnitudes are read as ints once
+(``seqvec.integer_entries``), and each is shifted left by the support
 size n, so the family term's 1/2 is an exact ``>> 1``: a tree over m
 support points has depth at most m - 1 (each part of a family is a proper
 sub-run), so a value reached at depth t, within any subproblem, carries
@@ -69,17 +69,17 @@ All values share the one positive factor, so comparisons, argmaxes and
 ties are those of the exact rationals; the value leaves as
 ``Fraction(v, scale << n)``.
 
-One solve serves both the norm and its maximizer.  The module-level cache
-(a ``seqvec.BoundedMemo`` of 4 096 entries; full, it drops its oldest)
-maps the scaled magnitudes and their scale (1-unconditionality makes the
-signs irrelevant) to ``(value, shape)``.  The shape is the unsigned argmax
-tree by support positions: a leaf is its position, a node one
-(lo, hi, child) per part.  Every node has at least two children, so a
-shape over n points has at most 2n - 1 nodes; the entry stays O(n) and
-never holds the program's tables.  ``tsirelson_maximizer`` turns the shape
-into an :class:`EvaluationTree` with the indices and signs of the vector
-it is given, so x and -x share one entry; its flattened functional f
-attains f(x) = ||x|| and lies in the dual unit ball.
+One solve serves both the norm and its maximizer.  Each entry point reads
+its vector once, as signed ints over the least scale, and the
+module-level cache (a ``seqvec.BoundedMemo`` of 4 096 entries; full, it
+drops its oldest) is keyed by the scale, the support and the ints'
+absolute values (1-unconditionality makes the signs irrelevant).  It holds
+``(value, shape)``: the shape is the unsigned argmax tree by support
+positions, a leaf its position and a node one (lo, hi, child) per part,
+so at most 2n - 1 nodes over n points and none of the program's tables.
+``tsirelson_maximizer`` takes the leaf signs from the same signed ints,
+so x and -x share one entry and each tree carries its own vector's signs;
+its flattened functional f attains f(x) = ||x|| and lies in the dual ball.
 ``norming_functional`` reads the leaf depths of the same shape for a
 nonnegative integer vector and returns f as an integer row (a leaf at
 depth t gets 2^(D - t) over 2^D) without building a tree; it is the
@@ -97,9 +97,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import add
-from typing import Iterator, Union
+from typing import Iterator, Sequence, Union
 
-from .seqvec import BoundedMemo, FinVec, IndexInterval, scaled_integers
+from .seqvec import BoundedMemo, FinVec, IndexInterval, integer_entries
 
 HALF = Fraction(1, 2)
 
@@ -390,18 +390,18 @@ def _argmax(indices: list[int], values: list[int]) -> tuple[int, Shape]:
 _norm_cache = BoundedMemo(4096)
 
 
-def _evaluate(x: FinVec) -> tuple[Fraction, Shape]:
-    """(||x||, shape) of a nonzero vector, from one solve per magnitude vector.
+def _evaluate(support: tuple[int, ...], values: list[int], scale: int) -> tuple[Fraction, Shape]:
+    """(||x||, shape) of a nonzero x = ``integer_entries(x)``, one solve per magnitude vector.
 
     The shape is the unsigned argmax tree by support positions: a leaf is
     its position, a node a tuple of (lo, hi, child) per part.  It has at
     most 2n - 1 nodes and holds none of the program's tables.
     """
-    magnitudes, scale = scaled_integers([abs(c) for _, c in x.entries])
-    key = (scale, x.support(), tuple(magnitudes))
+    magnitudes = tuple(map(abs, values))
+    key = (scale, support, magnitudes)
     entry = _norm_cache.get(key)
     if entry is None:
-        value, shape = _argmax(list(x.support()), magnitudes)
+        value, shape = _argmax(list(support), list(magnitudes))
         entry = _norm_cache[key] = (Fraction(value, scale << len(magnitudes)), shape)
     return entry
 
@@ -410,7 +410,7 @@ def tsirelson_norm(x: FinVec) -> Fraction:
     """Exact Tsirelson norm of a finitely supported vector."""
     if x.is_zero:
         return Fraction(0)
-    return _evaluate(x)[0]
+    return _evaluate(*integer_entries(x))[0]
 
 
 def _leaf_depths(shape: Shape, depth: int, out: list[tuple[int, int]]) -> None:
@@ -439,11 +439,11 @@ def norming_functional(indices: list[int], values: list[int]) -> tuple[list[int]
     return coefficients, 1 << deepest
 
 
-def _tree(shape: Shape, indices: list[int], signs: list[int]) -> EvaluationTree:
+def _tree(shape: Shape, indices: Sequence[int], values: list[int]) -> EvaluationTree:
     if isinstance(shape, int):
-        return TreeLeaf(indices[shape], signs[shape])
+        return TreeLeaf(indices[shape], 1 if values[shape] > 0 else -1)
     parts = tuple(IndexInterval(indices[lo], indices[hi]) for lo, hi, _ in shape)
-    children = tuple(_tree(child, indices, signs) for _, _, child in shape)
+    children = tuple(_tree(child, indices, values) for _, _, child in shape)
     return TreeNode(IntervalPartition(parts), children)
 
 
@@ -451,10 +451,10 @@ def tsirelson_maximizer(x: FinVec) -> EvaluationTree:
     """An evaluation tree whose flattened functional f has f(x) = ||x||.
 
     Ties are broken by the deterministic argmax order of the dynamic
-    program, so equal inputs always yield the same tree.  The signs are
-    those of x, so x and -x share one cache entry.
+    program, so equal inputs always yield the same tree.  The leaf signs
+    are those of x's ints, so x and -x share one cache entry.
     """
     if x.is_zero:
         raise ValueError("the zero vector has no maximizing functional")
-    signs = [1 if c > 0 else -1 for _, c in x.entries]
-    return _tree(_evaluate(x)[1], list(x.support()), signs)
+    support, values, scale = integer_entries(x)
+    return _tree(_evaluate(support, values, scale)[1], support, values)

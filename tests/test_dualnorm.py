@@ -102,15 +102,20 @@ class TestExactSmallOracle:
 
 class TestDualNormProperties:
     def test_cache_keys_ignore_signs_and_keep_the_scale(self, fresh_stores):
-        y = FinVec.from_pairs([(1, F(1, 2)), (2, F(-2, 3)), (3, F(3)), (5, F(1, 6))])
-        value = dual_norm(y)
-        for signs in itertools.product((1, -1), repeat=4):
-            flipped = FinVec.from_pairs((i, s * c) for s, (i, c) in zip(signs, y.entries))
-            assert dual_norm(flipped) == value
-        assert len(dualnorm._dual_cache) == 1
-        # 2y has the integer magnitudes of y over half its scale
-        assert dual_norm(2 * y) == 2 * value
-        assert len(dualnorm._dual_cache) == 2
+        for pairs in (
+            [(1, F(1, 2)), (2, F(-2, 3)), (3, F(3)), (5, F(1, 6))],
+            [(2, F(-1, 2)), (3, F(1, 3)), (4, F(-2)), (6, F(1, 2))],
+        ):
+            dualnorm._dual_cache.clear()
+            y = FinVec.from_pairs(pairs)
+            value = dual_norm(y)
+            for signs in itertools.product((1, -1), repeat=4):
+                flipped = FinVec.from_pairs((i, s * c) for s, (i, c) in zip(signs, y.entries))
+                assert dual_norm(flipped) == value
+            assert len(dualnorm._dual_cache) == 1
+            # 2y has the integer magnitudes of y over half its scale
+            assert dual_norm(2 * y) == 2 * value
+            assert len(dualnorm._dual_cache) == 2
 
     def test_duality_bound(self):
         rng = random.Random(17)

@@ -12,6 +12,7 @@ from tsirelson_lab.seqvec import (
     IndexInterval,
     NormBounds,
     _int_nth_root,
+    integer_entries,
     lp_norm,
     nth_root_bounds,
     restrict,
@@ -264,6 +265,26 @@ class TestEventuallyConstantSeq:
         # iterating the string "12" would read the head (1, 2)
         with pytest.raises(ValueError, match="not a list"):
             EventuallyConstantSeq.from_json_obj({"head": head, "tail_value": "0"})
+
+
+class TestIntegerEntries:
+    def test_zero_vector(self):
+        assert integer_entries(FinVec.zero()) == ((), [], 1)
+
+    def test_int_coefficients_have_scale_one(self):
+        assert integer_entries(vec((1, 3), (4, -2), (7, 1))) == ((1, 4, 7), [3, -2, 1], 1)
+
+    def test_fraction_coefficients_keep_their_signs(self):
+        x = vec((2, F(-1, 2)), (3, F(1, 3)), (5, 2), (9, F(-5, 4)))
+        assert integer_entries(x) == ((2, 3, 5, 9), [-6, 4, 24, -15], 12)
+
+    @given(finvecs())
+    @settings(max_examples=100, deadline=None)
+    def test_scale_is_the_lcm_of_the_denominators(self, x):
+        support, values, scale = integer_entries(x)
+        assert scale == math.lcm(*(c.denominator for _, c in x.entries))
+        assert all(type(v) is int for v in values)
+        assert FinVec.from_ints(support, values, scale) == x
 
 
 class TestScaledIntegers:

@@ -169,15 +169,23 @@ class TestNormExamples:
 
 class TestNormProperties:
     def test_cache_keys_ignore_signs_and_keep_the_scale(self, fresh_stores):
-        x = FinVec.from_pairs([(2, F(1, 2)), (3, F(-2, 3)), (4, F(3)), (7, F(1, 6))])
-        value = tsirelson_norm(x)
-        for signs in itertools.product((1, -1), repeat=4):
-            flipped = FinVec.from_pairs((i, s * c) for s, (i, c) in zip(signs, x.entries))
-            assert tsirelson_norm(flipped) == value
-        assert len(tsirelson._norm_cache) == 1
-        # 2x has the integer magnitudes of x over half its scale
-        assert tsirelson_norm(2 * x) == 2 * value
-        assert len(tsirelson._norm_cache) == 2
+        # (pairs, key): the key is (scale, support, magnitudes), the least
+        # scale and unsigned ints
+        cases = [
+            ([(2, F(1, 2)), (3, F(-2, 3)), (4, F(3)), (7, F(1, 6))], (6, (2, 3, 4, 7), (3, 4, 18, 1))),
+            ([(3, F(-1, 2)), (4, F(1, 3)), (6, F(-2)), (8, F(1, 2))], (6, (3, 4, 6, 8), (3, 2, 12, 3))),
+        ]
+        for pairs, key in cases:
+            tsirelson._norm_cache.clear()
+            x = FinVec.from_pairs(pairs)
+            value = tsirelson_norm(x)
+            for signs in itertools.product((1, -1), repeat=4):
+                flipped = FinVec.from_pairs((i, s * c) for s, (i, c) in zip(signs, x.entries))
+                assert tsirelson_norm(flipped) == value
+            assert list(tsirelson._norm_cache) == [key]
+            # 2x has the integer magnitudes of x over half its scale
+            assert tsirelson_norm(2 * x) == 2 * value
+            assert len(tsirelson._norm_cache) == 2
 
     def test_fixed_point_on_random_vectors(self):
         rng = random.Random(5)
@@ -257,10 +265,21 @@ class TestMaximizer:
         assert f == FinVec.from_pairs([(4, "1/2"), (5, "1/2"), (6, "1/2")])
         assert pairing(f, x) == F(3, 2)
 
-    def test_sign_handling(self):
-        x = e(1) - e(2)
-        f = tsirelson_maximizer(x).flatten()
-        assert pairing(f, x) == 1
+    def test_sign_handling(self, fresh_stores):
+        for pairs in (
+            [(1, 1), (2, -1)],
+            [(2, F(-1, 2)), (3, F(1, 3)), (4, F(2)), (5, F(-1, 3)), (7, F(-2)), (9, F(1, 2))],
+            [(4, F(-1, 3)), (5, F(-1, 2)), (6, F(-2)), (7, F(-1, 2))],
+        ):
+            tsirelson._norm_cache.clear()
+            x = FinVec.from_pairs(pairs)
+            # -x fills the entry, so x's tree is built from a cache hit
+            tsirelson_maximizer(-x)
+            tree = tsirelson_maximizer(x)
+            assert len(tsirelson._norm_cache) == 1
+            leaves = list(tree_leaves(tree))
+            assert leaves and all(leaf.sign * x.coeff(leaf.index) > 0 for leaf in leaves)
+            assert pairing(tree.flatten(), x) == tsirelson_norm(x)
 
     def test_agreement_on_random_vectors(self):
         rng = random.Random(11)
@@ -427,6 +446,14 @@ def shape_nodes(shape):
     return 1 + sum(shape_nodes(child) for _, _, child in shape)
 
 
+def tree_leaves(tree):
+    if isinstance(tree, TreeLeaf):
+        yield tree
+    else:
+        for child in tree.children:
+            yield from tree_leaves(child)
+
+
 class TestSharedEntry:
     """The norm and the maximizer of one vector come from one cached solve."""
 
@@ -459,6 +486,14 @@ class TestSharedEntry:
         assert len(solves) == 1 and len(tsirelson._norm_cache) == 1
         assert negated.flatten() == -tree.flatten()
         assert pairing(tree.flatten(), x) == pairing(negated.flatten(), -x) == tsirelson_norm(x)
+
+    def test_second_pass_makes_no_solve(self, solves):
+        rng = random.Random(23)
+        vectors = [random_vec(rng, lo, lo + 14) for lo in (1, 3, 9, 16)]
+        first = [(tsirelson_norm(x), tsirelson_maximizer(x)) for x in vectors]
+        assert len(solves) == len(vectors)
+        assert [(tsirelson_norm(x), tsirelson_maximizer(x)) for x in vectors] == first
+        assert len(solves) == len(vectors)
 
     def test_entry_holds_value_and_small_shape(self, solves):
         rng = random.Random(21)
