@@ -20,16 +20,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .blockseq import POOL_INTS, POOL_SCALE, BlockSequence, combine, random_block_ints
+from .blockseq import POOL_INTS, POOL_SCALE, BlockSequence, random_block_ints
 from .dualnorm import DualTsirelsonEngine, dual_norm, dual_norm_exceeds, dual_norm_magnitudes
-from .jamesify import (
-    JamesEngine,
-    PairSelection,
-    difference_vector,
-    james_exceeds_ints,
-    james_norm,
-    james_norm_ints,
-)
+from .jamesify import PairSelection, difference_vector, james_exceeds_ints, james_norm, james_norm_ints
 from .seqvec import (
     FinVec,
     NormBounds,
@@ -114,10 +107,6 @@ def _sample_ints(rng: random.Random, indices: Sequence[int]) -> tuple[list[int],
     if not chosen:
         chosen = [rng.choice(list(indices))]
     return chosen, [rng.choice(POOL_INTS) for _ in chosen]
-
-
-def _sample_vector(rng: random.Random, indices: Sequence[int]) -> FinVec:
-    return FinVec.from_ints(*_sample_ints(rng, indices), POOL_SCALE)
 
 
 def _window_patterns(n: int) -> list[tuple[list[int], list[int]]]:
@@ -240,48 +229,59 @@ def check_partition_bound(y: FinVec, boundaries: Sequence[int]) -> Certificate:
     return _partition_bound(*integer_entries(y), boundaries)[1]()
 
 
-def _require_normalized(u: BlockSequence) -> None:
-    engine = JamesEngine(T_STAR)
-    for j, block in enumerate(u.blocks):
-        if engine.eval_exact(block) != 1:
-            raise ValueError(f"block {j + 1} is not normalized in {engine.name}")
+def _normalized_blocks(u: BlockSequence, support: Sequence[int] = ()) -> dict[int, tuple]:
+    """Each block of u as j -> ``integer_entries(u_j)``, read once.
+
+    Raises ``ValueError`` unless every block has T_J* norm 1 and the
+    coefficient ``support`` lies in 1..len(u).
+    """
+    blocks = {j: integer_entries(block) for j, block in enumerate(u.blocks, 1)}
+    for j, block in blocks.items():
+        if james_norm_ints(*block, T_STAR) != 1:
+            raise ValueError(f"block {j} is not normalized in J[{T_STAR.name}]")
+    if support and (support[0] < 1 or support[-1] > len(blocks)):
+        raise ValueError(f"coefficient support {support} exceeds block count {len(blocks)}")
+    return blocks
 
 
-def _used_blocks(u: BlockSequence, a: FinVec) -> tuple:
-    """``integer_entries`` of a, then of each u_j with j in a's support, once u is checked."""
-    _require_normalized(u)
-    support = a.support()
-    if support and (support[0] < 1 or support[-1] > len(u.blocks)):
-        raise ValueError(f"coefficient support {support} exceeds block count {len(u.blocks)}")
-    return (*integer_entries(a), [integer_entries(u.blocks[j - 1]) for j in support])
+def _combine_ints(
+    support: Sequence[int], values: Sequence[int], scale: int, blocks: dict[int, tuple]
+) -> tuple[list[int], list[int], int]:
+    """sum_j a_j u_j on ints, as (indices, ints, scale) for the James search.
+
+    a_j is values[k] / scale at j = support[k], and u_j is blocks[j] =
+    (indices, ints, block scale).  Every block is brought to the lcm of the
+    block scales, so the sum is ints over one scale; the blocks' supports
+    are ordered and disjoint, so the indices increase.
+    """
+    common = math.lcm(*(blocks[j][2] for j in support))
+    indices, combined = [], []
+    for j, c in zip(support, values):
+        block_indices, ints, block_scale = blocks[j]
+        factor = c * (common // block_scale)
+        indices += block_indices
+        combined += [factor * v for v in ints]
+    return indices, combined, scale * common
 
 
 def _block_combination(
-    support: Sequence[int], values: list[int], scale: int, blocks: list[tuple],
+    support: Sequence[int], values: list[int], scale: int, blocks: dict[int, tuple],
     threshold: Optional[Fraction] = None,
 ) -> Optional[tuple[Fraction, Callable[[], dict]]]:
     """T_J* of sum_j a_j u_j on ints, and the witness fields that replay it.
 
-    a_j is values[k] / scale and u_j is blocks[k] = (indices, ints, block
-    scale) at j = support[k].  Every block is brought to the lcm of the
-    block scales, so the sum is ints over one scale.  None when T_J* is
+    The arguments are those of ``_combine_ints``.  None when T_J* is
     decided to be at most ``threshold``.
     """
-    common = math.lcm(*(block_scale for _, _, block_scale in blocks))
-    indices, combined = [], []
-    for c, (block_indices, ints, block_scale) in zip(values, blocks):
-        factor = c * (common // block_scale)
-        indices += block_indices
-        combined += [factor * v for v in ints]
-    vector = (indices, combined, scale * common, T_STAR)
-    if threshold is not None and not james_exceeds_ints(*vector, threshold):
+    vector = _combine_ints(support, values, scale, blocks)
+    if threshold is not None and not james_exceeds_ints(*vector, T_STAR, threshold):
         return None
-    value, selection = james_norm_ints(*vector, with_witness=True)
+    value, selection = james_norm_ints(*vector, T_STAR, with_witness=True)
 
     def witness() -> dict:
         return {
             "coefficients": FinVec.from_ints(support, values, scale).to_json_obj(),
-            "combined": FinVec.from_ints(indices, combined, scale * common).to_json_obj(),
+            "combined": FinVec.from_ints(*vector).to_json_obj(),
             "selection": selection.to_json_obj() if selection else None,
         }
 
@@ -289,7 +289,7 @@ def _block_combination(
 
 
 def _block_domination(
-    support: Sequence[int], values: list[int], scale: int, blocks: list[tuple], count: int,
+    support: Sequence[int], values: list[int], scale: int, blocks: dict[int, tuple], count: int,
     worst: Optional[Fraction] = None,
 ) -> Scored:
     """One block-domination sample on ints: (lhs - rhs, its certificate).
@@ -326,11 +326,12 @@ def _block_domination(
 
 def check_block_domination(u: BlockSequence, a: FinVec) -> Certificate:
     """Combined-vector norm against neighbor-sum coefficients (exact)."""
-    return _block_domination(*_used_blocks(u, a), len(u.blocks))[1]()
+    blocks = _normalized_blocks(u, a.support())
+    return _block_domination(*integer_entries(a), blocks, len(u.blocks))[1]()
 
 
 def _cor10(
-    support: Sequence[int], values: list[int], scale: int, blocks: list[tuple],
+    support: Sequence[int], values: list[int], scale: int, blocks: dict[int, tuple],
     n: int, count: int, constant: Fraction, worst: Optional[Fraction] = None,
 ) -> Scored:
     """One Cor. 10 sample on ints: (||sum a_j u_j|| / max |a_j|, its certificate).
@@ -368,7 +369,8 @@ def check_cor10(u: BlockSequence, n: int, a: FinVec, constant: Fraction = Fracti
         raise ValueError("coefficient vector must be nonzero")
     if support[0] < n or support[-1] > 2 * n:
         raise ValueError(f"support {support} escapes the window [{n}, {2 * n}]")
-    return _cor10(*_used_blocks(u, a), n, len(u.blocks), constant)[1]()
+    blocks = _normalized_blocks(u, support)
+    return _cor10(*integer_entries(a), blocks, n, len(u.blocks), constant)[1]()
 
 
 def q_estimate_scan(
@@ -383,15 +385,17 @@ def q_estimate_scan(
     For each range, tests the indicator plus seeded sample vectors and
     records the minimum of ||sum a_j u_j|| / (sum |a_j|^q)^(1/q); the norm
     side is exact and the q-sum side a certified interval, so each recorded
-    value is a true interval around the achieved ratio.  Only a strictly
-    smaller lower ratio replaces the best, so a sample whose T_J* exceeds
+    value is a true interval around the achieved ratio.  Each block of u
+    is read and checked once, each candidate a is drawn as ints
+    (``_sample_ints``), and sum a_j u_j goes to the James search as ints
+    (``_combine_ints``), as in the block units.  Only a strictly smaller
+    lower ratio replaces the best, so a sample whose T_J* exceeds
     ``best.lower * upper(||a||_q)`` is skipped on a threshold decision.
     """
     q = Fraction(q)
     if q < LEAST_Q:
         raise ValueError(f"q must be >= {LEAST_Q}")
-    engine = JamesEngine(T_STAR)
-    _require_normalized(u)
+    blocks = _normalized_blocks(u)
     rng = random.Random(seed)
     per_range: list[NormBounds] = []
     witnesses = []
@@ -399,20 +403,19 @@ def q_estimate_scan(
         if not 1 <= n <= m <= len(u.blocks):
             raise ValueError(f"range [{n}, {m}] exceeds the block count")
         window = list(range(n, m + 1))
-        candidates = [FinVec.from_pairs((i, 1) for i in window)]
-        candidates += [_sample_vector(rng, window) for _ in range(samples)]
+        candidates = [(window, [1] * len(window), 1)]
+        candidates += [(*_sample_ints(rng, window), POOL_SCALE) for _ in range(samples)]
         best: Optional[NormBounds] = None
         best_vec: Optional[FinVec] = None
-        for a in candidates:
-            combined = combine(u, a)
+        for support, values, scale in candidates:
+            a = FinVec.from_ints(support, values, scale)
+            combined = _combine_ints(support, values, scale, blocks)
             denom = lp_norm(a, q)
             threshold = None if best is None else best.lower * upper_of(denom)
-            if threshold is not None and james_exceeds_ints(*integer_entries(combined), T_STAR, threshold):
+            if threshold is not None and james_exceeds_ints(*combined, T_STAR, threshold):
                 continue
-            norm_value = engine.eval_exact(combined)
-            ratio = NormBounds(
-                norm_value / upper_of(denom), norm_value / lower_of(denom)
-            )
+            norm_value = james_norm_ints(*combined, T_STAR)
+            ratio = NormBounds(norm_value / upper_of(denom), norm_value / lower_of(denom))
             if best is None or ratio.lower < best.lower:
                 best = ratio
                 best_vec = a
@@ -473,7 +476,14 @@ def check_q_decay(
 
 
 def check_shrinking_series(u: BlockSequence, levels: int) -> Certificate:
-    """Dyadic coefficient plateaus have summable norms (exact)."""
+    """Dyadic coefficient plateaus have summable norms (exact).
+
+    Level n combines u_j, 2^n < j <= 2^(n+1), with coefficient 1/2^n and
+    passes when its T_J* norm is at most 4/2^n; the check passes when
+    every level does and their sum is at most 4.  Each block of u is read
+    and checked once, and each level goes to the James search as ints
+    (``_combine_ints``), as in the block units.
+    """
     if levels < 0:
         raise ValueError("levels must be >= 0")
     if levels == 0:
@@ -490,14 +500,14 @@ def check_shrinking_series(u: BlockSequence, levels: int) -> Certificate:
         raise ValueError(
             f"need {2 ** (levels + 1)} blocks for {levels} levels, got {len(u.blocks)}"
         )
-    _require_normalized(u)
+    blocks = _normalized_blocks(u)
     level_norms = []
     level_witness = []
     passed = True
     for n in range(1, levels + 1):
-        coeff = Fraction(1, 2**n)
-        a = FinVec.from_pairs((j, coeff) for j in range(2**n + 1, 2 ** (n + 1) + 1))
-        value, selection = james_norm(combine(u, a), T_STAR, with_witness=True)
+        support, values = range(2**n + 1, 2 ** (n + 1) + 1), [1] * 2**n
+        combined = _combine_ints(support, values, 2**n, blocks)
+        value, selection = james_norm_ints(*combined, T_STAR, with_witness=True)
         bound = Fraction(4, 2**n)
         if value > bound:
             passed = False
@@ -507,7 +517,7 @@ def check_shrinking_series(u: BlockSequence, levels: int) -> Certificate:
                 "level": n,
                 "norm": str(value),
                 "bound": str(bound),
-                "coefficients": a.to_json_obj(),
+                "coefficients": FinVec.from_ints(support, values, 2**n).to_json_obj(),
                 "selection": selection.to_json_obj() if selection else None,
             }
         )
@@ -606,7 +616,7 @@ def _unit_partition_bound(
 
 def _block_draw(
     rng: random.Random, count: int, total_support: int, indices: Sequence[int]
-) -> tuple[list[int], list[int], int, list[tuple]]:
+) -> tuple[list[int], list[int], int, dict[int, tuple]]:
     """One sample of the block units on ints, as ``_block_combination`` takes it.
 
     Draws ``count`` raw blocks, then a on ``indices`` as ints over
@@ -615,12 +625,12 @@ def _block_draw(
     """
     raw, _ = random_block_ints(rng.randrange(2**30), count, max(1, total_support // count))
     support, values = _sample_ints(rng, indices)
-    blocks = []
+    blocks = {}
     for j in support:
         block_indices, ints = raw[j - 1]
         # block j is ints / POOL_SCALE with norm p / q, so u_j is q ints / (POOL_SCALE p)
         norm = james_norm_ints(block_indices, ints, POOL_SCALE, T_STAR)
-        blocks.append((block_indices, [norm.denominator * v for v in ints], POOL_SCALE * norm.numerator))
+        blocks[j] = (block_indices, [norm.denominator * v for v in ints], POOL_SCALE * norm.numerator)
     return support, values, POOL_SCALE, blocks
 
 
@@ -811,7 +821,7 @@ def replay_certificate(cert: Certificate) -> Fraction:
             return attained
         return james_norm(combined, T_STAR)
     if check == "q_decay":
-        # the blocks are the canonical basis, so combine(u, a) is a itself
+        # the blocks are the canonical basis, so sum_j a_j u_j is a itself
         report = w["report"]
         a = FinVec.from_json_obj(report["witness"]["minimizers"][-1])
         return james_norm(a, T_STAR) / lower_of(lp_norm(a, Fraction(report["q"])))

@@ -420,10 +420,7 @@ def bidual_norm(
     when a wrong stabilization index makes them differ.
     """
     engine = JamesEngine(base)
-    s = x.stabilization_index
-    if s == 0 and x.tail_value == 0:
-        return Fraction(0)
-    target = s + 2
+    target = x.stabilization_index + 2
     value = engine.eval(x.partial_sum(target))
     for n in range(target + 1, target + 1 + VERIFICATION_SWEEP):
         probe = engine.eval(x.partial_sum(n))

@@ -2,8 +2,11 @@
 
 Everything downstream operates on :class:`FinVec`: a finitely supported
 vector with exact rational coefficients, indexed by positive integers
-(1-based).  Restrictions to index intervals and order-preserving support
-relabelings are the two structural operations the norm machinery needs.
+(1-based).  The norm machinery works on a vector as its support and
+signed ints over one scale (``integer_entries``, ``scaled_integers``).
+``restrict`` (the projection onto an index interval) and ``shift_support``
+(an order-preserving relabeling of the support) serve users of the public
+API; no module of the package calls them.
 :class:`EventuallyConstantSeq` models the bidual elements that stabilize to
 a constant value.
 """
@@ -332,8 +335,6 @@ def nth_root_bounds(
     """
     if value < 0:
         raise ValueError("root of a negative value")
-    if value == 0:
-        return Fraction(0), Fraction(0)
     num_root, num_exact = _int_nth_root(value.numerator, k)
     den_root, den_exact = _int_nth_root(value.denominator, k)
     if num_exact and den_exact:

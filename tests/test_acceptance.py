@@ -27,9 +27,9 @@ from tsirelson_lab.jamesify import (
     james_norm,
     u_map,
 )
-from tsirelson_lab.blockseq import BlockSequence, normalize, random_block_sequence
+from tsirelson_lab.blockseq import POOL_SCALE, BlockSequence, normalize, random_block_sequence
 from tsirelson_lab.certify import (
-    _sample_vector,
+    _sample_ints,
     check_block_domination,
     check_cor10,
     check_partition_bound,
@@ -131,7 +131,7 @@ def test_criterion_4_block_domination():
     for _ in range(100):
         count = rng.randint(1, 4)
         u = random_normalized_blocks(rng, count, 12)
-        a = _sample_vector(rng, range(1, count + 1))
+        a = FinVec.from_ints(*_sample_ints(rng, range(1, count + 1)), POOL_SCALE)
         cert = check_block_domination(u, a)
         if not cert.passed:
             failures += 1
@@ -157,7 +157,7 @@ def test_criterion_5_cor10_window():
     n = 2
     for _ in range(100):
         u = random_normalized_blocks(rng, 2 * n, 12)
-        a = _sample_vector(rng, range(n, 2 * n + 1))
+        a = FinVec.from_ints(*_sample_ints(rng, range(n, 2 * n + 1)), POOL_SCALE)
         cert = check_cor10(u, n, a)
         if not cert.passed:
             failures += 1

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from tsirelson_lab.seqvec import FinVec, IndexInterval, NormBounds, lower_of, lp_norm, restrict, upper_of
-from tsirelson_lab.blockseq import SAMPLE_POOL, BlockSequence, combine, normalize, random_block_sequence
+from tsirelson_lab.blockseq import POOL_SCALE, SAMPLE_POOL, BlockSequence, combine, normalize, random_block_sequence
 from tsirelson_lab import certify
 from tsirelson_lab.dualnorm import dual_norm
 from tsirelson_lab.jamesify import JamesEngine, james_norm
@@ -367,7 +367,8 @@ class TestWindowBound:
         for seed in range(20):
             ours, theirs = random.Random(seed), random.Random(seed)
             for indices in (range(1, 6), range(4, 9), [7], range(10, 30)):
-                assert certify._sample_vector(ours, indices) == sample_vector_reference(theirs, indices)
+                ints = certify._sample_ints(ours, indices)
+                assert FinVec.from_ints(*ints, POOL_SCALE) == sample_vector_reference(theirs, indices)
             assert ours.random() == theirs.random()
 
     def test_indicator_and_spike(self):
@@ -448,6 +449,31 @@ class TestBlockDomination:
         with pytest.raises(ValueError, match="strictly increasing"):
             replay_certificate(dataclasses.replace(cert, witness=witness))
 
+    def test_replay_of_a_zero_combination(self):
+        # a = 0 has no selection; replay recomputes T_J* of the zero vector
+        cert = check_block_domination(BlockSequence.canonical_basis(2), FinVec.zero())
+        assert (cert.lhs, cert.rhs, cert.passed) == (0, 0, True)
+        assert cert.witness["selection"] is None and cert.witness["combined"] == {"entries": []}
+        assert replay_certificate(cert) == 0
+
+
+@pytest.mark.parametrize(
+    "check, args",
+    [
+        (check_block_domination, (BlockSequence.canonical_basis(3), e(1) - e(2) + e(3))),
+        (check_cor10, (BlockSequence.canonical_basis(4), 2, e(2) - e(3) + e(4))),
+    ],
+    ids=["block_domination", "cor10"],
+)
+def test_replay_refuses_an_altered_selection(check, args):
+    # the recorded selection attains T_J* = 3; its first pair alone is a
+    # valid selection whose difference vector has T* norm 2
+    cert = check(*args)
+    assert cert.lhs == 3 and len(cert.witness["selection"]) == 4
+    witness = dict(cert.witness, selection=cert.witness["selection"][:2])
+    with pytest.raises(AssertionError, match="does not attain the norm"):
+        replay_certificate(dataclasses.replace(cert, witness=witness))
+
 
 # block 1 has norm 2 in T_J*
 UNNORMALIZED = BlockSequence((2 * e(1), e(2), e(3), e(4)), (0, 1, 2, 3, 4))
@@ -464,10 +490,13 @@ BASIS_4 = BlockSequence.canonical_basis(4)
         (check_block_domination, (BASIS_4, e(5)), r"^coefficient support \(5,\) exceeds block count 4$"),
         (check_cor10, (BASIS_4, 2, FinVec.zero()), r"^coefficient vector must be nonzero$"),
         (check_cor10, (BASIS_4, 2, e(1) + e(3)), r"^support \(1, 3\) escapes the window \[2, 4\]$"),
+        (q_estimate_scan, (BASIS_4, F(2), [(1, 2), (3, 5)]), r"^range \[3, 5\] exceeds the block count$"),
+        (check_shrinking_series, (BASIS_4, -1), r"^levels must be >= 0$"),
     ],
     ids=[
         "block_domination_unnormalized", "cor10_unnormalized", "q_estimate_scan_unnormalized",
         "shrinking_series_unnormalized", "block_domination_block_count", "cor10_zero", "cor10_window",
+        "q_estimate_scan_block_count", "shrinking_series_negative_levels",
     ],
 )
 def test_public_checks_reject_bad_input(check, args, message):
@@ -525,6 +554,23 @@ class TestQEstimateScan:
         with pytest.raises(ValueError):
             q_estimate_scan(u, F(1, 2), [(1, 2)])
 
+    def test_decay_fails_above_the_plateau(self, monkeypatch):
+        # no real scan exceeds the plateau 2 / ||1_[n, m]||_q, so every
+        # ratio is doubled: the ranges still decrease, and the check fails
+        # on the plateau alone
+        scan = certify.q_estimate_scan
+
+        def doubled(*args, **kwargs):
+            report = scan(*args, **kwargs)
+            per_range = tuple(NormBounds(2 * b.lower, 2 * b.upper) for b in report.per_range)
+            return dataclasses.replace(report, per_range=per_range)
+
+        monkeypatch.setattr(certify, "q_estimate_scan", doubled)
+        cert = check_q_decay(levels=2, seed=0, samples=1)
+        ranges = cert.witness["report"]["per_range"]
+        assert F(ranges[1]["upper"]) < F(ranges[0]["lower"])  # still decreasing
+        assert not cert.passed
+
     def test_decay_certificate(self):
         cert = check_q_decay(levels=3, seed=0, samples=2)
         assert cert.passed
@@ -551,6 +597,33 @@ class TestShrinkingSeries:
         u = BlockSequence.canonical_basis(4)
         with pytest.raises(ValueError):
             check_shrinking_series(u, 3)
+
+    def test_level_over_its_bound_fails(self):
+        # u_j = (-1)^j e_j is normalized, and each level combines
+        # alternating signs: level 3 has T_J* norm 1 against its bound 1/2,
+        # while the total 3 stays within 4
+        u = BlockSequence(tuple(e(j, (-1) ** j) for j in range(1, 17)), tuple(range(17)))
+        cert = check_shrinking_series(u, 3)
+        norms = [(F(level["norm"]), F(level["bound"])) for level in cert.witness["levels"]]
+        assert norms == [(1, 2), (1, 1), (1, F(1, 2))]
+        assert cert.lhs == 3 and not cert.passed
+
+    def test_total_over_its_bound_fails(self, monkeypatch):
+        # the level bounds sum to less than 4, so a total over 4 needs a
+        # level over its bound too; the alternating basis above totals
+        # 1021/256 at levels 5 and ran for over two minutes at levels 6 on
+        # 2 shared vCPUs, so each level's T_J* is multiplied by 8 here
+        norm_ints = certify.james_norm_ints
+
+        def inflated(*args, with_witness=False):
+            if not with_witness:  # the normalization check
+                return norm_ints(*args)
+            value, selection = norm_ints(*args, with_witness=True)
+            return 8 * value, selection
+
+        monkeypatch.setattr(certify, "james_norm_ints", inflated)
+        cert = check_shrinking_series(BlockSequence.canonical_basis(8), 2)
+        assert cert.lhs > 4 and not cert.passed
 
     def test_replay(self):
         u = BlockSequence.canonical_basis(8)

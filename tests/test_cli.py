@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -171,6 +172,19 @@ class TestCertifyCommand:
                 capsys,
             )
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize(
+        "seed, pinned",
+        [
+            (7, "d48ff30fdf9c665d1a556b2390f43160a98460ac1b78823773a3113677a1092a"),
+            (11, "867396e5fe9fa977706d4afc8a8073a6bfee63ae6474ae89ecc24a802f19c46b"),
+        ],
+    )
+    def test_default_suite_report_bytes(self, seed, pinned, capsys):
+        # the hashes that the README and the CI steps pin
+        code, out, err = run_cli(["certify", "--suite", "default", "--seed", str(seed)], capsys)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == pinned
 
     def test_unknown_suite_exits_2(self, capsys):
         code, _, _ = run_cli(["certify", "--suite", "nope"], capsys)

@@ -532,6 +532,12 @@ class TestBidualModel:
     def test_spike_embedding(self):
         assert bidual_norm(EventuallyConstantSeq.from_values([1], 0)) == 1
 
+    def test_zero_sequence(self):
+        # every partial sum is the zero vector, whose T_J* norm is 0
+        for x in (EventuallyConstantSeq.constant(0), EventuallyConstantSeq.from_values([0, 0], 0)):
+            value = bidual_norm(x)
+            assert value == 0 and type(value) is F
+
     def test_stabilizes_past_one_extra_term(self):
         # partial sums are (-1, 1) -> 2 but (-1, 1, 1) -> 3; the supremum
         # is only reached once the tail owns two coordinates

@@ -179,6 +179,9 @@ class TestRootBounds:
     def test_exact_roots_detected(self):
         assert nth_root_bounds(F(4), 2) == (2, 2)
         assert nth_root_bounds(F(27, 8), 3) == (F(3, 2), F(3, 2))
+        for k in (1, 2, 3, 12):  # 0 and its denominator 1 are exact roots
+            roots = nth_root_bounds(F(0), k)
+            assert roots == (0, 0) and all(type(v) is F for v in roots)
 
     def test_inexact_roots_enclose(self):
         lo, hi = nth_root_bounds(F(2), 2)
