@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .blockseq import POOL_INTS, POOL_SCALE, BlockSequence, random_block_ints
-from .dualnorm import DualTsirelsonEngine, dual_norm, dual_norm_exceeds, dual_norm_magnitudes
+from .dualnorm import T_STAR, dual_norm, dual_norm_magnitudes
 from .jamesify import PairSelection, difference_vector, james_exceeds_ints, james_norm, james_norm_ints
 from .seqvec import (
     FinVec,
@@ -32,8 +32,6 @@ from .seqvec import (
     scaled_integers,
     upper_of,
 )
-
-T_STAR = DualTsirelsonEngine()
 
 # the window sizes n that check_window_bound is calibrated for, and the
 # least q a lower q-estimate takes
@@ -190,14 +188,14 @@ def _partition_bound(
     cuts = [bisect_right(support, b) for b in boundaries]
     magnitudes = [abs(v) for v in values]
     block_norms = [
-        dual_norm_magnitudes(tuple(support[lo:hi]), magnitudes[lo:hi], scale) if hi > lo else Fraction(0)
+        dual_norm_magnitudes(tuple(support[lo:hi]), magnitudes[lo:hi], scale)
         for lo, hi in zip(cuts, cuts[1:])
     ]
     rhs = T_STAR.eval_magnitudes(*scaled_integers(block_norms))
-    y = (tuple(support), magnitudes, scale)
-    if worst is not None and not dual_norm_exceeds(*y, worst + rhs):
+    limit = None if worst is None else worst + rhs
+    lhs = dual_norm_magnitudes(tuple(support), magnitudes, scale, limit)
+    if limit is not None and lhs <= limit:
         return None
-    lhs = dual_norm_magnitudes(*y)
 
     def certificate() -> Certificate:
         dominating = FinVec.from_pairs((j + 1, norm) for j, norm in enumerate(block_norms))
@@ -395,6 +393,8 @@ def q_estimate_scan(
     q = Fraction(q)
     if q < LEAST_Q:
         raise ValueError(f"q must be >= {LEAST_Q}")
+    if not ranges:
+        raise ValueError("ranges must be nonempty")
     blocks = _normalized_blocks(u)
     rng = random.Random(seed)
     per_range: list[NormBounds] = []
@@ -444,6 +444,8 @@ def check_q_decay(
     passes when consecutive constants strictly decrease (safe interval
     comparison) and each stays below the plateau value 2 / (2^j + 1)^(1/q).
     """
+    if levels < 1:
+        raise ValueError("levels must be >= 1")
     ranges = [(2**j, 2 ** (j + 1)) for j in range(1, levels + 1)]
     u = BlockSequence.canonical_basis(2 ** (levels + 1))
     report = q_estimate_scan(u, q, ranges, seed=seed, samples=samples)

@@ -34,37 +34,31 @@ from .certify import (
     check_window_bound,
     run_suite,
 )
-from .dualnorm import (
-    DualTsirelsonEngine,
-    LpEngine,
-    NormEngine,
-    TsirelsonEngine,
-)
+from .dualnorm import T_STAR, LpEngine, NormEngine, TsirelsonEngine
 from .jamesify import JamesEngine, bidual_norm
 from .seqvec import EventuallyConstantSeq, FinVec
 
 USAGE_ERROR = 2
 
 
-def _base_engines() -> dict[str, NormEngine]:
-    return {
-        "l1": LpEngine(1),
-        "l2": LpEngine(2),
-        "linf": LpEngine(float("inf")),
-        "T": TsirelsonEngine(),
-        "Tstar": DualTsirelsonEngine(),
-    }
+# the base engines by name, built once: "Tstar" is the package's one T* engine
+_BASE_ENGINES: dict[str, NormEngine] = {
+    "l1": LpEngine(1),
+    "l2": LpEngine(2),
+    "linf": LpEngine(float("inf")),
+    "T": TsirelsonEngine(),
+    "Tstar": T_STAR,
+}
 
 
 def make_engine(space: str) -> NormEngine:
-    engines = _base_engines()
-    if space in engines:
-        return engines[space]
+    if space in _BASE_ENGINES:
+        return _BASE_ENGINES[space]
     if space == "TJstar":
-        return JamesEngine(DualTsirelsonEngine())
+        return JamesEngine(T_STAR)
     match = re.fullmatch(r"TJ\[(\w+)\]", space)
-    if match and match.group(1) in engines:
-        return JamesEngine(engines[match.group(1)])
+    if match and match.group(1) in _BASE_ENGINES:
+        return JamesEngine(_BASE_ENGINES[match.group(1)])
     raise ValueError(f"unknown space {space!r}")
 
 
@@ -207,7 +201,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(engine.eval(parse_vector(args.vec)))
             return 0
         if args.command == "dual-norm":
-            print(DualTsirelsonEngine().eval(parse_vector(args.vec)))
+            print(T_STAR.eval(parse_vector(args.vec)))
             return 0
         if args.command == "james-norm":
             engine = JamesEngine(make_engine(args.base))

@@ -122,20 +122,23 @@ it is the stateless reference.
 
 All of this runs on ints, behind one entry point:
 ``dual_norm_magnitudes(support, magnitudes, scale)`` takes |y| as positive
-ints times one scale.  ``dual_norm`` scales a vector once and calls it;
-James leaves (``DualTsirelsonEngine.eval_magnitudes``) and the window
-check of ``certify`` call it with their own ints.  Cache keys are in
-lowest terms, so every caller of one vector shares one entry.
+ints times one scale, and answers every support, the empty one (y = 0)
+included.  ``dual_norm`` scales a vector once and calls it; James leaves
+(``T_STAR.eval_magnitudes``) and the window and partition checks of
+``certify`` call it with their own ints.  Cache keys are in lowest terms,
+so every caller of one vector shares one entry.  ``T_STAR`` is the one
+T* engine of the package: James searches are memoized on their base
+engine object, so every T_J* search over T* shares one memo namespace.
 
-Threshold decisions.  ``dual_norm_exceeds`` decides "||y||* > θ" on the
-path of ``dual_norm_magnitudes``: the closed forms decide at once, the
-peel subtracts |y_1| from θ, and the pooled cutting-plane loop stops at
-the first restricted LP value at most θ, an upper bound since every row
-is a valid cut.  Above θ the loop runs on to the exact value.  As in
-``jamesify``, a sample decided not to exceed its caller's running worst
-cannot change a value or witness.  A bound at most θ is cached under the
-value's key with θ appended, a fact about y and θ that does not depend on
-what a store holds.
+Threshold decisions.  With a ``limit``, ``dual_norm_magnitudes`` decides
+"||y||* > limit" on its own path: the closed forms decide at once, the
+peel subtracts |y_1| from the limit, and the pooled cutting-plane loop
+stops at the first restricted LP value at most the limit, an upper bound
+since every row is a valid cut.  Above the limit the loop runs on to the
+exact value.  As in ``jamesify``, a sample decided not to exceed its
+caller's running worst cannot change a value or witness.  A bound at most
+the limit is cached under the value's key with the limit appended, a fact
+about y and the limit that does not depend on what a store holds.
 
 ``dual_norm_exact_small`` cross-validates the loop on small hulls by
 enumerating the complete (dominance-pruned) set of tree functionals up
@@ -260,8 +263,6 @@ class DualTsirelsonEngine(NormEngine):
     def eval_magnitudes(self, magnitudes: Sequence[int], scale: int) -> Fraction:
         """``dual_norm_magnitudes`` at the positions whose magnitude is nonzero."""
         support = tuple(j + 1 for j, m in enumerate(magnitudes) if m)
-        if not support:
-            return Fraction(0)
         return dual_norm_magnitudes(support, [m for m in magnitudes if m], scale)
 
     def upper_bound(self, magnitudes: Sequence[int]) -> int:
@@ -272,6 +273,10 @@ class DualTsirelsonEngine(NormEngine):
             total += _two_largest(magnitudes[width - 1 : 2 * width - 1])
             width *= 2
         return total
+
+
+# the package's one T* engine, so T_J* searches over T* share one James memo namespace
+T_STAR = DualTsirelsonEngine()
 
 
 def support_function_norm(
@@ -399,21 +404,8 @@ _program_pool = BoundedMemo(128)
 
 def dual_norm(y: FinVec) -> Fraction:
     """The dual norm ||y||*, exact: ``dual_norm_magnitudes`` of |y| scaled to ints."""
-    if y.is_zero:
-        return Fraction(0)
     support, values, scale = integer_entries(y)
     return dual_norm_magnitudes(support, [abs(v) for v in values], scale)
-
-
-def dual_norm_exceeds(
-    support: tuple[int, ...], magnitudes: Sequence[int], scale: int, threshold: Fraction
-) -> bool:
-    """Whether ``dual_norm_magnitudes(support, magnitudes, scale)`` exceeds ``threshold``.
-
-    ``dual_norm_magnitudes`` with the threshold as its limit, by the
-    threshold decisions of the module docstring.
-    """
-    return dual_norm_magnitudes(support, magnitudes, scale, threshold) > threshold
 
 
 def dual_norm_magnitudes(
@@ -421,12 +413,13 @@ def dual_norm_magnitudes(
 ) -> Fraction:
     """The dual norm of the y with |y_i| = magnitudes[k] / scale at i = support[k].
 
-    ``support`` is a nonempty tuple of increasing indices and every
-    magnitude is a positive int.  In the Schreier regime (support size <=
-    min support) the value is the closed form of the module docstring.  A
-    support holding index 1 and more is peeled: ||y||* = |y_1| + ||y
-    restricted to {2, 3, ...}||* (module docstring).  A support one point
-    past the regime takes the second closed form of the module docstring.
+    ``support`` is a tuple of increasing indices and every magnitude is a
+    positive int.  In the Schreier regime (support size <= min support,
+    and the empty support, with value 0) the value is the closed form of
+    the module docstring.  A support holding index 1 and more is peeled:
+    ||y||* = |y_1| + ||y restricted to {2, 3, ...}||* (module docstring).
+    A support one point past the regime takes the second closed form of
+    the module docstring.
     Any other support goes to its pooled cutting-plane program, whose loop
     only stops once the working-set optimizer lies in the primal ball, at
     which point the restricted LP value is the support function value
@@ -442,7 +435,7 @@ def dual_norm_magnitudes(
     limit is exact, and one at most the limit says only that ||y||* is
     too.
     """
-    first = support[0]
+    first = support[0] if support else 0
     if len(magnitudes) <= first:
         return Fraction(_two_largest(magnitudes), scale)
     if first == 1:

@@ -41,9 +41,14 @@ not scale, so the lemma needs every evaluated leaf to be exact.  Hence
 ``james_norm`` memoizes a search on its *pattern*, v over gcd(v) with the
 sign that makes its first nonzero int positive, and on the base engine
 object; a hit rescales the stored value and maps the stored positions
-through the call's own C(a).  The integer entry ``james_norm_ints``
-takes a vector as its indices, int values and any scale (the lemma
-again), and ``james_norm`` is ``seqvec.integer_entries`` plus a call to it.
+through the call's own C(a).  The package's T* engine is the one object
+``dualnorm.T_STAR`` (the default base of ``JamesEngine``, and the base of
+``certify`` and the CLI), so every T_J* search over it shares one memo
+namespace; a ``DualTsirelsonEngine()`` built by a caller is another
+object and keeps memo entries of its own.  The integer entry
+``james_norm_ints`` takes a vector as its indices, int values and any
+scale (the lemma again), and ``james_norm`` is
+``seqvec.integer_entries`` plus a call to it.
 
 Threshold lemma.  ``james_exceeds_ints`` decides "value > θ" by the same
 search with its incumbent started at θ instead of 0, returning at the
@@ -71,7 +76,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .dualnorm import DualTsirelsonEngine, NormEngine
+from .dualnorm import T_STAR, NormEngine
 from .seqvec import (
     BoundedMemo,
     EventuallyConstantSeq,
@@ -374,10 +379,6 @@ def _search(
     return result, best_positions, exact
 
 
-# the default base: one object, so default-base calls share memo entries
-_DEFAULT_BASE = DualTsirelsonEngine()
-
-
 class JamesEngine(NormEngine):
     """James transform of a base engine as a NormEngine.
 
@@ -388,8 +389,8 @@ class JamesEngine(NormEngine):
 
     is_1_unconditional = False
 
-    def __init__(self, base: Optional[NormEngine] = None):
-        self.base = base if base is not None else _DEFAULT_BASE
+    def __init__(self, base: NormEngine = T_STAR):
+        self.base = base
         _check_base(self.base)
         self.name = f"J[{self.base.name}]"
 
@@ -405,9 +406,7 @@ def alpha_limit(x: EventuallyConstantSeq) -> Fraction:
 VERIFICATION_SWEEP = 3
 
 
-def bidual_norm(
-    x: EventuallyConstantSeq, base: Optional[NormEngine] = None
-) -> NormValue:
+def bidual_norm(x: EventuallyConstantSeq, base: NormEngine = T_STAR) -> NormValue:
     """Norm of a bidual element: the supremum of partial-sum James norms.
 
     Partial-sum norms are nondecreasing (monotone basis) and become

@@ -72,7 +72,7 @@ class IndexInterval:
     hi: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.lo, int) and isinstance(self.hi, int)):
+        if type(self.lo) is not int or type(self.hi) is not int:  # no bool
             raise TypeError("interval endpoints must be integers")
         if self.lo < 1:
             raise ValueError(f"interval must start at a positive index, got {self.lo}")
@@ -106,7 +106,7 @@ class FinVec:
     def __post_init__(self) -> None:
         last = 0
         for index, coeff in self.entries:
-            if not isinstance(index, int) or index < 1:
+            if type(index) is not int or index < 1:  # no bool
                 raise ValueError(f"indices must be positive integers, got {index!r}")
             if index <= last:
                 raise ValueError("indices must be strictly increasing")

@@ -307,16 +307,24 @@ class TestSampledUnits:
         # outcome: a sample needs its exact value only on one side, and the
         # first sample of each draw loop (each range's indicator in q_decay)
         # is scored in full without a decision
+        # T* decides through dual_norm_magnitudes with a limit, T_J* through
+        # james_exceeds_ints
         outcomes = collections.Counter()
-        for name in ("dual_norm_exceeds", "james_exceeds_ints"):
-            decide = getattr(certify, name)
+        decide, dual = certify.james_exceeds_ints, certify.dual_norm_magnitudes
 
-            def counted(*args, decide=decide):
-                above = decide(*args)
-                outcomes[above] += 1
-                return above
+        def counted(*args):
+            above = decide(*args)
+            outcomes[above] += 1
+            return above
 
-            monkeypatch.setattr(certify, name, counted)
+        def counted_dual(support, magnitudes, scale, limit=None):
+            value = dual(support, magnitudes, scale, limit)
+            if limit is not None:
+                outcomes[value > limit] += 1
+            return value
+
+        monkeypatch.setattr(certify, "james_exceeds_ints", counted)
+        monkeypatch.setattr(certify, "dual_norm_magnitudes", counted_dual)
         counts = {}
         for k, name in enumerate(certify.CHECK_UNITS):
             outcomes.clear()
@@ -418,6 +426,14 @@ class TestPartitionBound:
         cert = check_partition_bound(e(2) + e(3), [0, 2, 3])
         assert replay_certificate(cert) == cert.lhs
 
+    def test_zero_vector(self):
+        # every block is empty: lhs 0 and rhs 0, as check_block_domination
+        # gives for a = 0; T* of the empty support used to raise IndexError
+        cert = check_partition_bound(FinVec.zero(), [0, 3])
+        assert (cert.lhs, cert.rhs, cert.passed) == (0, 0, True)
+        assert cert.witness["block_norms"] == ["0"]
+        assert replay_certificate(cert) == 0
+
 
 class TestBlockDomination:
     def test_basis_boundary_convention(self):
@@ -492,11 +508,14 @@ BASIS_4 = BlockSequence.canonical_basis(4)
         (check_cor10, (BASIS_4, 2, e(1) + e(3)), r"^support \(1, 3\) escapes the window \[2, 4\]$"),
         (q_estimate_scan, (BASIS_4, F(2), [(1, 2), (3, 5)]), r"^range \[3, 5\] exceeds the block count$"),
         (check_shrinking_series, (BASIS_4, -1), r"^levels must be >= 0$"),
+        (q_estimate_scan, (BASIS_4, F(2), []), r"^ranges must be nonempty$"),
+        (check_q_decay, (0,), r"^levels must be >= 1$"),
     ],
     ids=[
         "block_domination_unnormalized", "cor10_unnormalized", "q_estimate_scan_unnormalized",
         "shrinking_series_unnormalized", "block_domination_block_count", "cor10_zero", "cor10_window",
         "q_estimate_scan_block_count", "shrinking_series_negative_levels",
+        "q_estimate_scan_no_ranges", "q_decay_zero_levels",
     ],
 )
 def test_public_checks_reject_bad_input(check, args, message):

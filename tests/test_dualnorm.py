@@ -18,7 +18,6 @@ from tsirelson_lab.dualnorm import (
     TsirelsonEngine,
     dual_norm,
     dual_norm_exact_small,
-    dual_norm_exceeds,
     dual_norm_magnitudes,
     dual_norm_value,
     pairing,
@@ -545,6 +544,14 @@ class TestDualNormMagnitudes:
         assert len(dualnorm._dual_cache) == 1
         assert program_solves == [((3, 4, 5, 6, 7), [(2, 1, 1, 1, 1)] * 2)]
 
+    def test_the_empty_support_is_zero(self, fresh_stores):
+        # y = 0 is in the Schreier regime, with or without a limit, and
+        # touches no store
+        assert dual_norm_magnitudes((), [], 1) == 0
+        assert dual_norm_magnitudes((), [], 7, F(0)) == 0
+        assert DualTsirelsonEngine().eval_magnitudes([0, 0], 3) == 0
+        assert not any(fresh_stores)
+
     def test_matches_dual_norm_at_any_scale(self, fresh_stores):
         rng = random.Random(73)
         for _ in range(60):
@@ -555,8 +562,13 @@ class TestDualNormMagnitudes:
             assert dual_norm_magnitudes(y.support(), magnitudes, scale * factor) == dual_norm(y)
 
 
+def exceeds(support, magnitudes, scale, threshold):
+    """The threshold decision: ``dual_norm_magnitudes`` with the limit θ, compared with θ."""
+    return dual_norm_magnitudes(support, magnitudes, scale, threshold) > threshold
+
+
 class TestDualNormExceeds:
-    """``dual_norm_exceeds`` decides dual_norm_magnitudes(...) > θ."""
+    """``dual_norm_magnitudes(..., limit) > limit`` decides ||y||* > limit."""
 
     @staticmethod
     def thresholds(value):
@@ -571,7 +583,7 @@ class TestDualNormExceeds:
         for support, magnitudes in [((3, 4, 5), [2, 1, 3]), ((3, 4, 5, 6), [2, 1, 3, 1])]:
             value = dual_norm_magnitudes(support, magnitudes, 6)
             for threshold in self.thresholds(value):
-                assert dual_norm_exceeds(support, magnitudes, 6, threshold) == (value > threshold)
+                assert exceeds(support, magnitudes, 6, threshold) == (value > threshold)
         assert list(dualnorm._dual_cache) == [(6, (3, 4, 5, 6), (2, 1, 3, 1))]
 
     def test_the_peel_subtracts_the_head(self, fresh_stores, program_solves):
@@ -582,7 +594,7 @@ class TestDualNormExceeds:
         for threshold in (*self.thresholds(value), F(1)):
             for store in fresh_stores:
                 store.clear()
-            assert dual_norm_exceeds(support, magnitudes, 2, threshold) == (value > threshold)
+            assert exceeds(support, magnitudes, 2, threshold) == (value > threshold)
         assert {program for program, _ in program_solves} == {(2, 3, 5, 6)}
 
     def test_the_cutting_plane_stops_at_a_bound(self, fresh_stores, monkeypatch):
@@ -598,14 +610,14 @@ class TestDualNormExceeds:
             for store in fresh_stores:
                 store.clear()
             del calls[:]
-            above = dual_norm_exceeds(support, magnitudes, 1, threshold)
+            above = exceeds(support, magnitudes, 1, threshold)
             decided_calls = len(calls)
             assert above == (value > threshold)
             assert list(dualnorm._program_pool) == [support]
             # a value above the threshold is cached as the value, a bound under its own key
             [key] = dualnorm._dual_cache
             assert key == ((1, support, tuple(magnitudes)) if above else (1, support, tuple(magnitudes), threshold))
-            assert dual_norm_exceeds(support, magnitudes, 1, threshold) == above
+            assert exceeds(support, magnitudes, 1, threshold) == above
             assert dual_norm_magnitudes(support, magnitudes, 1) == value
         assert decided_calls == 1 < exact_calls  # the warm-start cut alone
 

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from tsirelson_lab import jamesify
+from tsirelson_lab import certify, cli, dualnorm, jamesify
 from tsirelson_lab.seqvec import EventuallyConstantSeq, FinVec, IndexInterval, NormBounds, scaled_integers
 from tsirelson_lab.dualnorm import (
     DualTsirelsonEngine,
@@ -426,6 +426,23 @@ class TestJamesMemo:
             assert james_norm_ints(*tripled, with_witness=True) == expected
             assert len(searches) == made + 1
         assert james_norm_ints((), [], 1, T_STAR, with_witness=True) == (0, None)
+
+    def test_every_route_to_t_star_shares_one_search(self, empty_memo, monkeypatch):
+        # certify, the default James base and the CLI all use the one T*
+        # engine dualnorm.T_STAR, so the memo holds one entry per pattern
+        # over T*, and one vector costs one search however it is reached
+        searches = []
+        search = jamesify._search
+        monkeypatch.setattr(jamesify, "_search", lambda *args: searches.append(args) or search(*args))
+        x = EventuallyConstantSeq.from_values([F(1, 2), -1, 2, 0], 1)
+        a = x.partial_sum(x.stabilization_index + 2)
+        value = james_norm(a, certify.T_STAR)
+        assert JamesEngine().eval(a) == value
+        assert bidual_norm(x) == value
+        assert cli.make_engine("TJstar").eval(a) == value
+        assert cli.make_engine("TJ[Tstar]").eval(a) == value
+        assert len(searches) == 1 and len(empty_memo) == 1
+        assert JamesEngine().base is certify.T_STAR is cli.make_engine("Tstar") is dualnorm.T_STAR
 
     def test_enclosures_are_not_stored(self, empty_memo):
         # l2 leaves such as (1, 1) have irrational norms, and an enclosure's

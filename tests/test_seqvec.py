@@ -19,6 +19,7 @@ from tsirelson_lab.seqvec import (
     scaled_integers,
     shift_support,
 )
+from tsirelson_lab.tsirelson import evaluation_tree_from_json, tsirelson_maximizer
 
 e = FinVec.basis
 
@@ -88,6 +89,20 @@ class TestFinVec:
     def test_json_bad_entry_is_named(self):
         with pytest.raises(ValueError, match="entry #1"):
             FinVec.loads('[[1,"1"],[2,"x/y"]]')
+
+    def test_a_boolean_index_is_rejected(self):
+        # True equals 1, but a vector holding it printed as 1*eTrue and
+        # dumped as [true, "1"], which loads refuses; every vector that can
+        # be built must survive dumps and loads
+        for pairs in ([(True, 1)], [(2, 1), (False, 1)]):
+            with pytest.raises(ValueError, match="positive integers"):
+                FinVec.from_pairs(pairs)
+        with pytest.raises(ValueError, match="positive integers"):
+            FinVec(((True, F(1)),))
+        x = vec((1, 1), (2, "-1/2"))
+        assert FinVec.loads(x.dumps()) == x
+        tree = tsirelson_maximizer(x)
+        assert evaluation_tree_from_json(tree.to_json_obj()) == tree
 
     @pytest.mark.parametrize("index", ["2.9", "2.0", "true", "false", '"3"', "null"])
     def test_json_index_must_be_an_integer(self, index):
@@ -358,6 +373,9 @@ class TestIndexInterval:
             IndexInterval(3, 2)
         with pytest.raises(ValueError):
             IndexInterval(0, 2)
+        for lo, hi in [(True, 2), (1, True), (2.0, 3)]:
+            with pytest.raises(TypeError, match="must be integers"):
+                IndexInterval(lo, hi)
 
     def test_contains_len(self):
         E = IndexInterval(2, 5)
